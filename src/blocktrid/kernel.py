@@ -1,27 +1,20 @@
 """Dense complex kernels shared by every sparsification pipeline.
 
 All routines work on ``numpy`` arrays with dtype complex128 and are pure
-functions of their inputs.  The factorizations are implemented with plane
-rotations in a fixed cyclic sweep order, so repeated calls on the same data
-produce bit-identical results (up to platform rounding), which keeps every
-report downstream reproducible.
+functions of their inputs.  Gram-Schmidt is implemented here; the singular
+value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 #: Default relative tolerance deciding when a candidate vector is linearly
 #: dependent on the basis built so far.
 DEPENDENCE_TOL = 1e-10
-
-# Rotation threshold and sweep cap for the Jacobi-type iterations below.
-_ROTATION_EPS = 1e-14
-_MAX_SWEEPS = 60
 
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
@@ -122,82 +115,27 @@ def mgs_append(basis: Sequence[np.ndarray], v, tol: float = DEPENDENCE_TOL) -> G
 
 
 def svd(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition by one-sided column rotations.
+    """Full singular value decomposition of a (possibly rectangular) matrix.
 
     Parameters
     ----------
     A : array_like
-        Square complex matrix.
+        Complex m x n matrix.
 
     Returns
     -------
     (W, sigma, V) : tuple
-        ``A = W @ diag(sigma) @ V.conj().T`` with sigma real, nonnegative and
-        descending, and W, V unitary.  Column pairs are swept in a fixed
-        row-major order until every pair is numerically orthogonal, then zero
-        columns of the image are completed to a full unitary W, so the factor
-        is unitary even for singular input.
+        ``A = W[:, :k] @ diag(sigma) @ V[:, :k].conj().T`` with
+        ``k = min(m, n)``, sigma real, nonnegative and descending, and W
+        (m x m), V (n x n) unitary even for singular input.
     """
-    A = as_operator(A)
-    d = A.shape[0]
-    G = A.copy()
-    V = np.eye(d, dtype=np.complex128)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                gp = G[:, p]
-                gq = G[:, q]
-                app = float(np.real(np.vdot(gp, gp)))
-                aqq = float(np.real(np.vdot(gq, gq)))
-                apq = complex(np.vdot(gp, gq))
-                if app * aqq == 0.0 or abs(apq) <= _ROTATION_EPS * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                gp_new = cs * gp - sn * np.conj(phase) * gq
-                gq_new = sn * gp + cs * np.conj(phase) * gq
-                G[:, p] = gp_new
-                G[:, q] = gq_new
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = cs * vp - sn * np.conj(phase) * vq
-                V[:, q] = sn * vp + cs * np.conj(phase) * vq
-        if not rotated:
-            break
-    else:
-        raise RuntimeError("column rotation sweeps did not converge")
-
-    norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), G)))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    G = G[:, order]
-    V = V[:, order]
-
-    W = np.zeros((d, d), dtype=np.complex128)
-    rank_tol = d * np.finfo(float).eps * (norms[0] if d else 0.0)
-    kept: List[np.ndarray] = []
-    for j in range(d):
-        if norms[j] > rank_tol:
-            W[:, j] = G[:, j] / norms[j]
-            kept.append(W[:, j])
-    # complete the left factor on the numerical null space
-    for j in range(d):
-        if norms[j] <= rank_tol:
-            for k in range(d):
-                out = mgs_append(kept, unit_vector(d, k), tol=1e-6)
-                if out.accepted:
-                    W[:, j] = out.vector
-                    kept.append(out.vector)
-                    break
-    return W, norms, V
+    A = np.array(A, dtype=np.complex128)
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
+    W, sigma, Vh = np.linalg.svd(A, full_matrices=True)
+    return W, sigma, Vh.conj().T
 
 
 def polar_unitary(X) -> Tuple[np.ndarray, np.ndarray]:
@@ -215,7 +153,7 @@ def polar_unitary(X) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigvals(A) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, by cyclic plane rotations.
+    """Eigenvalues of a Hermitian matrix, ascending.
 
     Raises
     ------
@@ -226,36 +164,4 @@ def hermitian_eigvals(A) -> np.ndarray:
     herm_gap = max_abs(A - A.conj().T)
     if herm_gap > 1e-8 * (1.0 + max_abs(A)):
         raise ValueError(f"matrix is not Hermitian (asymmetry {herm_gap:.3e})")
-    H = 0.5 * (A + A.conj().T)
-    d = H.shape[0]
-    thresh = _ROTATION_EPS * max(1.0, float(np.linalg.norm(H, "fro")))
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                gamma = complex(H[p, q])
-                if abs(gamma) <= thresh:
-                    continue
-                rotated = True
-                alpha = float(H[p, p].real)
-                beta = float(H[q, q].real)
-                phase = gamma / abs(gamma)
-                tau = (beta - alpha) / (2.0 * abs(gamma))
-                if tau == 0.0:
-                    t = -1.0
-                else:
-                    t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                J = np.array([[c, -s * phase], [s * np.conj(phase), c]], dtype=np.complex128)
-                H[:, [p, q]] = H[:, [p, q]] @ J
-                H[[p, q], :] = J.conj().T @ H[[p, q], :]
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-        if not rotated:
-            break
-    else:
-        raise RuntimeError("eigenvalue sweeps did not converge")
-    return np.sort(np.real(np.diag(H)))
+    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))

@@ -20,7 +20,7 @@ from .kernel import (
     as_operator,
     max_abs,
     mgs_append,
-    polar_unitary,
+    svd,
     unit_vector,
 )
 from .schedules import (
@@ -166,9 +166,10 @@ def _require_nondecreasing(schedule: BlockSchedule, d: int) -> List[Tuple[int, i
 def _polar_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
     """Block diagonal unitary turning each right-of-diagonal block into (P | 0).
 
-    Walking down the band: with U_1 = I, stack Y = U_k* A_k over zero rows to
-    a square X, and take the unitary polar factor of X*; then Y U_{k+1} is
-    the Hermitian square root of YY* next to a zero tail.
+    Walking down the band: with U_1 = I, take the SVD Y = W S V* of the
+    n_k x n_{k+1} block Y = U_k* A_k and set U_{k+1} = V diag(W*, I); then
+    Y U_{k+1} = (W S W* | 0), whose left part is the Hermitian square root
+    of YY*.
     """
     d = Mb.shape[0]
     V = np.zeros((d, d), dtype=np.complex128)
@@ -177,11 +178,11 @@ def _polar_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarr
     for k in range(len(slices) - 1):
         r0, r1 = slices[k]
         c0, c1 = slices[k + 1]
-        nk, nk1 = r1 - r0, c1 - c0
         Y = Us[k].conj().T @ Mb[r0:r1, c0:c1]
-        X = np.vstack([Y, np.zeros((nk1 - nk, nk1), dtype=np.complex128)])
-        Uf, _ = polar_unitary(X.conj().T)
-        Us.append(Uf)
+        W, _, Uk1 = svd(Y)
+        nk = r1 - r0
+        Uk1[:, :nk] = Uk1[:, :nk] @ W.conj().T
+        Us.append(Uk1)
     for (a, b), Uk in zip(slices, Us):
         V[a:b, a:b] = Uk
     return V
@@ -294,15 +295,6 @@ def tri_sparsify(T, alt: bool = False, tol: float = DEPENDENCE_TOL,
     return _finish(form, threshold)
 
 
-def _coerce_seed(v, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.shape != (d,):
-        raise ValueError(f"seed vector length {v.shape[0]} does not match dim {d}")
-    if np.linalg.norm(v) == 0.0:
-        raise ValueError("seed vector must be nonzero")
-    return v
-
-
 def krylov_hessenberg(T, v, tol: float = DEPENDENCE_TOL,
                       threshold: float = DEFAULT_THRESHOLD) -> SparsifiedForm:
     """Upper Hessenberg form on the subspace generated by v, Tv, T^2 v, ...
@@ -313,7 +305,6 @@ def krylov_hessenberg(T, v, tol: float = DEPENDENCE_TOL,
     """
     T = as_operator(T)
     d = T.shape[0]
-    v = _coerce_seed(v, d)
     res = run_program([T], krylov_program(), d, tol=tol, seed_vector=v)
     mc = res.closure_dim if res.closure_dim is not None else d
     M = conjugate(T, res.basis)
@@ -339,7 +330,6 @@ def joint_cyclic_staircase(T, v, tol: float = DEPENDENCE_TOL,
     """
     T = as_operator(T)
     d = T.shape[0]
-    v = _coerce_seed(v, d)
     res = run_program([T], joint_cyclic_program(), d, tol=tol, seed_vector=v)
     mc = res.closure_dim if res.closure_dim is not None else d
     M = conjugate(T, res.basis)
@@ -405,7 +395,6 @@ def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:
     containing v; v is a joint cyclic vector for the restriction."""
     T = as_operator(T)
     d = T.shape[0]
-    v = _coerce_seed(v, d)
     res = run_program([T], joint_cyclic_program(), d, tol=tol, seed_vector=v,
                       pad_with_seeds=False)
     return res.basis

@@ -274,6 +274,7 @@ class VerificationReport:
             "span_residuals": [list(v) for v in self.span_residuals],
             "hermitian_residuals": [list(v) for v in self.hermitian_residuals],
             "psd_min_eigs": [list(v) for v in self.psd_min_eigs],
+            "block_scales": [list(v) for v in self.block_scales],
             "tail_residuals": [list(v) for v in self.tail_residuals],
             "triangular_residuals": [list(v) for v in self.triangular_residuals],
             "trace_drifts": self.trace_drifts,

@@ -119,7 +119,7 @@ def test_criterion_2_staircase_suite():
         worst_recon = max(
             worst_recon, rep.reconstruction_residual / (1 + rep.input_norm_max)
         )
-        worst_span = max(r for _, _, r in rep.span_residuals)
+        worst_span = max(worst_span, max(r for _, _, r in rep.span_residuals))
     elapsed = time.perf_counter() - t0
     ok = (worst_pattern == 0 and worst_unit <= 1e-10 and worst_recon <= 1e-8
           and worst_span <= 1e-8 and elapsed < 30.0)

@@ -119,18 +119,31 @@ def test_svd_frozen_examples():
 
 def test_svd_reconstruction_and_unitarity():
     rng = np.random.default_rng(21)
+    cases = []
     for trial in range(120):
         d = int(rng.integers(1, 14))
         A = random_matrix(rng, d)
         if trial % 3 == 0:
             r = max(1, d // 2)
             A = A[:, :r] @ random_matrix(rng, d)[:r, :]
+        cases.append(A)
+    # wide blocks as the polar step factors them, a tall one, and
+    # rectangular inputs of rank one and zero
+    cases.append(random_matrix(rng, 6)[:2])
+    cases.append(random_matrix(rng, 6)[:, :3])
+    cases.append(np.outer(random_matrix(rng, 3)[0], random_matrix(rng, 7)[0]))
+    cases.append(np.zeros((2, 6)))
+    for A in cases:
         W, s, V = svd(A)
+        m, n = A.shape
+        assert W.shape == (m, m) and V.shape == (n, n) and s.shape == (min(m, n),)
         assert unitarity_residual(W) < 1e-12
         assert unitarity_residual(V) < 1e-12
         assert np.all(s >= 0)
         assert np.all(np.diff(s) <= 1e-12)
-        assert max_abs(W @ np.diag(s) @ V.conj().T - A) < 1e-11 * (1 + max_abs(A))
+        S = np.zeros((m, n))
+        np.fill_diagonal(S, s)
+        assert max_abs(W @ S @ V.conj().T - A) < 1e-11 * (1 + max_abs(A))
 
 
 def test_svd_matches_reference_singular_values():

@@ -131,6 +131,46 @@ def test_polar_degenerate_rows():
         assert form.passing
 
 
+@pytest.mark.parametrize("zero_block", [1, 2])
+def test_polar_zero_and_rank_one_blocks(zero_block):
+    # schedule (1, 2, 6): A_1 is 1x2 and A_2 is 2x6; one of them is zero and
+    # the other rank one, singular blocks whose factor U_{k+1} must still be
+    # a full unitary
+    rng = np.random.default_rng(20)
+    slices = [(0, 1), (1, 3), (3, 9)]
+    Mb = np.zeros((9, 9), dtype=np.complex128)
+    for i, (a, b) in enumerate(slices):
+        for j, (c, e) in enumerate(slices):
+            if abs(i - j) <= 1:
+                Mb[a:b, c:e] = _rand(rng, 9)[: b - a, : e - c]
+    u, w = _rand(rng, 6)[:2, 0], _rand(rng, 6)[0]
+    Mb[1:3, 3:9] = 0.0 if zero_block == 2 else np.outer(u, w)
+    if zero_block == 1:
+        Mb[0:1, 1:3] = 0.0
+    form = polar_sparsify_tridiagonal(Mb, BlockSchedule((1, 2, 6), GENERAL))
+    assert form.passing, form.report.to_json()
+    M = form.matrix
+    if zero_block == 1:
+        assert max_abs(M[0:1, 1:3]) <= 1e-12
+        sigma = np.linalg.norm(u) * np.linalg.norm(w)
+        eigs = np.linalg.eigvalsh(M[1:3, 3:5])
+        np.testing.assert_allclose(eigs, [0.0, sigma], atol=1e-10 * sigma)
+    else:
+        assert abs(M[0, 1] - np.linalg.norm(Mb[0, 1:3])) <= 1e-12
+        assert max_abs(M[1:3, 3:9]) <= 1e-12
+    assert max_abs(M[0:3, 5:9]) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [krylov_hessenberg, joint_cyclic_staircase,
+                                   reducing_closure])
+@pytest.mark.parametrize("seed, message", [(np.zeros(5), "nonzero"),
+                                           (np.ones(4), "does not match")])
+def test_seed_vector_is_validated(build, seed, message):
+    T = _rand(np.random.default_rng(21), 5)
+    with pytest.raises(ValueError, match=message):
+        build(T, seed)
+
+
 def test_polar_direct_entry_rejects_dense():
     rng = np.random.default_rng(15)
     with pytest.raises(ValueError, match="not block tridiagonal"):
@@ -148,10 +188,11 @@ def test_polar_direct_entry_on_band_output():
 
 def test_polar_random_suite():
     rng = np.random.default_rng(17)
-    for trial in range(12):
-        d = int(rng.integers(2, 28))
+    for trial in range(14):
+        # twelve small dimensions, then d=128 in the plain and the alt variant
+        d = int(rng.integers(2, 28)) if trial < 12 else 128
         T = _rand(rng, d)
-        form = polar_sparsify(T)
+        form = polar_sparsify(T, alt=trial == 13)
         assert form.passing, form.report.to_json()
         assert all(r <= 1e-9 for _, r in form.report.hermitian_residuals)
         assert all(r <= 1e-10 for _, r in form.report.tail_residuals)

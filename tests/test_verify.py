@@ -295,6 +295,7 @@ def test_psd_limit_scales_with_block():
     form = _Form(M, "polar", polar_blocks(sched, 4), schedule=sched)
     report = full_report(form)
     assert report.block_scales == [(1, 1e6)]
+    assert json.loads(report.to_json())["block_scales"] == [[1, 1e6]]
     # negative eigenvalue within the block-scaled tolerance still passes
     assert report.psd_min_eigs == [(1, -5e-4)]
     assert report.passing
