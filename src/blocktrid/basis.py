@@ -165,17 +165,19 @@ def run_program(
     if cap is None:
         cap = default_instruction_cap(dim, program.stride or 3)
 
-    basis: List[np.ndarray] = []
+    # orthonormal basis vectors as rows; B[:k] is the basis built so far
+    B = np.zeros((dim, dim), dtype=np.complex128)
+    k = 0
     log = BuildLog()
     closure_dim: Optional[int] = None
     position = 0
     stream = program.instructions()
 
-    while len(basis) < dim:
+    while k < dim:
         position += 1
         if position > cap:
             raise InstructionCapError(
-                f"no completion after {cap} instructions (have {len(basis)}/{dim})"
+                f"no completion after {cap} instructions (have {k}/{dim})"
             )
         instr = next(stream)
         if instr.kind == "seed":
@@ -187,55 +189,57 @@ def run_program(
         elif instr.kind == "seed_vec":
             candidate = v
         else:
-            if instr.src > len(basis):
+            if instr.src > k:
                 # the program only references vectors it could have built, so
                 # a missing source means the generated subspace closed
                 if not needs_v:
                     raise InstructionCapError(
                         f"instruction at position {position} references vector "
-                        f"{instr.src} but only {len(basis)} exist"
+                        f"{instr.src} but only {k} exist"
                     )
-                closure_dim = len(basis)
+                closure_dim = k
                 break
             mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
-            candidate = mat @ basis[instr.src - 1]
-        out = mgs_append(basis, candidate, tol)
+            candidate = mat @ B[instr.src - 1]
+        out = mgs_append(B[:k], candidate, tol)
         if out.accepted:
-            basis.append(out.vector)
-            log.add(position, instr.trace(), True, out.residual_norm, len(basis))
+            B[k] = out.vector
+            k += 1
+            log.add(position, instr.trace(), True, out.residual_norm, k)
         else:
             log.add(position, instr.trace(), False, out.residual_norm, None)
 
     if closure_dim is not None and pad_with_seeds:
-        for k in range(1, dim + 1):
-            if len(basis) == dim:
+        for s in range(1, dim + 1):
+            if k == dim:
                 break
             position += 1
-            out = mgs_append(basis, unit_vector(dim, k - 1), tol)
+            out = mgs_append(B[:k], unit_vector(dim, s - 1), tol)
             if out.accepted:
-                basis.append(out.vector)
-                log.add(position, seed(k).trace(), True, out.residual_norm, len(basis))
+                B[k] = out.vector
+                k += 1
+                log.add(position, seed(s).trace(), True, out.residual_norm, k)
             else:
-                log.add(position, seed(k).trace(), False, out.residual_norm, None)
+                log.add(position, seed(s).trace(), False, out.residual_norm, None)
 
     if closure_dim is None or pad_with_seeds:
-        if len(basis) != dim:
+        if k != dim:
             raise InstructionCapError(
-                f"build stopped with {len(basis)} of {dim} basis vectors"
+                f"build stopped with {k} of {dim} basis vectors"
             )
-    U = np.column_stack(basis) if basis else np.zeros((dim, 0), dtype=np.complex128)
-    return BuildResult(U, log, program.kind, closure_dim)
+    return BuildResult(B[:k].T, log, program.kind, closure_dim)
 
 
 def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
     """Triangular-stream executor with the deletion rule and run skipping."""
-    basis: List[np.ndarray] = []
+    B = np.zeros((dim, dim), dtype=np.complex128)
+    k = 0
     raw: List[np.ndarray] = []
     survivors = SurvivorMap()
     offered = set()
     log = BuildLog()
     n = 1
-    while len(basis) < dim:
+    while k < dim:
         word = tri_word_raw(n)
         if word.stage > dim + 1:
             raise InstructionCapError(
@@ -245,12 +249,13 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
         instr = word.instruction
         if instr.kind == "seed":
             candidate = unit_vector(dim, instr.seed_index - 1)
-            out = mgs_append(basis, candidate, tol)
+            out = mgs_append(B[:k], candidate, tol)
             if out.accepted:
                 raw.append(candidate)
-                basis.append(out.vector)
+                B[k] = out.vector
+                k += 1
                 survivors.mark_accepted(n)
-                log.add(n, instr.trace(), True, out.residual_norm, len(basis))
+                log.add(n, instr.trace(), True, out.residual_norm, k)
             else:
                 survivors.mark_rejected(n)
                 log.add(n, instr.trace(), False, out.residual_norm, None)
@@ -275,14 +280,15 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
             offered.add(key)
             mat = Tadj if instr.adjoint else T
             candidate = mat @ raw[sigma - 1]
-            out = mgs_append(basis, candidate, tol)
+            out = mgs_append(B[:k], candidate, tol)
             residual = out.residual_norm
             accepted = out.accepted
             if accepted:
                 raw.append(candidate)
-                basis.append(out.vector)
+                B[k] = out.vector
+                k += 1
                 survivors.mark_accepted(n)
-                log.add(n, instr.trace(), True, residual, len(basis))
+                log.add(n, instr.trace(), True, residual, k)
                 n += 1
                 continue
 
@@ -297,8 +303,7 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
         log.add(n, instr.trace(), False, residual, None, position_end=skip_to)
         n = skip_to + 1
 
-    U = np.column_stack(basis)
-    return BuildResult(U, log, "triangular", raw_vectors=raw)
+    return BuildResult(B.T, log, "triangular", raw_vectors=raw)
 
 
 def conjugate(T, U) -> np.ndarray:
@@ -313,14 +318,20 @@ def conjugate(T, U) -> np.ndarray:
     return U.conj().T @ T @ U
 
 
-def span_residual(n: int, U, m: int) -> float:
-    """Distance from e_n to the span of the first m basis columns of U."""
+def span_residual(n, U, m):
+    """Distance from e_n to the span of the first m basis columns of U.
+
+    ``n`` and ``m`` may be equal-length integer arrays; every distance then
+    comes from one projection pass, applied twice, and an ndarray is returned.
+    """
     U = np.asarray(U, dtype=np.complex128)
     d = U.shape[0]
-    if not 1 <= n <= d:
+    ns, ms = np.broadcast_arrays(np.atleast_1d(n), np.atleast_1d(m))
+    if np.any((ns < 1) | (ns > d)):
         raise ValueError(f"basis index {n} out of range for dimension {d}")
-    m = min(m, U.shape[1])
-    e = unit_vector(d, n - 1)
-    for k in range(m):
-        e = e - np.vdot(U[:, k], e) * U[:, k]
-    return float(np.linalg.norm(e))
+    R = np.eye(d, dtype=np.complex128)[:, ns - 1]
+    keep = np.arange(U.shape[1])[:, None] < ms
+    for _ in range(2):
+        R -= U @ (keep * (U.conj().T @ R))
+    dist = np.linalg.norm(R, axis=0)
+    return float(dist[0]) if np.ndim(n) == np.ndim(m) == 0 else dist

@@ -8,7 +8,7 @@ value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -78,13 +78,14 @@ class GsOutcome:
     residual_norm: float
 
 
-def mgs_append(basis: Sequence[np.ndarray], v, tol: float = DEPENDENCE_TOL) -> GsOutcome:
-    """Orthogonalize ``v`` against ``basis`` with two modified Gram-Schmidt passes.
+def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> GsOutcome:
+    """Orthogonalize ``v`` against ``basis`` with classical Gram-Schmidt applied twice.
 
     Parameters
     ----------
-    basis : sequence of ndarray
-        Pairwise orthonormal vectors of equal dimension.
+    basis : array_like, shape (k, d)
+        Pairwise orthonormal vectors stored as rows; a list of 1-D vectors
+        works too, and an empty basis is a (0, d) array or an empty list.
     v : array_like
         Candidate vector.
     tol : float
@@ -94,20 +95,23 @@ def mgs_append(basis: Sequence[np.ndarray], v, tol: float = DEPENDENCE_TOL) -> G
     -------
     GsOutcome
         Accepted with the normalized residual vector, or rejected when the
-        residual norm falls at or below ``tol * max(1, ||v||)``.  The second
-        projection pass keeps accepted vectors orthogonal to working accuracy
-        even when the first pass cancels most of ``v``.
+        residual norm falls at or below ``tol * max(1, ||v||)``.  Each pass
+        projects out the whole basis at once; the second keeps accepted
+        vectors orthogonal to working accuracy even when the first cancels
+        most of ``v`` ("twice is enough").
     """
-    w = np.asarray(v, dtype=np.complex128).copy()
+    w = np.array(v, dtype=np.complex128)
     if w.ndim != 1:
         raise ValueError(f"candidate vector must be 1-dimensional, got shape {w.shape}")
-    for q in basis:
-        if q.shape != w.shape:
-            raise ValueError("candidate vector dimension does not match the basis")
+    Q = np.asarray(basis, dtype=np.complex128)
+    if Q.shape == (0,):
+        Q = Q.reshape(0, w.shape[0])
+    if Q.ndim != 2 or Q.shape[1] != w.shape[0]:
+        raise ValueError("candidate vector dimension does not match the basis")
     norm0 = float(np.linalg.norm(w))
     for _ in range(2):
-        for q in basis:
-            w -= (np.vdot(q, w)) * q
+        # coefficients vdot(q_k, w) = conj(q_k . conj(w)), without copying conj(Q)
+        w -= Q.T @ np.conj(Q @ np.conj(w))
     r = float(np.linalg.norm(w))
     if r <= tol * max(1.0, norm0):
         return GsOutcome(False, None, r)

@@ -428,28 +428,30 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
     T = as_operator(T)
     d = T.shape[0]
     Ts = T.conj().T.copy()
-    columns: List[np.ndarray] = []
+    # orthonormal basis vectors as rows; B[:k] is the basis built so far
+    B = np.zeros((d, d), dtype=np.complex128)
+    k = 0
     ranges: List[Tuple[int, int]] = []
-    for k in range(d):
-        if len(columns) == d:
+    for s in range(d):
+        if k == d:
             break
-        out = mgs_append(columns, unit_vector(d, k), tol)
+        out = mgs_append(B[:k], unit_vector(d, s), tol)
         if not out.accepted:
             continue
-        start = len(columns)
-        local = [out.vector]
-        columns.append(out.vector)
-        m = 0
-        while m < len(local):
+        start = k
+        B[k] = out.vector
+        k += 1
+        m = start
+        while m < k:
+            fm = B[m]
             m += 1
-            fm = local[m - 1]
             for mat in (T, Ts):
-                res = mgs_append(columns, mat @ fm, tol)
+                res = mgs_append(B[:k], mat @ fm, tol)
                 if res.accepted:
-                    local.append(res.vector)
-                    columns.append(res.vector)
-        ranges.append((start, len(columns)))
-    U = np.column_stack(columns)
+                    B[k] = res.vector
+                    k += 1
+        ranges.append((start, k))
+    U = B[:k].T
     M = conjugate(T, U)
 
     summands = []

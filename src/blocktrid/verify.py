@@ -1,16 +1,16 @@
 """Sparsity pattern specifications and the verification report.
 
 A pattern is a 1-based predicate allowed(i, j) naming the positions permitted
-to be nonzero.  Checking is entrywise: anything above the magnitude threshold
-sitting at a disallowed position is a violation.  The report bundles every
-residual family relevant to a form (unitarity, reconstruction, pattern,
-spanning, block positivity, block triangularity, similarity invariants) and
-decides pass/fail against the documented thresholds.
+to be nonzero; it takes ints or broadcast integer arrays, so one call on open
+grids gives the whole support mask.  Checking is entrywise: anything above the
+magnitude threshold sitting at a disallowed position is a violation.  The
+report bundles every residual family relevant to a form (unitarity,
+reconstruction, pattern, spanning, block positivity, block triangularity,
+similarity invariants) and decides pass/fail against the documented thresholds.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -34,7 +34,10 @@ DEFAULT_THRESHOLD = 1e-10
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Named support predicate, with the block schedule where one applies."""
+    """Named support predicate, with the block schedule where one applies.
+
+    ``allowed(i, j)`` must accept 1-based ints and broadcast integer arrays.
+    """
 
     kind: str
     allowed: Callable[[int, int], bool]
@@ -43,12 +46,12 @@ class PatternSpec:
 
 def staircase_coarse() -> PatternSpec:
     """Row n support ends at column 3n, column n support ends at row 3n."""
-    return PatternSpec("staircase_coarse", lambda i, j: j <= 3 * i and i <= 3 * j)
+    return PatternSpec("staircase_coarse", lambda i, j: (j <= 3 * i) & (i <= 3 * j))
 
 
 def staircase_refined() -> PatternSpec:
     """Column support ends one row earlier (2, 5, 8, ...) than the coarse form."""
-    return PatternSpec("staircase_refined", lambda i, j: j <= 3 * i and i <= 3 * j - 1)
+    return PatternSpec("staircase_refined", lambda i, j: (j <= 3 * i) & (i <= 3 * j - 1))
 
 
 def family_stride(stride: int) -> PatternSpec:
@@ -56,7 +59,7 @@ def family_stride(stride: int) -> PatternSpec:
         raise ValueError("stride must be positive")
     return PatternSpec(
         f"family_stride_{stride}",
-        lambda i, j: j <= stride * i and i <= stride * j,
+        lambda i, j: (j <= stride * i) & (i <= stride * j),
     )
 
 
@@ -70,7 +73,7 @@ def hessenberg_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     mc = cyclic_dim if cyclic_dim is not None else 10 ** 9
 
     def allowed(i, j):
-        return j > mc or i <= j + 1
+        return (j > mc) | (i <= j + 1)
 
     return PatternSpec("hessenberg", allowed)
 
@@ -85,9 +88,8 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     mc = cyclic_dim if cyclic_dim is not None else 10 ** 9
 
     def allowed(i, j):
-        if i <= mc and j <= mc:
-            return i <= 2 * j and j <= 2 * i + 1
-        return i > mc and j > mc
+        inside = (i <= mc) & (j <= mc) & (i <= 2 * j) & (j <= 2 * i + 1)
+        return inside | ((i > mc) & (j > mc))
 
     return PatternSpec("joint_cyclic", allowed)
 
@@ -101,15 +103,15 @@ class _BlockIndex:
             raise ValueError(
                 f"schedule spans {schedule.span}, too short for dimension {dim}"
             )
-        self.stops = [stop for _, stop in self.slices]
-        self.sizes = [stop - start for start, stop in self.slices]
-        self.full_sizes = schedule.sizes
+        self.starts = np.array([start for start, _ in self.slices])
+        self.stops = np.array([stop for _, stop in self.slices])
+        self.sizes = self.stops - self.starts
+        self.full_sizes = np.array(schedule.sizes)
 
-    def locate(self, index: int) -> Tuple[int, int]:
-        """(block number 1-based, local index 1-based) of a matrix index."""
-        b = bisect.bisect_left(self.stops, index)
-        start = self.slices[b][0]
-        return b + 1, index - start
+    def locate(self, index):
+        """(block number, local index), both 1-based, of an int or int array."""
+        b = np.searchsorted(self.stops, index)
+        return b + 1, index - self.starts[b]
 
 
 def block_band(schedule: BlockSchedule, dim: int) -> PatternSpec:
@@ -135,13 +137,10 @@ def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> Patter
     def allowed(i, j):
         bi, li = idx.locate(i)
         bj, lj = idx.locate(j)
-        if abs(bi - bj) > 1:
-            return False
-        if not alt and bj == bi + 1:
-            return lj <= idx.sizes[bi - 1]
-        if alt and bi == bj + 1:
-            return li <= idx.sizes[bj - 1]
-        return True
+        band = abs(bi - bj) <= 1
+        if not alt:
+            return band & ((bj != bi + 1) | (lj <= idx.sizes[bi - 1]))
+        return band & ((bi != bj + 1) | (li <= idx.sizes[bj - 1]))
 
     return PatternSpec("polar_alt_blocks" if alt else "polar_blocks", allowed, schedule)
 
@@ -159,53 +158,50 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
     def allowed(i, j):
         bi, li = idx.locate(i)
         bj, lj = idx.locate(j)
-        if abs(bi - bj) > 1:
-            return False
-        if bi == bj:
-            return True
+        above = bj == bi + 1
+        below = bi == bj + 1
         if not alt:
-            if bi == bj + 1:
-                # stacked upper triangular square over zeros
-                return li <= lj
+            # stacked upper triangular square over zeros
+            below_ok = li <= lj
             nk = idx.full_sizes[bi - 1]
-            return lj <= nk or (lj <= 2 * nk and li >= lj - nk)
-        if bj == bi + 1:
+            above_ok = (lj <= nk) | ((lj <= 2 * nk) & (li >= lj - nk))
+        else:
             # square lower triangular, zero tail
             nk = idx.full_sizes[bi - 1]
-            return lj <= nk and li >= lj
-        nk = idx.full_sizes[bj - 1]
-        return li <= nk or (li <= 2 * nk and lj >= li - nk)
+            above_ok = (lj <= nk) & (li >= lj)
+            nk = idx.full_sizes[bj - 1]
+            below_ok = (li <= nk) | ((li <= 2 * nk) & (lj >= li - nk))
+        return (bi == bj) | (above & above_ok) | (below & below_ok)
 
     return PatternSpec("tri_alt_blocks" if alt else "tri_blocks", allowed, schedule)
 
 
+def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
+    """Boolean (rows, cols) array of the positions ``spec`` allows."""
+    i, j = np.ogrid[1:shape[0] + 1, 1:shape[1] + 1]
+    return np.broadcast_to(spec.allowed(i, j), shape)
+
+
 def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
-    """All (i, j, magnitude) with |M(i,j)| > threshold outside the support."""
+    """All (i, j, magnitude) with |M(i,j)| > threshold outside the support.
+
+    Violations come in row-major order.
+    """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     M = np.asarray(M)
-    out = []
-    rows, cols = M.shape
-    for i in range(1, rows + 1):
-        for j in range(1, cols + 1):
-            mag = abs(M[i - 1, j - 1])
-            if mag > threshold and not spec.allowed(i, j):
-                out.append((i, j, float(mag)))
-    return out
+    mags = np.abs(M)
+    rows, cols = np.nonzero((mags > threshold) & ~_support_mask(spec, M.shape))
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist(), mags[rows, cols].tolist()))
 
 
 def pattern_text(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD) -> str:
     """ASCII sketch: '*' above threshold, '.' allowed-but-zero, 'X' violation."""
     M = np.asarray(M)
-    lines = []
-    for i in range(1, M.shape[0] + 1):
-        row = []
-        for j in range(1, M.shape[1] + 1):
-            hot = abs(M[i - 1, j - 1]) > threshold
-            ok = spec.allowed(i, j)
-            row.append("X" if hot and not ok else "*" if hot else "." if ok else " ")
-        lines.append("".join(row))
-    return "\n".join(lines)
+    hot = np.abs(M) > threshold
+    ok = _support_mask(spec, M.shape)
+    cells = np.where(hot, np.where(ok, "*", "X"), np.where(ok, ".", " "))
+    return "\n".join("".join(row) for row in cells)
 
 
 @dataclass
@@ -305,41 +301,22 @@ def _polar_block_checks(M, idx: _BlockIndex, alt: bool):
     return herm, eigs, tails, scales
 
 
-def _tri_block_checks(M, idx: _BlockIndex, alt: bool):
-    """Largest magnitude in each strictly-forbidden triangular region."""
+def _tri_block_checks(M, schedule: BlockSchedule, alt: bool):
+    """Largest magnitude off the triangular support, per off-diagonal block.
+
+    The primary form lists the block below the diagonal (B) before the one
+    above it (A); the alt form lists A first.
+    """
+    d = M.shape[0]
+    off = np.where(_support_mask(tri_blocks(schedule, d, alt), M.shape), 0.0, np.abs(M))
+    slices = block_slices(schedule, d)
     out = []
-    for k in range(len(idx.slices) - 1):
-        r0, r1 = idx.slices[k]
-        c0, c1 = idx.slices[k + 1]
-        above = M[r0:r1, c0:c1]
-        below = M[c0:c1, r0:r1]
-        nk = idx.full_sizes[k]
-        if not alt:
-            worst_b = 0.0
-            for li in range(below.shape[0]):
-                for lj in range(below.shape[1]):
-                    if li > lj:
-                        worst_b = max(worst_b, abs(below[li, lj]))
-            out.append(("B", k + 1, worst_b))
-            worst_a = 0.0
-            for li in range(above.shape[0]):
-                for lj in range(nk, above.shape[1]):
-                    if lj >= 2 * nk or li < lj - nk:
-                        worst_a = max(worst_a, abs(above[li, lj]))
-            out.append(("A", k + 1, worst_a))
-        else:
-            worst_a = 0.0
-            for li in range(above.shape[0]):
-                for lj in range(above.shape[1]):
-                    if lj >= nk or li < lj:
-                        worst_a = max(worst_a, abs(above[li, lj]))
-            out.append(("A", k + 1, worst_a))
-            worst_b = 0.0
-            for li in range(nk, below.shape[0]):
-                for lj in range(below.shape[1]):
-                    if li >= 2 * nk or lj < li - nk:
-                        worst_b = max(worst_b, abs(below[li, lj]))
-            out.append(("B", k + 1, worst_b))
+    for k in range(len(slices) - 1):
+        r0, r1 = slices[k]
+        c0, c1 = slices[k + 1]
+        pair = [("B", k + 1, max_abs(off[c0:c1, r0:r1])),
+                ("A", k + 1, max_abs(off[r0:r1, c0:c1]))]
+        out.extend(pair[::-1] if alt else pair)
     return out
 
 
@@ -369,9 +346,10 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
         closure_dim=form.extras.get("closure_dim"),
     )
 
-    report.span_residuals = [
-        (n, m, span_residual(n, U, m)) for n, m in form.span_bounds
-    ]
+    if form.span_bounds:
+        ns, ms = np.array(form.span_bounds).T
+        dists = span_residual(ns, U, ms).tolist()
+        report.span_residuals = [(n, m, r) for (n, m), r in zip(form.span_bounds, dists)]
 
     if form.form_kind in ("polar", "polar_alt") and form.schedule is not None:
         idx = _BlockIndex(form.schedule, d)
@@ -381,19 +359,18 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
         report.tail_residuals = tails
         report.block_scales = scales
     if form.form_kind in ("triangular", "triangular_alt") and form.schedule is not None:
-        idx = _BlockIndex(form.schedule, d)
         report.triangular_residuals = _tri_block_checks(
-            M, idx, form.form_kind == "triangular_alt"
+            M, form.schedule, form.form_kind == "triangular_alt"
         )
 
-    powT = T.copy()
-    powM = M.copy()
-    drifts = [abs(np.trace(powM) - np.trace(powT))]
-    for _ in range(2):
-        powT = powT @ T
-        powM = powM @ M
-        drifts.append(abs(np.trace(powM) - np.trace(powT)))
-    report.trace_drifts = [float(x) for x in drifts]
+    # tr(A^2) = sum(A * A^T) and tr(A^3) = sum(A^2 * A^T): one product each
+    T2, M2 = T @ T, M @ M
+    drifts = [
+        np.trace(M) - np.trace(T),
+        np.sum(M * M.T) - np.sum(T * T.T),
+        np.sum(M2 * M.T) - np.sum(T2 * T.T),
+    ]
+    report.trace_drifts = [float(abs(x)) for x in drifts]
     report.frobenius_drift = float(
         abs(np.linalg.norm(M, "fro") - np.linalg.norm(T, "fro"))
     )

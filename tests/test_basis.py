@@ -296,3 +296,23 @@ def test_span_residual_full_basis_is_zero():
         assert span_residual(n, U, 8) < 1e-12
     with pytest.raises(ValueError):
         span_residual(9, U, 8)
+
+
+def test_span_residual_arrays_match_scalar_calls():
+    rng = np.random.default_rng(60)
+    d = 30
+    U = run_program([random_matrix(rng, d)], staircase_program(), d).basis
+    ns = np.array([1, 2, 5, 5, 17, 30, 30, 4])
+    ms = np.array([1, 3, 0, 2, 29, 7, 30, 40])
+    batched = span_residual(ns, U, ms)
+    assert isinstance(batched, np.ndarray) and batched.shape == ns.shape
+    for n, m, r in zip(ns.tolist(), ms.tolist(), batched):
+        single = span_residual(n, U, m)
+        assert type(single) is float
+        assert abs(r - single) <= 1e-14
+    assert batched[2] == 1.0                 # empty span
+    assert batched[6] < 1e-12 and batched[7] < 1e-12
+    with pytest.raises(ValueError):
+        span_residual(np.array([3, 31]), U, np.array([3, 30]))
+    with pytest.raises(ValueError):
+        span_residual(0, U, 3)

@@ -93,12 +93,32 @@ def test_mgs_append_nearly_dependent_stays_orthogonal():
         assert max(overlaps) < 1e-12
 
 
+def test_mgs_append_row_array_matches_list():
+    rng = np.random.default_rng(14)
+    d = 12
+    B = np.zeros((d, d), dtype=np.complex128)
+    for k in range(d):
+        # a combination of the rows built so far, then a fresh vector; the
+        # empty basis is the (0, d) view B[:0]
+        dependent = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) @ B[:k]
+        for v, accept in ((dependent, False), (random_matrix(rng, d)[0], True)):
+            as_array = mgs_append(B[:k], v)
+            as_list = mgs_append(list(B[:k]), v)
+            assert as_array.accepted == as_list.accepted == accept
+            assert abs(as_array.residual_norm - as_list.residual_norm) <= 1e-14
+        assert np.allclose(as_array.vector, as_list.vector, rtol=0, atol=1e-14)
+        B[k] = as_array.vector
+    assert unitarity_residual(B.T) < 1e-13
+
+
 def test_mgs_append_dimension_mismatch():
     basis = [unit_vector(3, 0)]
     with pytest.raises(ValueError):
         mgs_append(basis, np.ones(4))
     with pytest.raises(ValueError):
         mgs_append([], np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        mgs_append(np.zeros((0, 3)), np.ones(4))
 
 
 def test_svd_frozen_examples():

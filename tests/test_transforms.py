@@ -25,6 +25,7 @@ from blocktrid import (
     tri_sparsify,
     unitarity_residual,
 )
+from blocktrid.verify import SPAN_LIMIT
 
 S2 = math.sqrt(2.0)
 
@@ -73,6 +74,16 @@ def test_staircase_random_suite():
         assert form.report.pattern_violations == []
         assert form.report.unitarity_residual <= 1e-10
         assert all(r <= 1e-8 for _, _, r in form.report.span_residuals)
+
+
+@pytest.mark.parametrize("build", [staircase, tri_sparsify])
+def test_forms_at_scale(build):
+    rng = np.random.default_rng(256)
+    form = build(_rand(rng, 256))
+    assert form.passing, form.report.to_json()
+    assert form.report.unitarity_residual <= 1e-10
+    assert form.report.span_residuals
+    assert all(r <= SPAN_LIMIT for _, _, r in form.report.span_residuals)
 
 
 def test_block_tridiagonalize_default_nine():

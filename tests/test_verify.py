@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from blocktrid import (
     BlockSchedule,
     GENERAL,
     block_band,
+    block_slices,
+    canonical_covering,
     canonical_schedule,
     check_pattern,
     family_stride,
@@ -16,12 +19,15 @@ from blocktrid import (
     joint_cyclic_pattern,
     pattern_text,
     polar_blocks,
+    schedule_for_dim,
     staircase_coarse,
     staircase_refined,
     tri_blocks,
+    tri_sparsify,
 )
 
 S2 = math.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
 
 # staircase form of the 5x5 all-band example, written out entrywise
 M5 = 0.5 * np.array(
@@ -304,3 +310,85 @@ def test_psd_limit_scales_with_block():
     M2[0:2, 2:4] = np.diag([1.0, -5e-4])
     rep2 = full_report(_Form(M2, "polar", polar_blocks(sched, 4), schedule=sched))
     assert not rep2.passing
+
+
+def _every_pattern(d):
+    """Every pattern builder, with and without closure sizes, on two schedules."""
+    specs = [staircase_coarse(), staircase_refined(), family_stride(2), family_stride(5),
+             hessenberg_pattern(), hessenberg_pattern(max(1, d // 2)),
+             joint_cyclic_pattern(), joint_cyclic_pattern(max(1, d // 3))]
+    # canonical schedule clipped to d, and the shortest canonical covering
+    for sched in (schedule_for_dim(d, GENERAL), canonical_covering(d, GENERAL, 1)):
+        specs += [block_band(sched, d), polar_blocks(sched, d), polar_blocks(sched, d, alt=True),
+                  tri_blocks(sched, d), tri_blocks(sched, d, alt=True)]
+    return specs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 64, 130])
+def test_array_predicates_match_scalar_calls(d):
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    M[rng.random((d, d)) < 0.3] = 0.0
+    i, j = np.ogrid[1:d + 1, 1:d + 1]
+    for spec in _every_pattern(d):
+        scalar = np.array([[bool(spec.allowed(a, b)) for b in range(1, d + 1)]
+                           for a in range(1, d + 1)])
+        grid = np.broadcast_to(spec.allowed(i, j), (d, d))
+        assert np.array_equal(grid, scalar), spec.kind
+        if d > 64:
+            continue
+        brute = [(a, b, float(abs(M[a - 1, b - 1])))
+                 for a in range(1, d + 1) for b in range(1, d + 1)
+                 if abs(M[a - 1, b - 1]) > 0.5 and not scalar[a - 1, b - 1]]
+        hits = check_pattern(M, spec, 0.5)
+        # array and scalar complex abs may differ in the last bit
+        assert [h[:2] for h in hits] == [h[:2] for h in brute], spec.kind
+        assert_allclose([h[2] for h in hits], [h[2] for h in brute], rtol=4 * EPS, atol=0)
+        sketch = "\n".join(
+            "".join("X" if abs(M[a, b]) > 0.5 and not scalar[a, b]
+                    else "*" if abs(M[a, b]) > 0.5
+                    else "." if scalar[a, b] else " " for b in range(d))
+            for a in range(d))
+        assert pattern_text(M, spec, 0.5) == sketch, spec.kind
+
+
+def _forbidden_corner_max(M, schedule, alt):
+    """Per-entry reference for the triangular residuals, in report order."""
+    slices = block_slices(schedule, M.shape[0])
+    out = []
+    for k in range(len(slices) - 1):
+        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
+        nk = schedule.sizes[k]
+        above, below = M[r0:r1, c0:c1], M[c0:c1, r0:r1]
+        if alt:
+            a_bad = lambda li, lj: lj >= nk or li < lj
+            b_bad = lambda li, lj: li >= nk and (li >= 2 * nk or lj < li - nk)
+        else:
+            a_bad = lambda li, lj: lj >= nk and (lj >= 2 * nk or li < lj - nk)
+            b_bad = lambda li, lj: li > lj
+        worst = {}
+        for label, blk, bad in (("A", above, a_bad), ("B", below, b_bad)):
+            worst[label] = max((abs(blk[li, lj]) for li in range(blk.shape[0])
+                                for lj in range(blk.shape[1]) if bad(li, lj)),
+                               default=0.0)
+        order = ("A", "B") if alt else ("B", "A")
+        out += [(label, k + 1, worst[label]) for label in order]
+    return out
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_triangular_residual_order_and_values(alt):
+    rng = np.random.default_rng(21)
+    d = 20
+    T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    form = tri_sparsify(T, alt=alt)
+    blocks = len(block_slices(form.schedule, d)) - 1
+    order = ("A", "B") if alt else ("B", "A")
+    labels = [(label, k) for k in range(1, blocks + 1) for label in order]
+    # the finished form (roundoff-sized corners) and a dense stand-in
+    for M in (form.matrix, T):
+        report = full_report(_Form(M, form.form_kind, form.pattern, schedule=form.schedule))
+        assert [(label, k) for label, k, _ in report.triangular_residuals] == labels
+        expected = [r for _, _, r in _forbidden_corner_max(M, form.schedule, alt)]
+        got = [r for _, _, r in report.triangular_residuals]
+        assert_allclose(got, expected, rtol=4 * EPS, atol=0)
