@@ -16,22 +16,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import count
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
     DEPENDENCE_TOL,
-    adjoint,
     as_operator,
-    max_abs,
     mgs_append,
     unit_vector,
     unitarity_residual,
 )
 from .words import (
-    JOINT_CYCLIC,
-    KRYLOV,
+    TRIANGULAR,
     SurvivorMap,
     WordProgram,
     seed,
@@ -131,6 +129,7 @@ def run_program(
     cap: Optional[int] = None,
     seed_vector=None,
     pad_with_seeds: bool = True,
+    basis=None,
 ) -> BuildResult:
     """Execute ``program`` against ``operators`` on C^dim.
 
@@ -139,6 +138,12 @@ def run_program(
     starting vector v (required, nonzero); once the generated subspace
     closes, seeds e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is
     false, in which case the returned basis has closure_dim columns only.
+
+    ``basis`` optionally holds orthonormal rows built earlier.  The program
+    then grows the basis from them: every offer is orthogonalized against
+    them, the returned basis starts with them as its first columns, and the
+    program's ``src`` indices and ``closure_dim`` count only the vectors it
+    adds itself.  Only orthonormal-style programs take one.
     """
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
     if not ops:
@@ -148,10 +153,12 @@ def run_program(
             raise ValueError(f"operator shape {op.shape} does not match dim {dim}")
     adjs = [op.conj().T.copy() for op in ops]
 
-    if program.style == "raw":
+    if program.kind == TRIANGULAR:
+        if basis is not None:
+            raise ValueError("the triangular program cannot grow a given basis")
         return _run_raw_triangular(ops[0], adjs[0], dim, tol)
 
-    needs_v = program.kind in (JOINT_CYCLIC, KRYLOV)
+    needs_v = next(program.instructions()).kind == "seed_vec"
     v = None
     if needs_v:
         if seed_vector is None:
@@ -165,9 +172,16 @@ def run_program(
     if cap is None:
         cap = default_instruction_cap(dim, program.stride or 3)
 
-    # orthonormal basis vectors as rows; B[:k] is the basis built so far
+    # orthonormal basis vectors as rows; B[:k] is the basis built so far and
+    # B[:k0] the rows given by the caller
     B = np.zeros((dim, dim), dtype=np.complex128)
-    k = 0
+    k0 = 0
+    if basis is not None:
+        k0 = len(basis)
+        if np.shape(basis) != (k0, dim):
+            raise ValueError(f"given basis must hold rows of length {dim}")
+        B[:k0] = basis
+    k = k0
     log = BuildLog()
     closure_dim: Optional[int] = None
     position = 0
@@ -189,44 +203,28 @@ def run_program(
         elif instr.kind == "seed_vec":
             candidate = v
         else:
-            if instr.src > k:
+            if instr.src > k - k0:
                 # the program only references vectors it could have built, so
                 # a missing source means the generated subspace closed
                 if not needs_v:
                     raise InstructionCapError(
                         f"instruction at position {position} references vector "
-                        f"{instr.src} but only {k} exist"
+                        f"{instr.src} but only {k - k0} exist"
                     )
-                closure_dim = k
-                break
+                closure_dim = k - k0
+                if not pad_with_seeds:
+                    break
+                # finish the square unitary with e_1, e_2, ...
+                stream = map(seed, count(1))
+                continue
             mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
-            candidate = mat @ B[instr.src - 1]
+            candidate = mat @ B[k0 + instr.src - 1]
         out = mgs_append(B[:k], candidate, tol)
         if out.accepted:
             B[k] = out.vector
             k += 1
-            log.add(position, instr.trace(), True, out.residual_norm, k)
-        else:
-            log.add(position, instr.trace(), False, out.residual_norm, None)
-
-    if closure_dim is not None and pad_with_seeds:
-        for s in range(1, dim + 1):
-            if k == dim:
-                break
-            position += 1
-            out = mgs_append(B[:k], unit_vector(dim, s - 1), tol)
-            if out.accepted:
-                B[k] = out.vector
-                k += 1
-                log.add(position, seed(s).trace(), True, out.residual_norm, k)
-            else:
-                log.add(position, seed(s).trace(), False, out.residual_norm, None)
-
-    if closure_dim is None or pad_with_seeds:
-        if k != dim:
-            raise InstructionCapError(
-                f"build stopped with {k} of {dim} basis vectors"
-            )
+        log.add(position, instr.trace(), out.accepted, out.residual_norm,
+                k if out.accepted else None)
     return BuildResult(B[:k].T, log, program.kind, closure_dim)
 
 

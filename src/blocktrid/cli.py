@@ -10,10 +10,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import transforms
 from .kernel import unit_vector
 from .matio import MatrixParseError, emit_form, emit_matrix, parse_matrix
 from .render import render_svg
@@ -24,16 +25,7 @@ from .schedules import (
     parse_spec,
     validate,
 )
-from .transforms import (
-    block_tridiagonalize,
-    decompose,
-    family_staircase,
-    joint_cyclic_staircase,
-    krylov_hessenberg,
-    polar_sparsify,
-    staircase,
-    tri_sparsify,
-)
+from .transforms import decompose, family_staircase
 from .verify import (
     block_band,
     check_pattern,
@@ -84,39 +76,50 @@ def _add_schedule_flags(parser, default: Optional[str] = "canonical"):
                         help="growth rule the schedule is checked against")
 
 
+class _FormCommand(NamedTuple):
+    function: str
+    help: str
+    flags: Tuple[str, ...] = ()
+    alt_help: Optional[str] = None
+
+
+#: Single-form subcommands.  Each runs ``transforms.<function>(T, ...)`` with
+#: the input matrix, then the parsed schedule when ``flags`` holds
+#: "schedule", the seed vector when it holds "seed", and ``alt`` when
+#: ``alt_help`` is set (the help text of ``--alt``).  The function is looked
+#: up by name on every call, never stored, so a wrapper put on the
+#: ``transforms`` module attribute sees every CLI call.
+_FORMS = {
+    "staircase": _FormCommand("staircase", "staircase form (3n bounds)"),
+    "tridiag": _FormCommand("block_tridiagonalize", "block tridiagonal form",
+                            ("schedule",)),
+    "polar": _FormCommand("polar_sparsify", "block tridiagonal with positive blocks",
+                          ("schedule",), "mirror the positive blocks below the diagonal"),
+    "trisparse": _FormCommand("tri_sparsify", "triangular sub-block form",
+                              alt_help="mirror the triangular claims"),
+    "hessenberg": _FormCommand("krylov_hessenberg", "Krylov upper Hessenberg form",
+                               ("seed",)),
+    "jointcyclic": _FormCommand("joint_cyclic_staircase",
+                                "two-sided cyclic staircase form", ("seed",)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="blocktrid",
                      description="Universal sparse forms of complex matrices "
                                  "under unitary similarity.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("staircase", help="staircase form (3n bounds)")
-    _add_common(p)
-
-    p = sub.add_parser("tridiag", help="block tridiagonal form")
-    _add_common(p)
-    _add_schedule_flags(p)
-
-    p = sub.add_parser("polar", help="block tridiagonal with positive blocks")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--alt", action="store_true",
-                   help="mirror the positive blocks below the diagonal")
-
-    p = sub.add_parser("trisparse", help="triangular sub-block form")
-    _add_common(p)
-    p.add_argument("--alt", action="store_true",
-                   help="mirror the triangular claims")
-
-    p = sub.add_parser("hessenberg", help="Krylov upper Hessenberg form")
-    _add_common(p)
-    p.add_argument("--seed-vector", dest="seed_vector", default="1",
-                   help="k for e_k, or random:SEED")
-
-    p = sub.add_parser("jointcyclic", help="two-sided cyclic staircase form")
-    _add_common(p)
-    p.add_argument("--seed-vector", dest="seed_vector", default="1",
-                   help="k for e_k, or random:SEED")
+    for name, spec in _FORMS.items():
+        p = sub.add_parser(name, help=spec.help)
+        _add_common(p)
+        if "schedule" in spec.flags:
+            _add_schedule_flags(p)
+        if "seed" in spec.flags:
+            p.add_argument("--seed-vector", dest="seed_vector", default="1",
+                           help="k for e_k, or random:SEED")
+        if spec.alt_help:
+            p.add_argument("--alt", action="store_true", help=spec.alt_help)
 
     p = sub.add_parser("family", help="simultaneous staircase for a family")
     _add_common(p, multi_input=True)
@@ -191,7 +194,7 @@ def _format_of(args) -> str:
     return format_for_path(path)
 
 
-def _finish_form(form, args, threshold: float, prefix: Optional[str] = None) -> int:
+def _finish_form(form, args, threshold: float) -> int:
     if args.svg and not args.output:
         raise _CliError("--svg needs --output")
     report = form.report
@@ -202,54 +205,25 @@ def _finish_form(form, args, threshold: float, prefix: Optional[str] = None) -> 
         print(f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
               f"{len(report.pattern_violations)} violations, {status}")
     if args.output:
-        paths = emit_form(form, args.output, _format_of(args), prefix=prefix,
-                          svg=args.svg, threshold=threshold)
+        paths = emit_form(form, args.output, _format_of(args), svg=args.svg,
+                          threshold=threshold)
         for path in paths:
             print(f"wrote {path}")
     return 0 if report.passing else 2
 
 
-def _cmd_staircase(args) -> int:
-    thr = _threshold(args)
-    form = staircase(_load(args), tol=args.tol_dep, threshold=thr)
-    return _finish_form(form, args, thr)
-
-
-def _cmd_tridiag(args) -> int:
+def _cmd_form(args) -> int:
+    spec = _FORMS[args.command]
     thr = _threshold(args)
     T = _load(args)
-    sched = parse_spec(args.schedule, T.shape[0], args.kind)
-    form = block_tridiagonalize(T, sched, tol=args.tol_dep, threshold=thr)
-    return _finish_form(form, args, thr)
-
-
-def _cmd_polar(args) -> int:
-    thr = _threshold(args)
-    T = _load(args)
-    sched = parse_spec(args.schedule, T.shape[0], args.kind)
-    form = polar_sparsify(T, sched, alt=args.alt, tol=args.tol_dep, threshold=thr)
-    return _finish_form(form, args, thr)
-
-
-def _cmd_trisparse(args) -> int:
-    thr = _threshold(args)
-    form = tri_sparsify(_load(args), alt=args.alt, tol=args.tol_dep, threshold=thr)
-    return _finish_form(form, args, thr)
-
-
-def _cmd_hessenberg(args) -> int:
-    thr = _threshold(args)
-    T = _load(args)
-    v = _seed_vector(args.seed_vector, T.shape[0])
-    form = krylov_hessenberg(T, v, tol=args.tol_dep, threshold=thr)
-    return _finish_form(form, args, thr)
-
-
-def _cmd_jointcyclic(args) -> int:
-    thr = _threshold(args)
-    T = _load(args)
-    v = _seed_vector(args.seed_vector, T.shape[0])
-    form = joint_cyclic_staircase(T, v, tol=args.tol_dep, threshold=thr)
+    extra = []
+    if "schedule" in spec.flags:
+        extra.append(parse_spec(args.schedule, T.shape[0], args.kind))
+    if "seed" in spec.flags:
+        extra.append(_seed_vector(args.seed_vector, T.shape[0]))
+    kwargs = {"alt": args.alt} if spec.alt_help else {}
+    build = getattr(transforms, spec.function)
+    form = build(T, *extra, tol=args.tol_dep, threshold=thr, **kwargs)
     return _finish_form(form, args, thr)
 
 
@@ -396,12 +370,7 @@ def _cmd_render(args) -> int:
 
 
 _COMMANDS = {
-    "staircase": _cmd_staircase,
-    "tridiag": _cmd_tridiag,
-    "polar": _cmd_polar,
-    "trisparse": _cmd_trisparse,
-    "hessenberg": _cmd_hessenberg,
-    "jointcyclic": _cmd_jointcyclic,
+    **{name: _cmd_form for name in _FORMS},
     "family": _cmd_family,
     "decompose": _cmd_decompose,
     "schedule": _cmd_schedule,

@@ -19,7 +19,6 @@ from .kernel import (
     adjoint,
     as_operator,
     max_abs,
-    mgs_append,
     svd,
     unit_vector,
 )
@@ -80,35 +79,47 @@ class SparsifiedForm:
         return self.report is not None and self.report.passing
 
 
-def _finish(form: SparsifiedForm, threshold: float) -> SparsifiedForm:
+def _finish(threshold: float, **fields) -> SparsifiedForm:
+    form = SparsifiedForm(**fields)
     form.report = full_report(form, threshold)
     return form
 
 
-def _staircase_span_bounds(d: int) -> List[Tuple[int, int]]:
-    return [(n, min(3 * n, d)) for n in range(1, d + 1)]
+def _build(T, program, tol: float, alt: bool = False, seed_vector=None):
+    """Run ``program`` on T, or on T* when ``alt``; returns (build, U* base U)."""
+    base = adjoint(T) if alt else T
+    res = run_program([base], program, T.shape[0], tol=tol, seed_vector=seed_vector)
+    return res, conjugate(base, res.basis)
+
+
+def _staircase_form(T, tol: float, threshold: float, **claim) -> SparsifiedForm:
+    """The staircase build with its span bounds; ``claim`` gives the form
+    kind, the claimed pattern and the schedule."""
+    d = T.shape[0]
+    res, M = _build(T, staircase_program(), tol)
+    return _finish(
+        threshold,
+        input=T,
+        basis_change=res.basis,
+        matrix=M,
+        span_bounds=[(n, min(3 * n, d)) for n in range(1, d + 1)],
+        log=res.log,
+        **claim,
+    )
 
 
 def staircase(T, tol: float = DEPENDENCE_TOL,
               threshold: float = DEFAULT_THRESHOLD) -> SparsifiedForm:
     """Staircase form: column n support ends at row 3n-1, row n at column 3n."""
-    T = as_operator(T)
-    d = T.shape[0]
-    res = run_program([T], staircase_program(), d, tol=tol)
-    M = conjugate(T, res.basis)
-    form = SparsifiedForm(
-        input=T,
-        basis_change=res.basis,
-        matrix=M,
-        form_kind="staircase",
-        pattern=staircase_refined(),
-        span_bounds=_staircase_span_bounds(d),
-        log=res.log,
-    )
-    return _finish(form, threshold)
+    return _staircase_form(as_operator(T), tol, threshold, form_kind="staircase",
+                           pattern=staircase_refined())
 
 
-def _require_general_cover(schedule: BlockSchedule, d: int) -> BlockSchedule:
+def _require_general_cover(schedule: Optional[BlockSchedule], d: int) -> BlockSchedule:
+    """The given schedule (default: the canonical one for d), checked to
+    satisfy the doubling growth rule and to span d."""
+    if schedule is None:
+        schedule = schedule_for_dim(d, GENERAL)
     bad = validate(schedule.sizes, GENERAL)
     if bad is not None:
         raise InvalidScheduleError(
@@ -133,22 +144,9 @@ def block_tridiagonalize(T, schedule: Optional[BlockSchedule] = None,
     """
     T = as_operator(T)
     d = T.shape[0]
-    if schedule is None:
-        schedule = schedule_for_dim(d, GENERAL)
     schedule = _require_general_cover(schedule, d)
-    res = run_program([T], staircase_program(), d, tol=tol)
-    M = conjugate(T, res.basis)
-    form = SparsifiedForm(
-        input=T,
-        basis_change=res.basis,
-        matrix=M,
-        form_kind="block_tridiagonal",
-        pattern=block_band(schedule, d),
-        schedule=schedule,
-        span_bounds=_staircase_span_bounds(d),
-        log=res.log,
-    )
-    return _finish(form, threshold)
+    return _staircase_form(T, tol, threshold, form_kind="block_tridiagonal",
+                           pattern=block_band(schedule, d), schedule=schedule)
 
 
 def _require_nondecreasing(schedule: BlockSchedule, d: int) -> List[Tuple[int, int]]:
@@ -200,29 +198,21 @@ def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = Fals
     """
     T = as_operator(T)
     d = T.shape[0]
-    if schedule is None:
-        schedule = schedule_for_dim(d, GENERAL)
     schedule = _require_general_cover(schedule, d)
     slices = _require_nondecreasing(schedule, d)
-
-    base = adjoint(T) if alt else T
-    res = run_program([base], staircase_program(), d, tol=tol)
-    Mb = conjugate(base, res.basis)
+    res, Mb = _build(T, staircase_program(), tol, alt)
     V = _polar_conjugator(Mb, slices)
-    U = res.basis @ V
     M = V.conj().T @ Mb @ V
-    if alt:
-        M = M.conj().T
-    form = SparsifiedForm(
+    return _finish(
+        threshold,
         input=T,
-        basis_change=U,
-        matrix=M,
+        basis_change=res.basis @ V,
+        matrix=M.conj().T if alt else M,
         form_kind="polar_alt" if alt else "polar",
         pattern=polar_blocks(schedule, d, alt),
         schedule=schedule,
         log=res.log,
     )
-    return _finish(form, threshold)
 
 
 def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
@@ -243,7 +233,8 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
             f"|M({i},{j})| = {mag:.3e}"
         )
     V = _polar_conjugator(Mb, slices)
-    form = SparsifiedForm(
+    return _finish(
+        threshold,
         input=Mb,
         basis_change=V,
         matrix=V.conj().T @ Mb @ V,
@@ -251,7 +242,6 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
         pattern=polar_blocks(schedule, d, False),
         schedule=schedule,
     )
-    return _finish(form, threshold)
 
 
 def _tri_span_bounds(d: int) -> List[Tuple[int, int]]:
@@ -277,22 +267,37 @@ def tri_sparsify(T, alt: bool = False, tol: float = DEPENDENCE_TOL,
     T = as_operator(T)
     d = T.shape[0]
     schedule = canonical_covering(d, GENERAL, 1)
-    base = adjoint(T) if alt else T
-    res = run_program([base], tri_word_program(), d, tol=tol)
-    M = conjugate(base, res.basis)
-    if alt:
-        M = M.conj().T
-    form = SparsifiedForm(
+    res, M = _build(T, tri_word_program(), tol, alt)
+    return _finish(
+        threshold,
         input=T,
         basis_change=res.basis,
-        matrix=M,
+        matrix=M.conj().T if alt else M,
         form_kind="triangular_alt" if alt else "triangular",
         pattern=tri_blocks(schedule, d, alt),
         schedule=schedule,
         span_bounds=_tri_span_bounds(d),
         log=res.log,
     )
-    return _finish(form, threshold)
+
+
+def _cyclic(T, v, program, form_kind: str, pattern_for, tol: float, threshold: float,
+            schedule: Optional[BlockSchedule] = None) -> SparsifiedForm:
+    """Build from the seed vector v; ``pattern_for`` maps the closure size
+    (d when v is cyclic) to the claimed pattern."""
+    res, M = _build(T, program, tol, seed_vector=v)
+    mc = res.closure_dim if res.closure_dim is not None else T.shape[0]
+    return _finish(
+        threshold,
+        input=T,
+        basis_change=res.basis,
+        matrix=M,
+        form_kind=form_kind,
+        pattern=pattern_for(mc),
+        schedule=schedule,
+        log=res.log,
+        extras={"closure_dim": res.closure_dim},
+    )
 
 
 def krylov_hessenberg(T, v, tol: float = DEPENDENCE_TOL,
@@ -303,21 +308,8 @@ def krylov_hessenberg(T, v, tol: float = DEPENDENCE_TOL,
     Hessenberg claim then applies to the leading block of the reported
     closure size, and the block below it vanishes by invariance.
     """
-    T = as_operator(T)
-    d = T.shape[0]
-    res = run_program([T], krylov_program(), d, tol=tol, seed_vector=v)
-    mc = res.closure_dim if res.closure_dim is not None else d
-    M = conjugate(T, res.basis)
-    form = SparsifiedForm(
-        input=T,
-        basis_change=res.basis,
-        matrix=M,
-        form_kind="hessenberg",
-        pattern=hessenberg_pattern(mc),
-        log=res.log,
-        extras={"closure_dim": res.closure_dim},
-    )
-    return _finish(form, threshold)
+    return _cyclic(as_operator(T), v, krylov_program(), "hessenberg",
+                   hessenberg_pattern, tol, threshold)
 
 
 def joint_cyclic_staircase(T, v, tol: float = DEPENDENCE_TOL,
@@ -329,21 +321,8 @@ def joint_cyclic_staircase(T, v, tol: float = DEPENDENCE_TOL,
     block, the coupling blocks vanish, and the complement is unconstrained.
     """
     T = as_operator(T)
-    d = T.shape[0]
-    res = run_program([T], joint_cyclic_program(), d, tol=tol, seed_vector=v)
-    mc = res.closure_dim if res.closure_dim is not None else d
-    M = conjugate(T, res.basis)
-    form = SparsifiedForm(
-        input=T,
-        basis_change=res.basis,
-        matrix=M,
-        form_kind="joint_cyclic",
-        pattern=joint_cyclic_pattern(mc),
-        schedule=schedule_for_dim(d, CYCLIC),
-        log=res.log,
-        extras={"closure_dim": res.closure_dim},
-    )
-    return _finish(form, threshold)
+    return _cyclic(T, v, joint_cyclic_program(), "joint_cyclic", joint_cyclic_pattern,
+                   tol, threshold, schedule=schedule_for_dim(T.shape[0], CYCLIC))
 
 
 def family_staircase(operators: Sequence, selfadjoint: bool = False,
@@ -374,9 +353,9 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     stride = program.stride
     res = run_program(ops, program, d, tol=tol)
     bounds = [(n, min(1 + (n - 1) * stride, d)) for n in range(1, d + 1)]
-    forms = []
-    for k, S in enumerate(ops):
-        form = SparsifiedForm(
+    forms = [
+        _finish(
+            threshold,
             input=S,
             basis_change=res.basis,
             matrix=conjugate(S, res.basis),
@@ -386,7 +365,8 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
             log=res.log,
             extras={"family_index": k + 1, "family_size": N, "stride": stride},
         )
-        forms.append(_finish(form, threshold))
+        for k, S in enumerate(ops)
+    ]
     return res.basis, forms
 
 
@@ -427,38 +407,25 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
     """
     T = as_operator(T)
     d = T.shape[0]
-    Ts = T.conj().T.copy()
-    # orthonormal basis vectors as rows; B[:k] is the basis built so far
-    B = np.zeros((d, d), dtype=np.complex128)
-    k = 0
+    U = np.zeros((d, 0), dtype=np.complex128)
     ranges: List[Tuple[int, int]] = []
     for s in range(d):
+        k = U.shape[1]
         if k == d:
             break
-        out = mgs_append(B[:k], unit_vector(d, s), tol)
-        if not out.accepted:
-            continue
-        start = k
-        B[k] = out.vector
-        k += 1
-        m = start
-        while m < k:
-            fm = B[m]
-            m += 1
-            for mat in (T, Ts):
-                res = mgs_append(B[:k], mat @ fm, tol)
-                if res.accepted:
-                    B[k] = res.vector
-                    k += 1
-        ranges.append((start, k))
-    U = B[:k].T
+        U = run_program([T], joint_cyclic_program(), d, tol=tol,
+                        seed_vector=unit_vector(d, s), pad_with_seeds=False,
+                        basis=U.T).basis
+        if U.shape[1] > k:
+            ranges.append((k, U.shape[1]))
     M = conjugate(T, U)
 
     summands = []
     for start, stop in ranges:
         R = M[start:stop, start:stop].copy()
         size = stop - start
-        form = SparsifiedForm(
+        summands.append(_finish(
+            threshold,
             input=R,
             basis_change=np.eye(size, dtype=np.complex128),
             matrix=R,
@@ -466,19 +433,17 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
             pattern=joint_cyclic_pattern(size),
             schedule=schedule_for_dim(size, CYCLIC),
             extras={"offset": start, "closure_dim": size},
-        )
-        summands.append(_finish(form, threshold))
+        ))
 
-    coupling = 0.0
-    for a, (s0, s1) in enumerate(ranges):
-        for b, (t0, t1) in enumerate(ranges):
-            if a != b:
-                coupling = max(coupling, max_abs(M[s0:s1, t0:t1]))
+    dims = [stop - start for start, stop in ranges]
+    # summand number of every basis index; coupling is everything off the
+    # diagonal blocks
+    label = np.repeat(np.arange(len(dims)), dims)
     return DecompositionResult(
         input=T,
         basis_change=U,
         matrix=M,
         summands=summands,
-        dims=[s1 - s0 for s0, s1 in ranges],
-        coupling_residual=coupling,
+        dims=dims,
+        coupling_residual=max_abs(M[label[:, None] != label[None, :]]),
     )

@@ -340,7 +340,9 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
         input_norm_max=max_abs(T),
         input_norm_fro=float(np.linalg.norm(T, "fro")),
         unitarity_residual=unitarity_residual(U),
-        reconstruction_residual=max_abs(U.conj().T @ T @ U - M),
+        # backward error max|U M U* - T|: it does not repeat the products
+        # that built M = U* T U, so it cannot cancel to zero by construction
+        reconstruction_residual=max_abs(U @ M @ U.conj().T - T),
         pattern_kind=form.pattern.kind,
         pattern_violations=check_pattern(M, form.pattern, threshold),
         closure_dim=form.extras.get("closure_dim"),

@@ -1,11 +1,11 @@
 """Symbolic instruction streams ordering the vectors fed to Gram-Schmidt.
 
-Two styles coexist.  Orthonormal-style programs (staircase, joint cyclic,
-Krylov, family) apply operators to already-orthonormalized basis vectors, so
-an instruction's ``src`` names the src-th accepted vector.  The raw-style
-triangular stream instead applies operators to stored generated vectors and
-is indexed by original position; when a generated vector is rejected it is
-deleted from the sequence and every later reference shifts down, which
+Each :class:`WordProgram` carries its own stream.  The staircase, joint
+cyclic, Krylov and family programs apply operators to already-orthonormalized
+basis vectors, so an instruction's ``src`` names the src-th accepted vector.
+The triangular stream instead applies operators to stored generated vectors
+and is indexed by original position; when a generated vector is rejected it
+is deleted from the sequence and every later reference shifts down, which
 :class:`SurvivorMap` tracks without rewriting the stream.
 """
 
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 STAIRCASE = "staircase"
 TRIANGULAR = "triangular"
@@ -61,6 +62,8 @@ def apply_op(src: int, adjoint: bool = False, op_index: int = 1) -> WordInstruct
 
 
 def parse_trace(line: str) -> WordInstruction:
+    """Read back an instruction string as :meth:`WordInstruction.trace` writes
+    it, e.g. the ``instruction`` fields of a serialized build log."""
     parts = line.split()
     if parts == ["seed", "v"]:
         return seed_vec()
@@ -73,27 +76,18 @@ def parse_trace(line: str) -> WordInstruction:
 
 @dataclass(frozen=True)
 class WordProgram:
-    """A deterministic instruction stream with its bookkeeping style."""
+    """A deterministic instruction stream.
+
+    ``stream`` returns a fresh iterator over the instructions; ``stride`` is
+    the number of positions per stage where the program has one.
+    """
 
     kind: str
-    family_size: int = 1
-    style: str = "f"
+    stream: Callable[[], Iterator[WordInstruction]]
     stride: Optional[int] = None
 
     def instructions(self) -> Iterator[WordInstruction]:
-        if self.kind == STAIRCASE:
-            return _staircase_stream()
-        if self.kind == JOINT_CYCLIC:
-            return _joint_cyclic_stream()
-        if self.kind == KRYLOV:
-            return _krylov_stream()
-        if self.kind == FAMILY_SA:
-            return _family_stream(self.family_size, adjoints=False)
-        if self.kind == FAMILY_GEN:
-            return _family_stream(self.family_size, adjoints=True)
-        if self.kind == TRIANGULAR:
-            return (tri_word_raw(n).instruction for n in count(1))
-        raise ValueError(f"unknown program kind {self.kind!r}")
+        return self.stream()
 
 
 def _staircase_stream() -> Iterator[WordInstruction]:
@@ -117,8 +111,6 @@ def _krylov_stream() -> Iterator[WordInstruction]:
 
 
 def _family_stream(n_ops: int, adjoints: bool) -> Iterator[WordInstruction]:
-    if n_ops < 1:
-        raise ValueError("family needs at least one operator")
     for n in count(1):
         yield seed(n)
         for k in range(1, n_ops + 1):
@@ -129,17 +121,17 @@ def _family_stream(n_ops: int, adjoints: bool) -> Iterator[WordInstruction]:
 
 def staircase_program() -> WordProgram:
     """Stage n offers e_n, then T f_n, then T* f_n (positions 3n-2..3n)."""
-    return WordProgram(STAIRCASE, style="f", stride=3)
+    return WordProgram(STAIRCASE, _staircase_stream, stride=3)
 
 
 def joint_cyclic_program() -> WordProgram:
     """v first, then T f_m at position 2m and T* f_m at position 2m+1."""
-    return WordProgram(JOINT_CYCLIC, style="f", stride=2)
+    return WordProgram(JOINT_CYCLIC, _joint_cyclic_stream, stride=2)
 
 
 def krylov_program() -> WordProgram:
     """v first, then T f_n at position n+1 (upper Hessenberg ordering)."""
-    return WordProgram(KRYLOV, style="f", stride=1)
+    return WordProgram(KRYLOV, _krylov_stream, stride=1)
 
 
 def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
@@ -148,12 +140,15 @@ def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
     if n_ops < 1:
         raise ValueError("family needs at least one operator")
     if selfadjoint:
-        return WordProgram(FAMILY_SA, family_size=n_ops, style="f", stride=n_ops + 1)
-    return WordProgram(FAMILY_GEN, family_size=n_ops, style="f", stride=2 * n_ops + 1)
+        return WordProgram(FAMILY_SA, partial(_family_stream, n_ops, False),
+                           stride=n_ops + 1)
+    return WordProgram(FAMILY_GEN, partial(_family_stream, n_ops, True),
+                       stride=2 * n_ops + 1)
 
 
 def tri_word_program() -> WordProgram:
-    return WordProgram(TRIANGULAR, style="raw", stride=None)
+    """Positions in original (deletion-free) order; see :func:`tri_word_raw`."""
+    return WordProgram(TRIANGULAR, lambda: (tri_word_raw(n).instruction for n in count(1)))
 
 
 class RawWord(NamedTuple):
@@ -262,16 +257,3 @@ class SurvivorMap:
         if start <= self.frontier:
             raise ValueError(f"position {start} already decided")
         self.frontier = stop
-
-
-def renumber_after_deletion(state: SurvivorMap, deleted_pos: int) -> SurvivorMap:
-    """Record that the vector generated at ``deleted_pos`` was deleted.
-
-    Later references shift down across it automatically through
-    :meth:`SurvivorMap.resolve`.  Deleting an accepted position is an error.
-    """
-    if deleted_pos in state.accepted:
-        raise ValueError(f"position {deleted_pos} was accepted, cannot delete it")
-    if deleted_pos > state.frontier:
-        state.mark_rejected(deleted_pos)
-    return state

@@ -13,6 +13,7 @@ from blocktrid.basis import (
 )
 from blocktrid.kernel import adjoint, max_abs, unit_vector, unitarity_residual
 from blocktrid.words import (
+    parse_trace,
     joint_cyclic_program,
     krylov_program,
     family_program,
@@ -316,3 +317,54 @@ def test_span_residual_arrays_match_scalar_calls():
         span_residual(np.array([3, 31]), U, np.array([3, 30]))
     with pytest.raises(ValueError):
         span_residual(0, U, 3)
+
+
+def _three_summands(rng):
+    # C^9 = span(e_1..e_3) + span(e_4..e_6) + span(e_7..e_9), each reducing for T
+    T = np.zeros((9, 9), dtype=complex)
+    for s in (slice(0, 3), slice(3, 6), slice(6, 9)):
+        T[s, s] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return T
+
+
+def test_run_program_grows_given_basis():
+    rng = np.random.default_rng(61)
+    T = _three_summands(rng)
+    first = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 0),
+                        pad_with_seeds=False)
+    assert first.closure_dim == 3
+    prefix = first.basis.T.copy()
+    res = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 3),
+                      pad_with_seeds=False, basis=prefix)
+    assert res.basis.shape == (9, 6)
+    assert np.array_equal(res.basis[:, :3].T, prefix)
+    # closure_dim counts only the vectors this build added
+    assert res.closure_dim == 3
+    assert max_abs(res.basis.conj().T @ res.basis - np.eye(6)) <= 1e-12
+    # src 1 names the first added vector (e_4), not the first prefix row,
+    # whose images lie in the prefix span and would be rejected
+    applies = [parse_trace(e.instruction) for e in res.log.entries[1:]]
+    assert all(i.kind == "apply" for i in applies)
+    assert [i.src for i in applies[:2]] == [1, 1]
+    assert res.log.entries[1].accepted and res.log.entries[2].accepted
+    alone = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 3),
+                        pad_with_seeds=False)
+    assert alone.closure_dim == 3
+    assert_allclose(res.basis[:, 3:], alone.basis, atol=1e-12)
+
+
+def test_run_program_seed_in_given_span_adds_nothing():
+    rng = np.random.default_rng(62)
+    T = _three_summands(rng)
+    prefix = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 0),
+                         pad_with_seeds=False).basis.T.copy()
+    res = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 1),
+                      pad_with_seeds=False, basis=prefix)
+    assert res.closure_dim == 0
+    assert np.array_equal(res.basis.T, prefix)
+    assert [e.accepted for e in res.log.entries] == [False]
+    with pytest.raises(ValueError):
+        run_program([T], tri_word_program(), 9, basis=prefix)
+    with pytest.raises(ValueError):
+        run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 1),
+                    basis=prefix[0])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from blocktrid import emit_matrix, parse_matrix
+import blocktrid.transforms as transforms
+from blocktrid import emit_matrix, parse_matrix, unit_vector
 from blocktrid.cli import main
 
 
@@ -201,3 +202,58 @@ def test_usage_and_io_errors(tmp_path, capsys):
     noext.write_text("1+0i\n")
     assert main(["staircase", "--input", str(noext)]) == 1
     assert main(["staircase", "--input", str(noext), "--format", "csv"]) == 0
+
+
+def _cli_parity_cases(d):
+    rng = np.random.default_rng(7)  # the CLI's random:7 seed vector
+    v7 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    e1 = unit_vector(d, 0)
+    return [
+        (["staircase"], lambda T: transforms.staircase(T)),
+        (["tridiag"], lambda T: transforms.block_tridiagonalize(T)),
+        (["polar"], lambda T: transforms.polar_sparsify(T)),
+        (["polar", "--alt"], lambda T: transforms.polar_sparsify(T, alt=True)),
+        (["trisparse"], lambda T: transforms.tri_sparsify(T)),
+        (["trisparse", "--alt"], lambda T: transforms.tri_sparsify(T, alt=True)),
+        (["hessenberg"], lambda T: transforms.krylov_hessenberg(T, e1)),
+        (["jointcyclic"], lambda T: transforms.joint_cyclic_staircase(T, e1)),
+        (["jointcyclic", "--seed-vector", "random:7"],
+         lambda T: transforms.joint_cyclic_staircase(T, v7)),
+    ]
+
+
+def test_form_commands_match_library_reports(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BLOCKTRID_THRESHOLD", raising=False)
+    path = _random_file(tmp_path, 10, 61)
+    T = parse_matrix(path)
+    for argv, call in _cli_parity_cases(10):
+        code = main(argv + ["--input", path, "--report", "json"])
+        out = capsys.readouterr().out
+        report = call(T).report
+        assert out == report.to_json() + "\n", argv
+        assert code == (0 if report.passing else 2)
+
+
+@pytest.mark.parametrize("command, function", [
+    ("staircase", "staircase"),
+    ("tridiag", "block_tridiagonalize"),
+    ("polar", "polar_sparsify"),
+    ("trisparse", "tri_sparsify"),
+    ("hessenberg", "krylov_hessenberg"),
+    ("jointcyclic", "joint_cyclic_staircase"),
+])
+def test_form_commands_call_module_attribute(tmp_path, capsys, monkeypatch,
+                                             command, function):
+    # external tracers wrap transforms.<function> in place; a CLI that kept
+    # its own reference to the function would bypass the wrapper
+    calls = []
+    original = getattr(transforms, function)
+
+    def counting(*args, **kwargs):
+        calls.append(function)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, function, counting)
+    path = _random_file(tmp_path, 6, 62)
+    assert main([command, "--input", path]) == 0
+    assert calls == [function]

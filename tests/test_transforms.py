@@ -479,3 +479,34 @@ def test_staircase_support_matches_coarse_claim():
     rng = np.random.default_rng(35)
     form = staircase(_rand(rng, 17))
     assert check_pattern(form.matrix, staircase_coarse(), 1e-10) == []
+
+
+def test_decompose_coupling_matches_block_maximum():
+    rng = np.random.default_rng(5)
+    d = 64
+    u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    res = decompose(np.outer(u, w.conj()))
+    assert len(res.dims) > 1
+    offsets = np.cumsum([0] + res.dims)
+    blocks = list(zip(offsets[:-1], offsets[1:]))
+    brute = max(
+        max_abs(res.matrix[a0:a1, b0:b1])
+        for a, (a0, a1) in enumerate(blocks)
+        for b, (b0, b1) in enumerate(blocks)
+        if a != b
+    )
+    # roundoff-level coupling, so the comparison is not between two zeros
+    assert 0.0 < brute <= 1e-9
+    assert res.coupling_residual == brute
+
+
+def test_reconstruction_residual_is_backward_error():
+    rng = np.random.default_rng(64)
+    T = _rand(rng, 64)
+    form = staircase(T)
+    U, M = form.basis_change, form.matrix
+    expected = max_abs(U @ M @ U.conj().T - T)
+    assert form.report.reconstruction_residual == expected
+    assert expected > 0.0
+    assert form.passing

@@ -10,7 +10,6 @@ from blocktrid.words import (
     joint_cyclic_program,
     krylov_program,
     parse_trace,
-    renumber_after_deletion,
     seed,
     seed_vec,
     staircase_program,
@@ -164,7 +163,7 @@ def test_survivor_map_resolution():
     state = SurvivorMap()
     for pos in (1, 2, 3):
         state.mark_accepted(pos)
-    renumber_after_deletion(state, 4)
+    state.mark_rejected(4)
     state.mark_accepted(5)
     # the former fifth generated vector is now the fourth survivor
     assert state.resolve(5) == 4
@@ -177,9 +176,9 @@ def test_survivor_map_two_deletions_compose():
     state = SurvivorMap()
     state.mark_accepted(1)
     state.mark_accepted(2)
-    renumber_after_deletion(state, 3)
+    state.mark_rejected(3)
     state.mark_accepted(4)
-    renumber_after_deletion(state, 5)
+    state.mark_rejected(5)
     state.mark_accepted(6)
     assert state.resolve(6) == 4
     assert state.resolve(4) == 3
@@ -195,7 +194,7 @@ def test_survivor_map_guards():
     with pytest.raises(ValueError):
         state.mark_accepted(1)
     with pytest.raises(ValueError):
-        renumber_after_deletion(state, 1)
+        state.mark_rejected(1)
     state.mark_rejected_range(2, 10)
     assert state.resolve(7) == 2
     assert state.survivors == 1
