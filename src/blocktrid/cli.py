@@ -15,8 +15,15 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import transforms
-from .kernel import unit_vector
-from .matio import MatrixParseError, emit_form, emit_matrix, parse_matrix
+from .kernel import DEPENDENCE_TOL, unit_vector
+from .matio import (
+    FORMAT_EXTENSIONS,
+    FORMATS,
+    MatrixParseError,
+    emit_form,
+    emit_matrix,
+    parse_matrix,
+)
 from .render import render_svg
 from .schedules import (
     CYCLIC,
@@ -27,6 +34,7 @@ from .schedules import (
 )
 from .transforms import decompose, family_staircase
 from .verify import (
+    DEFAULT_THRESHOLD,
     block_band,
     check_pattern,
     family_stride,
@@ -50,23 +58,31 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _add_common(parser, multi_input: bool = False, needs_input: bool = True):
+#: Flags that only some commands read, in the order build commands add them.
+_OPTIONAL_FLAGS = {
+    "--tol-dep": dict(dest="tol_dep", type=float, default=DEPENDENCE_TOL,
+                      help="linear dependence tolerance for basis building"),
+    "--output": dict(default=None, metavar="DIR",
+                     help="write matrices, unitaries and reports here"),
+    "--report": dict(choices=("json",), default=None,
+                     help="print the full report as JSON on stdout"),
+    "--svg": dict(action="store_true",
+                  help="also write a pattern rendering (needs --output)"),
+}
+
+
+def _add_common(parser, *optional: str, multi_input: bool = False):
+    """Input, format and threshold flags, then the named ``_OPTIONAL_FLAGS``."""
     parser.add_argument("--input", action="append" if multi_input else "store",
-                        required=needs_input,
+                        required=True,
                         help="matrix file (mm/csv/json)")
-    parser.add_argument("--format", choices=("mm", "csv", "json"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="input format; inferred from the extension if omitted")
     parser.add_argument("--threshold", type=float, default=None,
                         help="magnitude threshold for pattern checks "
-                             f"(default: ${ENV_THRESHOLD} or 1e-10)")
-    parser.add_argument("--tol-dep", dest="tol_dep", type=float, default=1e-10,
-                        help="linear dependence tolerance for basis building")
-    parser.add_argument("--output", default=None, metavar="DIR",
-                        help="write matrices, unitaries and reports here")
-    parser.add_argument("--report", choices=("json",), default=None,
-                        help="print the full report as JSON on stdout")
-    parser.add_argument("--svg", action="store_true",
-                        help="also write a pattern rendering (needs --output)")
+                             f"(default: ${ENV_THRESHOLD} or {DEFAULT_THRESHOLD:g})")
+    for flag in optional:
+        parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
 def _add_schedule_flags(parser, default: Optional[str] = "canonical"):
@@ -112,7 +128,7 @@ def build_parser() -> _Parser:
 
     for name, spec in _FORMS.items():
         p = sub.add_parser(name, help=spec.help)
-        _add_common(p)
+        _add_common(p, *_OPTIONAL_FLAGS)
         if "schedule" in spec.flags:
             _add_schedule_flags(p)
         if "seed" in spec.flags:
@@ -122,12 +138,12 @@ def build_parser() -> _Parser:
             p.add_argument("--alt", action="store_true", help=spec.alt_help)
 
     p = sub.add_parser("family", help="simultaneous staircase for a family")
-    _add_common(p, multi_input=True)
+    _add_common(p, *_OPTIONAL_FLAGS, multi_input=True)
     p.add_argument("--selfadjoint", action="store_true",
                    help="use the shorter stride for a selfadjoint family")
 
     p = sub.add_parser("decompose", help="direct sum of jointly cyclic parts")
-    _add_common(p)
+    _add_common(p, "--tol-dep", "--output", "--report")
 
     p = sub.add_parser("schedule", help="validate or print a block schedule")
     _add_schedule_flags(p, default=None)
@@ -135,14 +151,14 @@ def build_parser() -> _Parser:
                    help="matrix dimension the schedule should cover")
 
     p = sub.add_parser("verify", help="check a matrix file against a pattern")
-    _add_common(p)
+    _add_common(p, "--report")
     _add_schedule_flags(p, default=None)
     p.add_argument("--pattern", required=True,
                    help="staircase | coarse | hessenberg | jointcyclic | "
                         "band | polar | polar-alt | tri | tri-alt | family:STRIDE")
 
     p = sub.add_parser("render", help="render a matrix sparsity pattern to SVG")
-    _add_common(p)
+    _add_common(p, "--output")
     _add_schedule_flags(p, default=None)
     return parser
 
@@ -161,7 +177,7 @@ def _threshold(args) -> float:
         if value <= 0:
             raise _CliError(f"{ENV_THRESHOLD} must be positive")
         return value
-    return 1e-10
+    return DEFAULT_THRESHOLD
 
 
 def _load(args, path: Optional[str] = None) -> np.ndarray:
@@ -194,7 +210,7 @@ def _format_of(args) -> str:
     return format_for_path(path)
 
 
-def _finish_form(form, args, threshold: float) -> int:
+def _finish_form(form, args) -> int:
     if args.svg and not args.output:
         raise _CliError("--svg needs --output")
     report = form.report
@@ -205,8 +221,7 @@ def _finish_form(form, args, threshold: float) -> int:
         print(f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
               f"{len(report.pattern_violations)} violations, {status}")
     if args.output:
-        paths = emit_form(form, args.output, _format_of(args), svg=args.svg,
-                          threshold=threshold)
+        paths = emit_form(form, args.output, _format_of(args), svg=args.svg)
         for path in paths:
             print(f"wrote {path}")
     return 0 if report.passing else 2
@@ -224,7 +239,7 @@ def _cmd_form(args) -> int:
     kwargs = {"alt": args.alt} if spec.alt_help else {}
     build = getattr(transforms, spec.function)
     form = build(T, *extra, tol=args.tol_dep, threshold=thr, **kwargs)
-    return _finish_form(form, args, thr)
+    return _finish_form(form, args)
 
 
 def _cmd_family(args) -> int:
@@ -249,7 +264,7 @@ def _cmd_family(args) -> int:
     if args.output:
         for k, form in enumerate(forms, start=1):
             paths = emit_form(form, args.output, _format_of(args),
-                              prefix=f"family_{k}", svg=args.svg, threshold=thr)
+                              prefix=f"family_{k}", svg=args.svg)
             for path in paths:
                 print(f"wrote {path}")
     return 0 if passing else 2
@@ -274,7 +289,7 @@ def _cmd_decompose(args) -> int:
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         fmt = _format_of(args)
-        ext = {"mm": ".mtx", "csv": ".csv", "json": ".json"}[fmt]
+        ext = FORMAT_EXTENSIONS[fmt]
         for name, mat in (("M", res.matrix), ("U", res.basis_change)):
             path = os.path.join(args.output, f"decompose_{name}{ext}")
             emit_matrix(mat, path, fmt)

@@ -12,7 +12,9 @@ from typing import List, Optional, TextIO, Union
 
 import numpy as np
 
-FORMATS = ("mm", "csv", "json")
+#: Every format with the extension its files are written under.
+FORMAT_EXTENSIONS = {"mm": ".mtx", "csv": ".csv", "json": ".json"}
+FORMATS = tuple(FORMAT_EXTENSIONS)
 
 _EXTENSIONS = {
     ".mtx": "mm",
@@ -279,23 +281,21 @@ def emit_matrix(M, path: str, fmt: Optional[str] = None) -> str:
     return path
 
 
-_FMT_EXT = {"mm": ".mtx", "csv": ".csv", "json": ".json"}
-
-
 def emit_form(form, out_dir: str, fmt: str = "mm", prefix: Optional[str] = None,
-              svg: bool = False, threshold: Optional[float] = None) -> List[str]:
+              svg: bool = False) -> List[str]:
     """Write a sparsified form to disk: matrix, unitary, report, optional SVG.
 
     The matrix and the basis change go out in ``fmt``; the verification
-    report is JSON.  Returns the written paths.
+    report is JSON.  The SVG uses the report's threshold.  Returns the
+    written paths.
     """
     from .render import render_svg
 
-    if fmt not in _FMT_EXT:
+    if fmt not in FORMAT_EXTENSIONS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     os.makedirs(out_dir, exist_ok=True)
     prefix = prefix or form.form_kind
-    ext = _FMT_EXT[fmt]
+    ext = FORMAT_EXTENSIONS[fmt]
     paths = [
         emit_matrix(form.matrix, os.path.join(out_dir, f"{prefix}_M{ext}"), fmt),
         emit_matrix(form.basis_change, os.path.join(out_dir, f"{prefix}_U{ext}"), fmt),
@@ -305,9 +305,8 @@ def emit_form(form, out_dir: str, fmt: str = "mm", prefix: Optional[str] = None,
         handle.write(form.report.to_json() + "\n")
     paths.append(report_path)
     if svg:
-        thr = threshold if threshold is not None else form.report.threshold
         svg_path = os.path.join(out_dir, f"{prefix}_pattern.svg")
         with open(svg_path, "w") as handle:
-            handle.write(render_svg(form.matrix, form.schedule, thr))
+            handle.write(render_svg(form.matrix, form.schedule, form.report.threshold))
         paths.append(svg_path)
     return paths

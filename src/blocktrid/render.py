@@ -11,17 +11,19 @@ from typing import Optional
 
 import numpy as np
 
+from .schedules import BlockIndex
+from .verify import DEFAULT_THRESHOLD
+
 CELL = 12
 FILL = "#2c5d8f"
 GRID = "#d8d8d8"
 BOUNDARY = "#b03030"
 
 
-def render_svg(M, schedule=None, threshold: float = 1e-10,
-               cell: int = CELL) -> str:
+def render_svg(M, schedule=None, threshold: float = DEFAULT_THRESHOLD) -> str:
     M = np.asarray(M)
     rows, cols = M.shape
-    width, height = cols * cell, rows * cell
+    width, height = cols * CELL, rows * CELL
     mags = np.abs(M)
     top = float(mags.max()) if mags.size else 0.0
 
@@ -36,27 +38,26 @@ def render_svg(M, schedule=None, threshold: float = 1e-10,
             if mag > threshold:
                 opacity = 0.35 + 0.65 * (mag / top) if top > 0 else 1.0
                 parts.append(
-                    f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" '
-                    f'height="{cell}" fill="{FILL}" '
+                    f'<rect x="{j * CELL}" y="{i * CELL}" width="{CELL}" '
+                    f'height="{CELL}" fill="{FILL}" '
                     f'fill-opacity="{opacity:.4f}"/>'
                 )
     for k in range(rows + 1):
-        y = k * cell
+        y = k * CELL
         parts.append(
             f'<line x1="0" y1="{y}" x2="{width}" y2="{y}" '
             f'stroke="{GRID}" stroke-width="0.5"/>'
         )
     for k in range(cols + 1):
-        x = k * cell
+        x = k * CELL
         parts.append(
             f'<line x1="{x}" y1="0" x2="{x}" y2="{height}" '
             f'stroke="{GRID}" stroke-width="0.5"/>'
         )
     if schedule is not None:
-        for s in schedule.partial_sums:
-            if s >= rows:
-                break
-            pos = s * cell
+        stops = BlockIndex(schedule, rows).stops
+        for s in stops[stops < rows].tolist():
+            pos = s * CELL
             parts.append(
                 f'<line x1="0" y1="{pos}" x2="{width}" y2="{pos}" '
                 f'stroke="{BOUNDARY}" stroke-width="1.5"/>'

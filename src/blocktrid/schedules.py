@@ -8,15 +8,21 @@ rules appear:
 * cyclic kind: n_{k+1} >= n_1 + ... + n_k, enough for the sparser two-sided
   cyclic support (canonical sizes 1,2,4,8,...)
 
+The partition has one walk, :func:`block_slices`, and one index search,
+:class:`BlockIndex`; partial sums, clipped sizes, block numbers, the band
+and every block pattern are read off those two.
+
 Indices into matrices are 1-based throughout this module, matching the
 partition arithmetic; callers converting to numpy subtract one.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 GENERAL = "general"
 CYCLIC = "cyclic"
@@ -74,12 +80,7 @@ class BlockSchedule:
 
     @property
     def partial_sums(self) -> Tuple[int, ...]:
-        out = []
-        total = 0
-        for n in self.sizes:
-            total += n
-            out.append(total)
-        return tuple(out)
+        return tuple(stop for _, stop in block_slices(self, self.span))
 
     @property
     def span(self) -> int:
@@ -92,21 +93,7 @@ class BlockSchedule:
     @property
     def truncated_sizes(self) -> Tuple[int, ...]:
         """Sizes with blocks clipped at ``dim``; empty trailing blocks drop."""
-        if self.dim is None:
-            return self.sizes
-        out = []
-        start = 0
-        for n in self.sizes:
-            stop = min(start + n, self.dim)
-            if stop > start:
-                out.append(stop - start)
-            start += n
-            if start >= self.dim:
-                break
-        return tuple(out)
-
-    def covers_dim(self, dim: int) -> bool:
-        return self.span >= dim
+        return tuple(stop - start for start, stop in block_slices(self))
 
     def describe(self) -> str:
         return ",".join(str(n) for n in self.sizes)
@@ -173,13 +160,60 @@ def schedule_for_dim(dim: int, kind: str = GENERAL, n1: int = 1) -> BlockSchedul
     return BlockSchedule(tuple(sizes), kind, dim)
 
 
+def block_slices(schedule: BlockSchedule, dim: Optional[int] = None) -> List[Tuple[int, int]]:
+    """0-based (start, stop) ranges of the blocks, clipped to ``dim``.
+
+    ``dim`` defaults to the schedule's own dim, then to its span.
+    """
+    d = dim if dim is not None else schedule.dim
+    if d is None:
+        d = schedule.span
+    out = []
+    start = 0
+    for stop in accumulate(schedule.sizes):
+        if start >= d:
+            break
+        out.append((start, min(stop, d)))
+        start = stop
+    return out
+
+
+class BlockIndex:
+    """Locate 1-based matrix indices in the blocks of ``block_slices(schedule, dim)``.
+
+    Every method takes ints or broadcast integer arrays.  Indices past the
+    last block get block number ``len(slices) + 1``.
+    """
+
+    def __init__(self, schedule: BlockSchedule, dim: Optional[int] = None):
+        self.slices = block_slices(schedule, dim)
+        self.starts, self.stops = np.array(self.slices, dtype=int).reshape(-1, 2).T
+        self.sizes = self.stops - self.starts
+        self.span = int(self.stops[-1]) if self.slices else 0
+
+    def block(self, index):
+        """1-based block number of ``index``."""
+        return np.searchsorted(self.stops, index) + 1
+
+    def locate(self, index):
+        """(block number, local index), both 1-based, of indices inside the span."""
+        b = self.block(index)
+        return b, index - self.starts[b - 1]
+
+    def in_band(self, i, j):
+        """True where (i, j) lies in the block tridiagonal band; an index
+        past the last block lies in no block, so its entries are outside."""
+        bi, bj = self.block(i), self.block(j)
+        inside = (bi <= len(self.slices)) & (bj <= len(self.slices))
+        return inside & (abs(bi - bj) <= 1)
+
+
 def block_of(index: int, schedule: BlockSchedule) -> int:
     """1-based block number containing matrix index ``index`` (also 1-based)."""
-    sums = schedule.partial_sums
-    limit = sums[-1] if schedule.dim is None else min(sums[-1], schedule.dim)
-    if not 1 <= index <= limit:
-        raise ValueError(f"index {index} outside 1..{limit}")
-    return bisect.bisect_left(sums, index) + 1
+    idx = BlockIndex(schedule)
+    if not 1 <= index <= idx.span:
+        raise ValueError(f"index {index} outside 1..{idx.span}")
+    return int(idx.block(index))
 
 
 def covers(i: int, j: int, schedule: BlockSchedule) -> bool:
@@ -189,12 +223,7 @@ def covers(i: int, j: int, schedule: BlockSchedule) -> bool:
     """
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
-    sums = schedule.partial_sums
-    if i > sums[-1] or j > sums[-1]:
-        return False
-    bi = bisect.bisect_left(sums, i)
-    bj = bisect.bisect_left(sums, j)
-    return abs(bi - bj) <= 1
+    return bool(BlockIndex(schedule, schedule.span).in_band(i, j))
 
 
 def staircase_coverage_check(
@@ -210,29 +239,10 @@ def staircase_coverage_check(
     needed.
     """
     allowed = getattr(pattern, "allowed", pattern)
-    out = []
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if allowed(i, j) and not covers(i, j, schedule):
-                out.append((i, j))
-    return out
-
-
-def block_slices(schedule: BlockSchedule, dim: Optional[int] = None) -> List[Tuple[int, int]]:
-    """0-based (start, stop) ranges of the blocks, clipped to ``dim``."""
-    d = dim if dim is not None else schedule.dim
-    if d is None:
-        d = schedule.span
-    out = []
-    start = 0
-    for n in schedule.sizes:
-        stop = min(start + n, d)
-        if stop > start:
-            out.append((start, stop))
-        start += n
-        if start >= d:
-            break
-    return out
+    n = np.arange(1, dim + 1)
+    band = BlockIndex(schedule, schedule.span).in_band(n[:, None], n[None, :])
+    return [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)
+            if allowed(i, j) and not band[i - 1, j - 1]]
 
 
 def parse_spec(text: str, dim: Optional[int], kind: str = GENERAL) -> BlockSchedule:

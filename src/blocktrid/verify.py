@@ -7,18 +7,23 @@ magnitude threshold sitting at a disallowed position is a violation.  The
 report bundles every residual family relevant to a form (unitarity,
 reconstruction, pattern, spanning, block positivity, block triangularity,
 similarity invariants) and decides pass/fail against the documented thresholds.
+
+Block patterns locate indices with the schedule's single partition locator,
+:class:`~blocktrid.schedules.BlockIndex`.  Every mirrored (``alt``) pattern
+is its primary pattern transposed, and a mirrored form's block checks are
+the primary checks run on ``M*``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernel import hermitian_eigvals, max_abs
-from .schedules import BlockSchedule, block_slices
+from .schedules import BlockIndex, BlockSchedule, block_slices
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
@@ -94,55 +99,40 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     return PatternSpec("joint_cyclic", allowed)
 
 
-class _BlockIndex:
-    """Locate 1-based matrix indices inside a schedule clipped to dim."""
+def _covering_index(schedule: BlockSchedule, dim: int) -> BlockIndex:
+    idx = BlockIndex(schedule, dim)
+    if idx.span < dim:
+        raise ValueError(
+            f"schedule spans {schedule.span}, too short for dimension {dim}"
+        )
+    return idx
 
-    def __init__(self, schedule: BlockSchedule, dim: int):
-        self.slices = block_slices(schedule, dim)
-        if not self.slices or self.slices[-1][1] < dim:
-            raise ValueError(
-                f"schedule spans {schedule.span}, too short for dimension {dim}"
-            )
-        self.starts = np.array([start for start, _ in self.slices])
-        self.stops = np.array([stop for _, stop in self.slices])
-        self.sizes = self.stops - self.starts
-        self.full_sizes = np.array(schedule.sizes)
 
-    def locate(self, index):
-        """(block number, local index), both 1-based, of an int or int array."""
-        b = np.searchsorted(self.stops, index)
-        return b + 1, index - self.starts[b]
+def _mirrored(spec: PatternSpec, kind: str) -> PatternSpec:
+    """``spec`` transposed: the support of a primary form of ``T*``, conjugate-transposed."""
+    return PatternSpec(kind, lambda i, j: spec.allowed(j, i), spec.schedule)
 
 
 def block_band(schedule: BlockSchedule, dim: int) -> PatternSpec:
-    idx = _BlockIndex(schedule, dim)
-
-    def allowed(i, j):
-        bi, _ = idx.locate(i)
-        bj, _ = idx.locate(j)
-        return abs(bi - bj) <= 1
-
-    return PatternSpec("block_band", allowed, schedule)
+    return PatternSpec("block_band", _covering_index(schedule, dim).in_band, schedule)
 
 
 def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternSpec:
     """Band pattern with the off-diagonal blocks on one side cut to squares.
 
     Primary: each block right of the diagonal is (P | 0), only its leading
-    n_k columns may be nonzero.  Alt: each block below the diagonal is
-    (P | 0) transposed, only its leading n_k rows may be nonzero.
+    n_k columns may be nonzero.  Alt: the primary pattern transposed, so each
+    block below the diagonal is (P | 0) transposed.
     """
-    idx = _BlockIndex(schedule, dim)
+    idx = _covering_index(schedule, dim)
 
     def allowed(i, j):
-        bi, li = idx.locate(i)
+        bi, _ = idx.locate(i)
         bj, lj = idx.locate(j)
-        band = abs(bi - bj) <= 1
-        if not alt:
-            return band & ((bj != bi + 1) | (lj <= idx.sizes[bi - 1]))
-        return band & ((bi != bj + 1) | (li <= idx.sizes[bj - 1]))
+        return (abs(bi - bj) <= 1) & ((bj != bi + 1) | (lj <= idx.sizes[bi - 1]))
 
-    return PatternSpec("polar_alt_blocks" if alt else "polar_blocks", allowed, schedule)
+    spec = PatternSpec("polar_blocks", allowed, schedule)
+    return _mirrored(spec, "polar_alt_blocks") if alt else spec
 
 
 def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternSpec:
@@ -150,30 +140,23 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
 
     Primary: below-diagonal blocks are (B' | 0) transposed with B' upper
     triangular; above-diagonal blocks are (A' | A'' | 0) with A'' lower
-    triangular.  Alt mirrors both claims (square lower triangular above,
-    free-then-upper-triangular stack below).
+    triangular.  Alt: the primary pattern transposed (square lower triangular
+    above, free-then-upper-triangular stack below).
     """
-    idx = _BlockIndex(schedule, dim)
+    idx = _covering_index(schedule, dim)
 
     def allowed(i, j):
         bi, li = idx.locate(i)
         bj, lj = idx.locate(j)
-        above = bj == bi + 1
-        below = bi == bj + 1
-        if not alt:
-            # stacked upper triangular square over zeros
-            below_ok = li <= lj
-            nk = idx.full_sizes[bi - 1]
-            above_ok = (lj <= nk) | ((lj <= 2 * nk) & (li >= lj - nk))
-        else:
-            # square lower triangular, zero tail
-            nk = idx.full_sizes[bi - 1]
-            above_ok = (lj <= nk) & (li >= lj)
-            nk = idx.full_sizes[bj - 1]
-            below_ok = (li <= nk) | ((li <= 2 * nk) & (lj >= li - nk))
-        return (bi == bj) | (above & above_ok) | (below & below_ok)
+        # below: stacked upper triangular square over zeros; above: block bi
+        # is not the last, so its size is unclipped
+        below_ok = li <= lj
+        nk = idx.sizes[bi - 1]
+        above_ok = (lj <= nk) | ((lj <= 2 * nk) & (li >= lj - nk))
+        return (bi == bj) | ((bj == bi + 1) & above_ok) | ((bi == bj + 1) & below_ok)
 
-    return PatternSpec("tri_alt_blocks" if alt else "tri_blocks", allowed, schedule)
+    spec = PatternSpec("tri_blocks", allowed, schedule)
+    return _mirrored(spec, "tri_alt_blocks") if alt else spec
 
 
 def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
@@ -255,40 +238,23 @@ class VerificationReport:
         return True
 
     def to_json(self) -> str:
-        payload = {
-            "passing": self.passing,
-            "form_kind": self.form_kind,
-            "threshold": self.threshold,
-            "input_norm_max": self.input_norm_max,
-            "input_norm_fro": self.input_norm_fro,
-            "unitarity_residual": self.unitarity_residual,
-            "reconstruction_residual": self.reconstruction_residual,
-            "pattern": {
-                "kind": self.pattern_kind,
-                "violations": [list(v) for v in self.pattern_violations],
-            },
-            "span_residuals": [list(v) for v in self.span_residuals],
-            "hermitian_residuals": [list(v) for v in self.hermitian_residuals],
-            "psd_min_eigs": [list(v) for v in self.psd_min_eigs],
-            "block_scales": [list(v) for v in self.block_scales],
-            "tail_residuals": [list(v) for v in self.tail_residuals],
-            "triangular_residuals": [list(v) for v in self.triangular_residuals],
-            "trace_drifts": self.trace_drifts,
-            "frobenius_drift": self.frobenius_drift,
-            "closure_dim": self.closure_dim,
+        payload = asdict(self)
+        payload["pattern"] = {
+            "kind": payload.pop("pattern_kind"),
+            "violations": payload.pop("pattern_violations"),
         }
+        payload["passing"] = self.passing
         return json.dumps(payload, sort_keys=True)
 
 
-def _polar_block_checks(M, idx: _BlockIndex, alt: bool):
-    """Hermitian/PSD/tail numbers for the square parts of the cut blocks."""
+def _polar_block_checks(M, idx: BlockIndex):
+    """Hermitian/PSD/tail numbers for the square parts of the cut blocks
+    right of the diagonal."""
     herm, eigs, tails, scales = [], [], [], []
     for k in range(len(idx.slices) - 1):
         r0, r1 = idx.slices[k]
         c0, c1 = idx.slices[k + 1]
-        blk = M[c0:c1, r0:r1] if alt else M[r0:r1, c0:c1]
-        if alt:
-            blk = blk.conj().T
+        blk = M[r0:r1, c0:c1]
         nk = r1 - r0
         square = blk[:, :nk]
         tail = blk[:, nk:]
@@ -301,22 +267,21 @@ def _polar_block_checks(M, idx: _BlockIndex, alt: bool):
     return herm, eigs, tails, scales
 
 
-def _tri_block_checks(M, schedule: BlockSchedule, alt: bool):
+def _tri_block_checks(M, schedule: BlockSchedule, below: str, above: str):
     """Largest magnitude off the triangular support, per off-diagonal block.
 
-    The primary form lists the block below the diagonal (B) before the one
-    above it (A); the alt form lists A first.
+    Each pair lists the block below the diagonal, labelled ``below``, before
+    the one above it, labelled ``above``.
     """
     d = M.shape[0]
-    off = np.where(_support_mask(tri_blocks(schedule, d, alt), M.shape), 0.0, np.abs(M))
+    off = np.where(_support_mask(tri_blocks(schedule, d), M.shape), 0.0, np.abs(M))
     slices = block_slices(schedule, d)
     out = []
     for k in range(len(slices) - 1):
         r0, r1 = slices[k]
         c0, c1 = slices[k + 1]
-        pair = [("B", k + 1, max_abs(off[c0:c1, r0:r1])),
-                ("A", k + 1, max_abs(off[r0:r1, c0:c1]))]
-        out.extend(pair[::-1] if alt else pair)
+        out += [(below, k + 1, max_abs(off[c0:c1, r0:r1])),
+                (above, k + 1, max_abs(off[r0:r1, c0:c1]))]
     return out
 
 
@@ -353,17 +318,20 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
         dists = span_residual(ns, U, ms).tolist()
         report.span_residuals = [(n, m, r) for (n, m), r in zip(form.span_bounds, dists)]
 
+    # a mirrored form is the primary form of T*, conjugate-transposed, so its
+    # block checks are the primary ones run on M*; M*'s blocks below the
+    # diagonal are M's above it, hence the swapped triangular labels
+    mirrored = form.form_kind in ("polar_alt", "triangular_alt")
+    Mp = M.conj().T if mirrored else M
     if form.form_kind in ("polar", "polar_alt") and form.schedule is not None:
-        idx = _BlockIndex(form.schedule, d)
-        herm, eigs, tails, scales = _polar_block_checks(M, idx, form.form_kind == "polar_alt")
+        herm, eigs, tails, scales = _polar_block_checks(Mp, _covering_index(form.schedule, d))
         report.hermitian_residuals = herm
         report.psd_min_eigs = eigs
         report.tail_residuals = tails
         report.block_scales = scales
     if form.form_kind in ("triangular", "triangular_alt") and form.schedule is not None:
-        report.triangular_residuals = _tri_block_checks(
-            M, form.schedule, form.form_kind == "triangular_alt"
-        )
+        labels = ("A", "B") if mirrored else ("B", "A")
+        report.triangular_residuals = _tri_block_checks(Mp, form.schedule, *labels)
 
     # tr(A^2) = sum(A * A^T) and tr(A^3) = sum(A^2 * A^T): one product each
     T2, M2 = T @ T, M @ M

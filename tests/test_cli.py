@@ -257,3 +257,28 @@ def test_form_commands_call_module_attribute(tmp_path, capsys, monkeypatch,
     path = _random_file(tmp_path, 6, 62)
     assert main([command, "--input", path]) == 0
     assert calls == [function]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("decompose", ["--svg"]),
+    ("verify", ["--tol-dep", "1e-9"]),
+    ("verify", ["--output", "OUT"]),
+    ("verify", ["--svg"]),
+    ("render", ["--tol-dep", "1e-9"]),
+    ("render", ["--report", "json"]),
+    ("render", ["--svg"]),
+])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    path = _write(tmp_path, "D.json", np.diag([1.0, 2.0, 3.0, 4.0]))
+    base = [command, "--input", path]
+    if command == "verify":
+        base += ["--pattern", "staircase"]
+    out_dir = tmp_path / "out"
+    assert main(base) == 0
+    capsys.readouterr()
+    argv = base + [str(out_dir) if arg == "OUT" else arg for arg in flag]
+    runs = [argv, argv + ["--output", str(out_dir)]] if command == "decompose" else [argv]
+    for run in runs:
+        assert main(run) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -89,6 +89,28 @@ def test_covers_counterexample_entry():
     assert not covers(1, 99, BlockSchedule((1, 2, 6), GENERAL))
 
 
+def test_covers_false_beyond_span():
+    sched = BlockSchedule((1, 2, 3), GENERAL)
+    assert covers(6, 6, sched) and covers(3, 6, sched)
+    for i, j in ((7, 7), (6, 7), (7, 6), (7, 1), (1, 7), (40, 40)):
+        assert covers(i, j, sched) is False
+    with pytest.raises(ValueError):
+        covers(0, 1, sched)
+
+
+def test_block_of_limit_is_min_of_span_and_dim():
+    clipped = BlockSchedule((1, 2, 6), GENERAL, 4)
+    assert [block_of(i, clipped) for i in range(1, 5)] == [1, 2, 2, 3]
+    with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+        block_of(5, clipped)
+    short = BlockSchedule((1, 2), GENERAL, 10)
+    assert block_of(3, short) == 2
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        block_of(4, short)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        block_of(0, short)
+
+
 def test_coverage_check_canonical_is_complete():
     sched = canonical_covering(81, GENERAL)
     assert staircase_coverage_check(sched, staircase_support, 81) == []
@@ -154,6 +176,20 @@ def test_truncated_sizes_and_slices():
     full = canonical_schedule(3, 1, GENERAL)
     assert full.truncated_sizes == (1, 2, 6)
     assert block_slices(full, 2) == [(0, 1), (1, 2)]
+
+
+def test_truncated_sizes_match_block_slices():
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        sizes = tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(1, 6)))
+        dim = int(rng.integers(1, 2 * sum(sizes))) if trial % 2 else None
+        sched = BlockSchedule(sizes, GENERAL, dim)
+        slices = block_slices(sched)
+        assert sched.truncated_sizes == tuple(b - a for a, b in slices)
+        assert sched.partial_sums == tuple(np.cumsum(sizes))
+        # blocks are contiguous from 0 and end at min(span, dim)
+        assert [a for a, _ in slices] == [0] + [b for _, b in slices[:-1]]
+        assert slices[-1][1] == min(sched.span, dim or sched.span)
 
 
 def test_parse_spec():

@@ -352,6 +352,77 @@ def test_array_predicates_match_scalar_calls(d):
         assert pattern_text(M, spec, 0.5) == sketch, spec.kind
 
 
+def _reference_support(name, schedule, dim):
+    """Per-entry support of a block pattern, read off the builder docstrings.
+
+    Blocks are the schedule's sizes clipped at ``dim``; (bi, li) and (bj, lj)
+    are the 1-based block and local indices of row i and column j, and n[k]
+    is the k-th schedule size.
+    """
+    where = []
+    for k, size in enumerate(schedule.sizes, start=1):
+        where += [(k, local) for local in range(1, size + 1)]
+    n = (0,) + schedule.sizes
+    out = np.zeros((dim, dim), dtype=bool)
+    for i in range(dim):
+        for j in range(dim):
+            (bi, li), (bj, lj) = where[i], where[j]
+            if bi == bj:
+                ok = True
+            elif bj == bi + 1:  # right of the diagonal, n[bi] x n[bj]
+                nk = n[bi]
+                ok = {"polar": lj <= nk,                 # (P | 0)
+                      "polar_alt": True,
+                      "tri": lj <= nk or (lj <= 2 * nk and li >= lj - nk),  # (A' | A'' | 0)
+                      "tri_alt": lj <= nk and li >= lj,  # lower triangular square, zero tail
+                      }[name]
+            elif bi == bj + 1:  # below the diagonal, n[bi] x n[bj]
+                nk = n[bj]
+                ok = {"polar": True,
+                      "polar_alt": li <= nk,             # (P | 0) transposed
+                      "tri": li <= lj,                   # upper triangular square over zeros
+                      "tri_alt": li <= nk or (li <= 2 * nk and lj >= li - nk),
+                      }[name]
+            else:
+                ok = False
+            out[i, j] = ok
+    return out
+
+
+def _random_schedules(rng, count):
+    """Custom schedules: growth-rule valid or broken, spanning dim or clipped by it."""
+    out = []
+    for trial in range(count):
+        sizes = [int(rng.integers(1, 5))]
+        for _ in range(int(rng.integers(0, 4))):
+            grow = 2 * sum(sizes) + int(rng.integers(0, 3)) if trial % 2 else 0
+            sizes.append(max(grow, int(rng.integers(1, 8))))
+        span = sum(sizes)
+        dim = span if trial % 3 == 0 else int(rng.integers(1, span + 1))
+        out.append((BlockSchedule(tuple(sizes), GENERAL, dim), dim))
+    return out
+
+
+def test_block_patterns_match_per_entry_reference():
+    rng = np.random.default_rng(29)
+    builders = {
+        "polar": lambda s, d: polar_blocks(s, d),
+        "polar_alt": lambda s, d: polar_blocks(s, d, alt=True),
+        "tri": lambda s, d: tri_blocks(s, d),
+        "tri_alt": lambda s, d: tri_blocks(s, d, alt=True),
+    }
+    cases = _random_schedules(rng, 120)
+    assert any(not s.is_valid for s, _ in cases) and any(s.is_valid for s, _ in cases)
+    assert any(d < s.span for s, d in cases)
+    for sched, dim in cases:
+        i, j = np.ogrid[1:dim + 1, 1:dim + 1]
+        for name, build in builders.items():
+            spec = build(sched, dim)
+            mask = np.broadcast_to(spec.allowed(i, j), (dim, dim))
+            expected = _reference_support(name, sched, dim)
+            assert np.array_equal(mask, expected), (name, sched.sizes, dim)
+
+
 def _forbidden_corner_max(M, schedule, alt):
     """Per-entry reference for the triangular residuals, in report order."""
     slices = block_slices(schedule, M.shape[0])
