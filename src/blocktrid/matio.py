@@ -2,13 +2,26 @@
 
 All emitters print floats with 17 significant digits, which round-trips
 IEEE doubles exactly; parse -> emit -> parse is value-identical.
+
+Each format is read and written on one whole-array path.  A parser splits
+the text with C-level string methods, converts every number token in one
+pass of Python's ``float`` (so the accepted number syntax is exactly
+``float()``'s) and checks token counts, row widths, indices and
+finiteness as array operations.  Only when that pass finds an entry
+malformed does a per-line pass run, to raise the ``MatrixParseError`` of
+the first offending line.  An emitter fills one printf-style template
+with the flattened real and imaginary parts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import List, Optional, TextIO, Union
+import re
+from itertools import chain, compress, repeat
+from operator import methodcaller
+from typing import Iterable, List, Optional, TextIO, Union
 
 import numpy as np
 
@@ -23,6 +36,19 @@ _EXTENSIONS = {
     ".json": "json",
 }
 
+_MM_HEADER = "%%MatrixMarket matrix array complex general"
+
+#: An imaginary CSV token ``[re]im(i|I)``.  ``im`` starts at the first sign
+#: that neither opens the token nor follows an exponent marker, and ``re``
+#: holds at least one character besides its sign.  A token whose parts both
+#: parse has at most one such sign, so this split is the one
+#: ``_parse_complex_token`` makes at the last such sign.
+_IMAGINARY = re.compile(
+    r"(?:(?P<re>[+-]?[^+-]+(?:[eE][+-][^+-]*)*)(?<=[^eE])(?=[+-]))?(?P<im>.*)[iI]"
+)
+#: A bare or signed ``i`` has unit imaginary part.
+_UNIT = {"": "1", "+": "+1", "-": "-1"}
+
 
 class MatrixParseError(ValueError):
     """Malformed matrix file; carries the 1-based line number when known."""
@@ -34,6 +60,10 @@ class MatrixParseError(ValueError):
         self.line = line
 
 
+class _Malformed(Exception):
+    """The whole-array pass rejected an entry; a per-line pass names it."""
+
+
 def format_for_path(path: str) -> str:
     ext = os.path.splitext(str(path))[1].lower()
     if ext not in _EXTENSIONS:
@@ -43,11 +73,11 @@ def format_for_path(path: str) -> str:
     return _EXTENSIONS[ext]
 
 
-def _read_lines(source: Union[str, TextIO]) -> List[str]:
+def _read_text(source: Union[str, TextIO]) -> str:
     if hasattr(source, "read"):
-        return source.read().splitlines()
+        return source.read()
     with open(source, "r") as handle:
-        return handle.read().splitlines()
+        return handle.read()
 
 
 def _require_square(M: np.ndarray) -> np.ndarray:
@@ -58,9 +88,136 @@ def _require_square(M: np.ndarray) -> np.ndarray:
 
 def _parse_float(token: str, line: int, what: str = "number") -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MatrixParseError(f"malformed {what} token {token!r}", line)
+    if not math.isfinite(value):
+        raise MatrixParseError(f"non-finite {what} {token!r}", line)
+    return value
+
+
+def _parse_int(token: str, line: int, what: str) -> int:
+    value = _parse_float(token, line, what)
+    if not value.is_integer():
+        raise MatrixParseError(f"non-integer {what} {token!r}", line)
+    return int(value)
+
+
+def _floats(tokens: Iterable[str], count: int) -> np.ndarray:
+    """``count`` tokens through ``float`` into one array, all finite."""
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, count)
+    except ValueError:
+        raise _Malformed
+    if not np.isfinite(values).all():
+        raise _Malformed
+    return values
+
+
+def _no_error_found():
+    raise AssertionError("the whole-array pass rejected entries the per-line pass accepts")
+
+
+def _mm_layout(lines: List[str]) -> str:
+    if not lines:
+        raise MatrixParseError("empty file", 1)
+    header = lines[0].split()
+    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+        raise MatrixParseError(f"unsupported header {lines[0]!r}", 1)
+    _, obj, layout, field, symmetry = (part.lower() for part in header)
+    if obj != "matrix" or field != "complex" or symmetry != "general":
+        raise MatrixParseError(f"unsupported header {lines[0]!r}", 1)
+    if layout not in ("array", "coordinate"):
+        raise MatrixParseError(f"unsupported layout {layout!r}", 1)
+    return layout
+
+
+def _mm_sizes(line: str, line_no: int, names, form: str) -> List[int]:
+    size = line.split()
+    if len(size) != len(names):
+        raise MatrixParseError(f"expected '{form}', got {line!r}", line_no)
+    sizes = [_parse_int(token, line_no, what) for token, what in zip(size, names)]
+    if min(sizes) < 0:
+        raise MatrixParseError(f"negative size in {line!r}", line_no)
+    return sizes
+
+
+def _mm_entry_error(layout: str, lines: List[str], entries, rows: int, cols: int):
+    """Raise the error of the first malformed entry line."""
+    seen = set()
+    for idx in entries.tolist():
+        line_no, line = idx + 1, lines[idx]
+        parts = line.split()
+        if layout == "array":
+            if len(parts) != 2:
+                raise MatrixParseError(f"expected 're im', got {line!r}", line_no)
+        else:
+            if len(parts) != 4:
+                raise MatrixParseError(f"expected 'i j re im', got {line!r}", line_no)
+            i = _parse_int(parts[0], line_no, "row index")
+            j = _parse_int(parts[1], line_no, "column index")
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise MatrixParseError(f"index ({i},{j}) out of range", line_no)
+            if (i, j) in seen:
+                raise MatrixParseError(f"duplicate entry ({i},{j})", line_no)
+            seen.add((i, j))
+            parts = parts[2:]
+        _parse_float(parts[0], line_no, "real part")
+        _parse_float(parts[1], line_no, "imaginary part")
+    _no_error_found()
+
+
+def _parse_mm(text: str) -> np.ndarray:
+    lines = text.splitlines()
+    layout = _mm_layout(lines)
+    n_tokens = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("%")),
+                          bool, len(lines))
+    keep = (n_tokens > 0) & ~comment
+    keep[0] = False
+    body = np.flatnonzero(keep)            # the size line, then the entry lines
+    if not body.size:
+        raise MatrixParseError("missing size line", len(lines))
+    size_no, entries = int(body[0]) + 1, body[1:]
+    keep[size_no - 1] = False              # now the entry lines alone
+    if layout == "array":
+        rows, cols = _mm_sizes(lines[size_no - 1], size_no,
+                               ("row count", "column count"), "rows cols")
+        count, width = rows * cols, 2
+    else:
+        rows, cols, count = _mm_sizes(lines[size_no - 1], size_no,
+                                      ("size",) * 3, "rows cols nnz")
+        width = 4
+    if len(entries) != count:
+        raise MatrixParseError(f"expected {count} entries, found {len(entries)}",
+                               size_no)
+    M = np.zeros((rows, cols), dtype=np.complex128)
+    try:
+        if (n_tokens[entries] != width).any():
+            raise _Malformed
+        tokens = chain.from_iterable(map(str.split, compress(lines, keep.tolist())))
+        _fill_mm(M, _floats(tokens, width * count).reshape(count, width))
+    except _Malformed:
+        _mm_entry_error(layout, lines, entries, rows, cols)
+    return _require_square(M)
+
+
+def _fill_mm(M: np.ndarray, values: np.ndarray):
+    """Write parsed entry lines into ``M``: ``(re, im)`` pairs in column-major
+    order, or ``(i, j, re, im)`` quadruples at distinct in-range indices."""
+    rows, cols = M.shape
+    if values.shape[1] == 2:
+        M[:] = values.view(np.complex128).reshape(cols, rows).T
+        return
+    ij = values[:, :2]
+    if ((ij != np.floor(ij)).any() or (ij < 1).any()
+            or (ij[:, 0] > rows).any() or (ij[:, 1] > cols).any()):
+        raise _Malformed
+    i, j = ij.T.astype(np.intp) - 1
+    if np.unique(i * cols + j).size != len(values):
+        raise _Malformed
+    M.real[i, j] = values[:, 2]
+    M.imag[i, j] = values[:, 3]
 
 
 def _parse_complex_token(token: str, line: int) -> complex:
@@ -78,147 +235,122 @@ def _parse_complex_token(token: str, line: int) -> complex:
             re_s, im_s = "0", body
         else:
             re_s, im_s = body[:split], body[split:]
-        if im_s in ("", "+", "-"):
-            im_s += "1"
         return complex(
             _parse_float(re_s, line, "real part"),
-            _parse_float(im_s, line, "imaginary part"),
+            _parse_float(_UNIT.get(im_s, im_s), line, "imaginary part"),
         )
     return complex(_parse_float(text, line), 0.0)
 
 
-def _parse_mm(lines: List[str]) -> np.ndarray:
-    if not lines:
-        raise MatrixParseError("empty file", 1)
-    header = lines[0].split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
-        raise MatrixParseError(f"unsupported header {lines[0]!r}", 1)
-    _, obj, layout, field, symmetry = (part.lower() for part in header)
-    if obj != "matrix" or field != "complex" or symmetry != "general":
-        raise MatrixParseError(f"unsupported header {lines[0]!r}", 1)
-    if layout not in ("array", "coordinate"):
-        raise MatrixParseError(f"unsupported layout {layout!r}", 1)
-
-    body = [
-        (idx + 1, line)
-        for idx, line in enumerate(lines)
-        if idx > 0 and line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
-        raise MatrixParseError("missing size line", len(lines))
-    size_line_no, size_line = body[0]
-    size = size_line.split()
-
-    if layout == "array":
-        if len(size) != 2:
-            raise MatrixParseError(f"expected 'rows cols', got {size_line!r}",
-                                   size_line_no)
-        rows = int(_parse_float(size[0], size_line_no, "row count"))
-        cols = int(_parse_float(size[1], size_line_no, "column count"))
-        entries = body[1:]
-        if len(entries) != rows * cols:
-            raise MatrixParseError(
-                f"expected {rows * cols} entries, found {len(entries)}",
-                size_line_no,
-            )
-        M = np.zeros((rows, cols), dtype=np.complex128)
-        pos = 0
-        for j in range(cols):          # array layout is column-major
-            for i in range(rows):
-                line_no, line = entries[pos]
-                parts = line.split()
-                if len(parts) != 2:
-                    raise MatrixParseError(
-                        f"expected 're im', got {line!r}", line_no
-                    )
-                M[i, j] = complex(
-                    _parse_float(parts[0], line_no, "real part"),
-                    _parse_float(parts[1], line_no, "imaginary part"),
-                )
-                pos += 1
-        return _require_square(M)
-
-    if len(size) != 3:
-        raise MatrixParseError(f"expected 'rows cols nnz', got {size_line!r}",
-                               size_line_no)
-    rows, cols, nnz = (int(_parse_float(s, size_line_no, "size")) for s in size)
-    entries = body[1:]
-    if len(entries) != nnz:
-        raise MatrixParseError(
-            f"expected {nnz} entries, found {len(entries)}", size_line_no
-        )
-    M = np.zeros((rows, cols), dtype=np.complex128)
-    seen = set()
-    for line_no, line in entries:
-        parts = line.split()
-        if len(parts) != 4:
-            raise MatrixParseError(f"expected 'i j re im', got {line!r}", line_no)
-        i = int(_parse_float(parts[0], line_no, "row index"))
-        j = int(_parse_float(parts[1], line_no, "column index"))
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixParseError(f"index ({i},{j}) out of range", line_no)
-        if (i, j) in seen:
-            raise MatrixParseError(f"duplicate entry ({i},{j})", line_no)
-        seen.add((i, j))
-        M[i - 1, j - 1] = complex(
-            _parse_float(parts[2], line_no, "real part"),
-            _parse_float(parts[3], line_no, "imaginary part"),
-        )
-    return _require_square(M)
-
-
-def _parse_csv(lines: List[str]) -> np.ndarray:
-    rows = []
+def _csv_entry_error(lines: List[str]):
+    """Raise the error of the first malformed row, scanning entry by entry."""
     width = None
     for idx, line in enumerate(lines):
         if not line.strip():
             continue
         tokens = line.split(",")
-        values = [_parse_complex_token(tok, idx + 1) for tok in tokens]
+        for tok in tokens:
+            _parse_complex_token(tok, idx + 1)
         if width is None:
-            width = len(values)
-        elif len(values) != width:
+            width = len(tokens)
+        elif len(tokens) != width:
             raise MatrixParseError(
-                f"row has {len(values)} entries, expected {width}", idx + 1
+                f"row has {len(tokens)} entries, expected {width}", idx + 1
             )
-        rows.append(values)
+    _no_error_found()
+
+
+def _parse_csv(text: str) -> np.ndarray:
+    # Spaces go everywhere and other whitespace around each token, as
+    # ``token.strip().replace(" ", "")`` does; neither splits lines or tokens.
+    lines = text.replace(" ", "").splitlines()
+    rows = list(compress(lines, map(str.strip, lines)))
     if not rows:
         raise MatrixParseError("empty file", 1)
-    return _require_square(np.array(rows, dtype=np.complex128))
-
-
-def _parse_json(lines: List[str]) -> np.ndarray:
-    text = "\n".join(lines)
+    widths = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+    tokens = list(map(str.strip, chain.from_iterable(map(str.split, rows, repeat(",")))))
+    imaginary = np.fromiter(map(str.endswith, tokens, repeat(("i", "I"))),
+                            bool, len(tokens))
+    n_imaginary = int(imaginary.sum())
+    values = np.zeros((len(tokens), 2))
     try:
-        payload = json.loads(text)
+        if (widths != widths[0]).any():
+            raise _Malformed
+        values[~imaginary, 0] = _floats(compress(tokens, (~imaginary).tolist()),
+                                        len(tokens) - n_imaginary)
+        # (re, im) string pairs, flattened; "0" for a missing re, which
+        # is never a key of _UNIT
+        parts = list(chain.from_iterable(map(
+            methodcaller("groups", "0"),
+            map(_IMAGINARY.fullmatch, compress(tokens, imaginary.tolist())))))
+        values[imaginary] = _floats(map(_UNIT.get, parts, parts),
+                                    2 * n_imaginary).reshape(n_imaginary, 2)
+    except _Malformed:
+        _csv_entry_error(text.splitlines())
+    return _require_square(values.view(np.complex128).reshape(len(rows), widths[0]))
+
+
+def _json_entry_error(data: list, cols: int):
+    """Raise the error of the first malformed row or entry."""
+    for i, row in enumerate(data, start=1):
+        if not isinstance(row, (list, dict, str)):
+            raise MatrixParseError(f"row {i} is not a list of entries", 1)
+        if len(row) != cols:
+            raise MatrixParseError(f"row {i} has {len(row)} entries, expected {cols}", 1)
+        for j, pair in enumerate(row, start=1):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise MatrixParseError(f"entry ({i},{j}) is not a [re, im] pair", 1)
+            for part, what in zip(pair, ("real part", "imaginary part")):
+                try:
+                    value = float(part)
+                except (TypeError, ValueError, OverflowError):
+                    raise MatrixParseError(
+                        f"entry ({i},{j}) has a malformed {what} {part!r}", 1)
+                if not math.isfinite(value):
+                    raise MatrixParseError(
+                        f"entry ({i},{j}) has a non-finite {what} {part!r}", 1)
+    _no_error_found()
+
+
+def _parse_json(text: str) -> np.ndarray:
+    # Every line break reads as "\n", so JSON line numbers match the other formats'.
+    try:
+        payload = json.loads("\n".join(text.splitlines()))
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON: {exc.msg}", exc.lineno)
+    if not isinstance(payload, dict):
+        raise MatrixParseError("expected an object with keys rows, cols, data", 1)
     for key in ("rows", "cols", "data"):
         if key not in payload:
             raise MatrixParseError(f"missing key {key!r}", 1)
     rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+    for key, size in (("rows", rows), ("cols", cols)):
+        if type(size) is not int or size < 0:
+            raise MatrixParseError(f"{key!r} is not a non-negative integer", 1)
+    if not isinstance(data, list):
+        raise MatrixParseError("'data' is not a list of rows", 1)
     if len(data) != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(data)}", 1)
-    M = np.zeros((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if len(row) != cols:
-            raise MatrixParseError(
-                f"row {i + 1} has {len(row)} entries, expected {cols}", 1
-            )
-        for j, pair in enumerate(row):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise MatrixParseError(
-                    f"entry ({i + 1},{j + 1}) is not a [re, im] pair", 1
-                )
-            M[i, j] = complex(float(pair[0]), float(pair[1]))
-    return _require_square(M)
+    # numpy stops at the first empty level: [] has shape (0,), [[], []] (2, 0)
+    shape = (rows, cols, 2) if rows and cols else (rows, cols)[:1 + (rows > 0)]
+    try:
+        values = np.array(data, dtype=np.float64)
+        if values.shape != shape or not np.isfinite(values).all():
+            raise _Malformed
+    except (TypeError, ValueError, OverflowError, _Malformed):
+        _json_entry_error(data, cols)
+    return _require_square(values.view(np.complex128).reshape(rows, cols))
+
+
+_PARSERS = {"mm": _parse_mm, "csv": _parse_csv, "json": _parse_json}
 
 
 def parse_matrix(source: Union[str, TextIO], fmt: Optional[str] = None) -> np.ndarray:
     """Read a complex square matrix from a path or stream.
 
     ``fmt`` is one of 'mm', 'csv', 'json'; when omitted it is inferred from
-    the path extension (.mtx/.mm, .csv, .json).
+    the path extension (.mtx/.mm, .csv, .json).  Non-finite entries are
+    rejected, as are sizes and indices that are not integers.
     """
     if fmt is None:
         if hasattr(source, "read"):
@@ -226,23 +358,7 @@ def parse_matrix(source: Union[str, TextIO], fmt: Optional[str] = None) -> np.nd
         fmt = format_for_path(source)
     if fmt not in FORMATS:
         raise MatrixParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    lines = _read_lines(source)
-    if fmt == "mm":
-        return _parse_mm(lines)
-    if fmt == "csv":
-        return _parse_csv(lines)
-    return _parse_json(lines)
-
-
-def _g17(x: float) -> str:
-    return "%.17g" % x
-
-
-def _csv_token(value: complex) -> str:
-    imag = _g17(value.imag)
-    if not imag.startswith("-"):
-        imag = "+" + imag
-    return f"{_g17(value.real)}{imag}i"
+    return _PARSERS[fmt](_read_text(source))
 
 
 def emit_matrix_text(M, fmt: str) -> str:
@@ -250,23 +366,19 @@ def emit_matrix_text(M, fmt: str) -> str:
     M = np.asarray(M, dtype=np.complex128)
     rows, cols = M.shape
     if fmt == "mm":
-        lines = ["%%MatrixMarket matrix array complex general", f"{rows} {cols}"]
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(f"{_g17(M[i, j].real)} {_g17(M[i, j].imag)}")
-        return "\n".join(lines) + "\n"
+        pairs = np.ascontiguousarray(M.T).view(np.float64)   # column-major
+        body = "%.17g %.17g\n" * (rows * cols) % tuple(pairs.ravel().tolist())
+        return f"{_MM_HEADER}\n{rows} {cols}\n{body}"
     if fmt == "csv":
-        lines = [
-            ", ".join(_csv_token(M[i, j]) for j in range(cols))
-            for i in range(rows)
-        ]
-        return "\n".join(lines) + "\n"
+        pairs = np.ascontiguousarray(M).view(np.float64)
+        # %+ prints the imaginary part's sign, "-0" included
+        row = ", ".join(["%.17g%+.17gi"] * cols)
+        return ("\n".join([row] * rows) + "\n") % tuple(pairs.ravel().tolist())
     if fmt == "json":
         payload = {
             "rows": rows,
             "cols": cols,
-            "data": [[[M[i, j].real, M[i, j].imag] for j in range(cols)]
-                     for i in range(rows)],
+            "data": np.stack([M.real, M.imag], axis=-1).tolist(),
         }
         return json.dumps(payload, sort_keys=True)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")

@@ -208,6 +208,16 @@ class BlockIndex:
         return inside & (abs(bi - bj) <= 1)
 
 
+def covering_index(schedule: BlockSchedule, dim: int) -> BlockIndex:
+    """``BlockIndex(schedule, dim)``, after checking that the blocks reach ``dim``."""
+    idx = BlockIndex(schedule, dim)
+    if idx.span < dim:
+        raise ValueError(
+            f"schedule spans {schedule.span}, too short for dimension {dim}"
+        )
+    return idx
+
+
 def block_of(index: int, schedule: BlockSchedule) -> int:
     """1-based block number containing matrix index ``index`` (also 1-based)."""
     idx = BlockIndex(schedule)

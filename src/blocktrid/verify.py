@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import hermitian_eigvals, max_abs
-from .schedules import BlockIndex, BlockSchedule, block_slices
+from .schedules import BlockIndex, BlockSchedule, block_slices, covering_index
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
@@ -99,22 +99,13 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     return PatternSpec("joint_cyclic", allowed)
 
 
-def _covering_index(schedule: BlockSchedule, dim: int) -> BlockIndex:
-    idx = BlockIndex(schedule, dim)
-    if idx.span < dim:
-        raise ValueError(
-            f"schedule spans {schedule.span}, too short for dimension {dim}"
-        )
-    return idx
-
-
 def _mirrored(spec: PatternSpec, kind: str) -> PatternSpec:
     """``spec`` transposed: the support of a primary form of ``T*``, conjugate-transposed."""
     return PatternSpec(kind, lambda i, j: spec.allowed(j, i), spec.schedule)
 
 
 def block_band(schedule: BlockSchedule, dim: int) -> PatternSpec:
-    return PatternSpec("block_band", _covering_index(schedule, dim).in_band, schedule)
+    return PatternSpec("block_band", covering_index(schedule, dim).in_band, schedule)
 
 
 def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternSpec:
@@ -124,7 +115,7 @@ def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> Patter
     n_k columns may be nonzero.  Alt: the primary pattern transposed, so each
     block below the diagonal is (P | 0) transposed.
     """
-    idx = _covering_index(schedule, dim)
+    idx = covering_index(schedule, dim)
 
     def allowed(i, j):
         bi, _ = idx.locate(i)
@@ -143,7 +134,7 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
     triangular.  Alt: the primary pattern transposed (square lower triangular
     above, free-then-upper-triangular stack below).
     """
-    idx = _covering_index(schedule, dim)
+    idx = covering_index(schedule, dim)
 
     def allowed(i, j):
         bi, li = idx.locate(i)
@@ -324,7 +315,7 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
     mirrored = form.form_kind in ("polar_alt", "triangular_alt")
     Mp = M.conj().T if mirrored else M
     if form.form_kind in ("polar", "polar_alt") and form.schedule is not None:
-        herm, eigs, tails, scales = _polar_block_checks(Mp, _covering_index(form.schedule, d))
+        herm, eigs, tails, scales = _polar_block_checks(Mp, covering_index(form.schedule, d))
         report.hermitian_residuals = herm
         report.psd_min_eigs = eigs
         report.tail_residuals = tails

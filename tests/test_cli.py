@@ -174,6 +174,34 @@ def test_render_subcommand(tmp_path, capsys):
     assert "#b03030" in out
 
 
+def test_render_rejects_schedule_shorter_than_matrix(tmp_path, capsys):
+    path = _write(tmp_path, "E.mtx", np.eye(3))
+    for command in (["render"], ["verify", "--pattern", "band"]):
+        assert main(command + ["--input", path, "--schedule", "custom:1"]) == 1
+        err = capsys.readouterr().err
+        assert "schedule spans 1, too short for dimension 3" in err
+    assert main(["render", "--input", path, "--schedule", "custom:1,2"]) == 0
+
+
+def test_verify_rejects_non_finite_and_malformed_entries(tmp_path, capsys):
+    text = "%%MatrixMarket matrix array complex general\n3 3\n" + "0 0\n" * 9
+    lines = text.splitlines()
+    lines[4] = "5 0"  # entry (3,1), below the Hessenberg band
+    path = tmp_path / "H.mtx"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--input", str(path), "--pattern", "hessenberg"]) == 2
+    lines[4] = "nan 0"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--input", str(path), "--pattern", "hessenberg"]) == 1
+    assert "line 5: non-finite real part 'nan'" in capsys.readouterr().err
+    for payload in ('{"rows":1,"cols":1,"data":[[[null,0]]]}', "5",
+                    '{"rows":1,"cols":1,"data":[[["x",0]]]}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["verify", "--input", str(bad), "--pattern", "hessenberg"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
 def test_threshold_env_and_flag(tmp_path, capsys, monkeypatch):
     M = np.zeros((4, 4), dtype=complex)
     M[3, 0] = 0.3  # outside the staircase support

@@ -194,3 +194,53 @@ def test_render_svg_threshold():
     assert svg.count("fill-opacity") == 2
     svg_tight = render_svg(M, threshold=0.6)
     assert svg_tight.count("fill-opacity") == 1
+
+
+MM_ARRAY = "%%MatrixMarket matrix array complex general\n"
+MM_COORD = "%%MatrixMarket matrix coordinate complex general\n"
+
+#: Inputs that parsed before (non-finite entries, truncated non-integer
+#: sizes and indices) or failed with an exception other than
+#: ``MatrixParseError``.
+REJECTED = [
+    ("mm", MM_ARRAY + "1 1\nnan 0\n", "line 3: non-finite real part 'nan'"),
+    ("mm", MM_COORD + "3 3 1\n3 1 -inf 0\n", "line 3: non-finite real part '-inf'"),
+    ("mm", MM_COORD + "3 3 1\n1.5 1 1 0\n", "line 3: non-integer row index '1.5'"),
+    ("mm", MM_COORD + "3 3 1\n1 nan 1 0\n", "line 3: non-finite column index 'nan'"),
+    ("mm", MM_COORD + "3 3 1\n1 1e400 1 0\n", "line 3: non-finite column index '1e400'"),
+    ("mm", MM_ARRAY + "2.9 2\n" + "1 0\n" * 4, "line 2: non-integer row count '2.9'"),
+    ("mm", MM_COORD + "2 2 inf\n", "line 2: non-finite size 'inf'"),
+    ("mm", MM_ARRAY + "-1 -1\n1 0\n", "line 2: negative size in '-1 -1'"),
+    ("csv", "1, nan\n2, 3\n", "line 1: non-finite number 'nan'"),
+    ("csv", "1, 2\n2, 1+infi\n", "line 2: non-finite imaginary part '+inf'"),
+    ("csv", "1, 2\n2, 1e999\n", "line 2: non-finite number '1e999'"),
+    ("json", '{"rows":1,"cols":1,"data":[[[NaN,0]]]}',
+     "line 1: entry (1,1) has a non-finite real part nan"),
+    ("json", "5", "line 1: expected an object with keys rows, cols, data"),
+    ("json", '["rows", "cols", "data"]', "line 1: expected an object with keys rows, cols, data"),
+    ("json", '{"rows":1,"cols":1,"data":[[[null,0]]]}',
+     "line 1: entry (1,1) has a malformed real part None"),
+    ("json", '{"rows":1,"cols":1,"data":[[["x",0]]]}',
+     "line 1: entry (1,1) has a malformed real part 'x'"),
+    ("json", '{"rows":1,"cols":1,"data":[[[0,1e400]]]}',
+     "line 1: entry (1,1) has a non-finite imaginary part inf"),
+    ("json", '{"rows":1,"cols":1,"data":[[[0,"nan"]]]}',
+     "line 1: entry (1,1) has a non-finite imaginary part 'nan'"),
+    ("json", '{"rows":1,"cols":1,"data":[[[1e999999999999999999999, 0]]]}',
+     "line 1: entry (1,1) has a non-finite real part inf"),
+    ("json", '{"rows":1,"cols":1,"data":[[[10' + "0" * 400 + ', 0]]]}',
+     "line 1: entry (1,1) has a malformed real part 1" + "0" * 401),
+    ("json", '{"rows":2.0,"cols":2,"data":[]}', "line 1: 'rows' is not a non-negative integer"),
+    ("json", '{"rows":1,"cols":-1,"data":[[]]}', "line 1: 'cols' is not a non-negative integer"),
+    ("json", '{"rows":1,"cols":1,"data":5}', "line 1: 'data' is not a list of rows"),
+    ("json", '{"rows":1,"cols":1,"data":[7]}', "line 1: row 1 is not a list of entries"),
+    ("json", '{"rows":1,"cols":2,"data":[[[1,0],[[1],[0]]]]}',
+     "line 1: entry (1,2) has a malformed real part [1]"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,message", REJECTED)
+def test_malformed_fields_raise_parse_errors(fmt, text, message):
+    with pytest.raises(MatrixParseError) as got:
+        parse_matrix(io.StringIO(text), fmt)
+    assert str(got.value) == message
