@@ -1,9 +1,12 @@
 """Execute word programs against concrete matrices, producing basis changes.
 
 The orthonormal-style executor feeds each offered vector to Gram-Schmidt and
-stops once the basis is complete; for cyclic programs a reference to a basis
-vector that never appeared means the generated subspace closed, and the build
-optionally pads with standard basis vectors to finish the square unitary.
+stops once the basis is complete.  A reference to a basis vector that does
+not exist yet means the span built so far is closed under the program's
+words.  A program seeded by e_1 then offers the next standard seed and
+retries the reference, so one build can run through a whole direct sum of
+reducing subspaces; a program started from a vector v instead pads with
+standard basis vectors to finish the square unitary, or stops.
 
 The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -95,72 +98,51 @@ class BuildLog:
 
 @dataclass
 class BuildResult:
-    """Basis produced by a word program plus its acceptance record."""
+    """Basis produced by a word program plus its acceptance record.
+
+    ``closures`` holds the basis size each time the program found its span
+    closed, in build order.
+    """
 
     basis: np.ndarray
     log: BuildLog
-    program_kind: str
-    closure_dim: Optional[int] = None
+    closures: List[int] = field(default_factory=list)
     raw_vectors: Optional[List[np.ndarray]] = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def default_instruction_cap(dim: int, stride: int = 3) -> int:
-    """Position budget for orthonormal-style programs.
-
-    Generous enough for the slowest legitimate build (the seeds alone
-    complete the basis by stage dim); exceeding it signals a generator bug
-    rather than a mathematical failure.
-    """
-    k = 0
-    while 3 ** k < dim:
-        k += 1
-    return max(10 * 3 ** k + 3 * dim, stride * (dim + 1) + 1)
 
 
 def run_program(
     operators: Sequence,
     program: WordProgram,
-    dim: int,
     tol: float = DEPENDENCE_TOL,
-    cap: Optional[int] = None,
     seed_vector=None,
     pad_with_seeds: bool = True,
-    basis=None,
 ) -> BuildResult:
-    """Execute ``program`` against ``operators`` on C^dim.
+    """Execute ``program`` against ``operators``.
 
-    operators is a list of d x d matrices (one per op_index the program
-    uses); adjoints are derived.  For cyclic programs ``seed_vector`` is the
-    starting vector v (required, nonzero); once the generated subspace
-    closes, seeds e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is
-    false, in which case the returned basis has closure_dim columns only.
-
-    ``basis`` optionally holds orthonormal rows built earlier.  The program
-    then grows the basis from them: every offer is orthogonalized against
-    them, the returned basis starts with them as its first columns, and the
-    program's ``src`` indices and ``closure_dim`` count only the vectors it
-    adds itself.  Only orthonormal-style programs take one.
+    operators is a list of d x d matrices of one shape (one per op_index the
+    program uses); adjoints are derived.  An instruction referencing a basis
+    vector that does not exist yet finds the span built so far closed, and
+    its size goes to ``closures``.  A program not opened by ``seed v`` then
+    offers the next standard seed in that position and retries the
+    instruction in the next.  A cyclic program starts from ``seed_vector`` v
+    (required, nonzero); at its closure, seeds e_1, e_2, ... finish the basis
+    unless ``pad_with_seeds`` is false, in which case the returned basis
+    holds the closure only.
     """
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
     if not ops:
         raise ValueError("need at least one operator")
+    dim = ops[0].shape[0]
     for op in ops:
         if op.shape != (dim, dim):
-            raise ValueError(f"operator shape {op.shape} does not match dim {dim}")
+            raise ValueError(f"operator shape {op.shape} does not match {(dim, dim)}")
     adjs = [op.conj().T.copy() for op in ops]
 
     if program.kind == TRIANGULAR:
-        if basis is not None:
-            raise ValueError("the triangular program cannot grow a given basis")
         return _run_raw_triangular(ops[0], adjs[0], dim, tol)
 
-    needs_v = next(program.instructions()).kind == "seed_vec"
     v = None
-    if needs_v:
+    if next(program.instructions()).kind == "seed_vec":
         if seed_vector is None:
             raise ValueError("this program starts from a seed vector; none given")
         v = np.asarray(seed_vector, dtype=np.complex128).reshape(-1)
@@ -168,24 +150,18 @@ def run_program(
             raise ValueError(f"seed vector length {v.shape[0]} does not match dim {dim}")
         if np.linalg.norm(v) == 0.0:
             raise ValueError("seed vector must be nonzero")
+    # at most stride words per basis vector, one position per seed (dim seeds
+    # and v), and the one position at which a padded stream finds its closure
+    cap = ((program.stride or 1) + 1) * dim + 2
 
-    if cap is None:
-        cap = default_instruction_cap(dim, program.stride or 3)
-
-    # orthonormal basis vectors as rows; B[:k] is the basis built so far and
-    # B[:k0] the rows given by the caller
+    # orthonormal basis vectors as rows; B[:k] is the basis built so far
     B = np.zeros((dim, dim), dtype=np.complex128)
-    k0 = 0
-    if basis is not None:
-        k0 = len(basis)
-        if np.shape(basis) != (k0, dim):
-            raise ValueError(f"given basis must hold rows of length {dim}")
-        B[:k0] = basis
-    k = k0
+    k = 0
     log = BuildLog()
-    closure_dim: Optional[int] = None
+    closures: List[int] = []
+    next_seed = 1
     position = 0
-    stream = program.instructions()
+    words = stream = program.instructions()
 
     while k < dim:
         position += 1
@@ -194,38 +170,38 @@ def run_program(
                 f"no completion after {cap} instructions (have {k}/{dim})"
             )
         instr = next(stream)
+        if instr.kind == "apply" and instr.src > k:
+            closures.append(k)
+            if v is None:
+                # offer the next seed here and the same instruction again at
+                # the next position
+                stream = chain([instr], words)
+                instr = seed(next_seed)
+            elif not pad_with_seeds:
+                break
+            else:
+                # finish the square unitary with e_1, e_2, ...
+                stream = map(seed, count(1))
+                continue
         if instr.kind == "seed":
             if instr.seed_index > dim:
                 raise InstructionCapError(
                     f"seed index {instr.seed_index} exceeds dimension {dim}"
                 )
+            next_seed = instr.seed_index + 1
             candidate = unit_vector(dim, instr.seed_index - 1)
         elif instr.kind == "seed_vec":
             candidate = v
         else:
-            if instr.src > k - k0:
-                # the program only references vectors it could have built, so
-                # a missing source means the generated subspace closed
-                if not needs_v:
-                    raise InstructionCapError(
-                        f"instruction at position {position} references vector "
-                        f"{instr.src} but only {k - k0} exist"
-                    )
-                closure_dim = k - k0
-                if not pad_with_seeds:
-                    break
-                # finish the square unitary with e_1, e_2, ...
-                stream = map(seed, count(1))
-                continue
             mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
-            candidate = mat @ B[k0 + instr.src - 1]
+            candidate = mat @ B[instr.src - 1]
         out = mgs_append(B[:k], candidate, tol)
         if out.accepted:
             B[k] = out.vector
             k += 1
         log.add(position, instr.trace(), out.accepted, out.residual_norm,
                 k if out.accepted else None)
-    return BuildResult(B[:k].T, log, program.kind, closure_dim)
+    return BuildResult(B[:k].T, log, closures)
 
 
 def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
@@ -301,7 +277,7 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
         log.add(n, instr.trace(), False, residual, None, position_end=skip_to)
         n = skip_to + 1
 
-    return BuildResult(B.T, log, "triangular", raw_vectors=raw)
+    return BuildResult(B.T, log, raw_vectors=raw)
 
 
 def conjugate(T, U) -> np.ndarray:

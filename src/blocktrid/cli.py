@@ -19,9 +19,9 @@ from .kernel import DEPENDENCE_TOL, unit_vector
 from .matio import (
     FORMAT_EXTENSIONS,
     FORMATS,
-    MatrixParseError,
     emit_form,
     emit_matrix,
+    format_for_path,
     parse_matrix,
 )
 from .render import render_svg
@@ -180,8 +180,8 @@ def _threshold(args) -> float:
     return DEFAULT_THRESHOLD
 
 
-def _load(args, path: Optional[str] = None) -> np.ndarray:
-    return parse_matrix(path or args.input, args.format)
+def _load(args) -> np.ndarray:
+    return parse_matrix(args.input, args.format)
 
 
 def _seed_vector(text: str, d: int) -> np.ndarray:
@@ -204,8 +204,6 @@ def _seed_vector(text: str, d: int) -> np.ndarray:
 def _format_of(args) -> str:
     if args.format:
         return args.format
-    from .matio import format_for_path
-
     path = args.input[0] if isinstance(args.input, list) else args.input
     return format_for_path(path)
 
@@ -402,19 +400,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InvalidScheduleError as exc:
         print(f"invalid schedule: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (_CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -229,11 +229,12 @@ def block_of(index: int, schedule: BlockSchedule) -> int:
 def covers(i: int, j: int, schedule: BlockSchedule) -> bool:
     """True when entry (i, j) lies inside the block tridiagonal band.
 
-    Indices beyond the schedule's span belong to no block and are uncovered.
+    Indices beyond the schedule's dim, or its span when it has none (the
+    limit :func:`block_of` uses), belong to no block and are uncovered.
     """
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
-    return bool(BlockIndex(schedule, schedule.span).in_band(i, j))
+    return bool(BlockIndex(schedule).in_band(i, j))
 
 
 def staircase_coverage_check(

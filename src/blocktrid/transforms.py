@@ -20,7 +20,6 @@ from .kernel import (
     as_operator,
     max_abs,
     svd,
-    unit_vector,
 )
 from .schedules import (
     CYCLIC,
@@ -47,6 +46,7 @@ from .verify import (
     tri_blocks,
 )
 from .words import (
+    direct_sum_program,
     family_program,
     joint_cyclic_program,
     krylov_program,
@@ -88,7 +88,7 @@ def _finish(threshold: float, **fields) -> SparsifiedForm:
 def _build(T, program, tol: float, alt: bool = False, seed_vector=None):
     """Run ``program`` on T, or on T* when ``alt``; returns (build, U* base U)."""
     base = adjoint(T) if alt else T
-    res = run_program([base], program, T.shape[0], tol=tol, seed_vector=seed_vector)
+    res = run_program([base], program, tol=tol, seed_vector=seed_vector)
     return res, conjugate(base, res.basis)
 
 
@@ -286,17 +286,17 @@ def _cyclic(T, v, program, form_kind: str, pattern_for, tol: float, threshold: f
     """Build from the seed vector v; ``pattern_for`` maps the closure size
     (d when v is cyclic) to the claimed pattern."""
     res, M = _build(T, program, tol, seed_vector=v)
-    mc = res.closure_dim if res.closure_dim is not None else T.shape[0]
+    closure_dim = res.closures[0] if res.closures else None
     return _finish(
         threshold,
         input=T,
         basis_change=res.basis,
         matrix=M,
         form_kind=form_kind,
-        pattern=pattern_for(mc),
+        pattern=pattern_for(T.shape[0] if closure_dim is None else closure_dim),
         schedule=schedule,
         log=res.log,
-        extras={"closure_dim": res.closure_dim},
+        extras={"closure_dim": closure_dim},
     )
 
 
@@ -351,7 +351,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     N = len(ops)
     program = family_program(N, selfadjoint)
     stride = program.stride
-    res = run_program(ops, program, d, tol=tol)
+    res = run_program(ops, program, tol=tol)
     bounds = [(n, min(1 + (n - 1) * stride, d)) for n in range(1, d + 1)]
     forms = [
         _finish(
@@ -373,10 +373,8 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
 def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the smallest reducing subspace
     containing v; v is a joint cyclic vector for the restriction."""
-    T = as_operator(T)
-    d = T.shape[0]
-    res = run_program([T], joint_cyclic_program(), d, tol=tol, seed_vector=v,
-                      pad_with_seeds=False)
+    res = run_program([as_operator(T)], joint_cyclic_program(), tol=tol,
+                      seed_vector=v, pad_with_seeds=False)
     return res.basis
 
 
@@ -400,25 +398,17 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
               threshold: float = DEFAULT_THRESHOLD) -> DecompositionResult:
     """Split the space into reducing subspaces with joint cyclic vectors.
 
-    Repeatedly take the lowest-index standard basis vector not captured yet,
-    close it under T and T*, and continue on the orthogonal complement.  The
-    global basis change block-diagonalizes T with every diagonal block in
-    the two-sided cyclic staircase form.
+    One Gram-Schmidt build: seed e_1 and close the span under T and T*;
+    each time the span closes, offer the next standard seed and go on from
+    the first one not captured yet.  Summands run between the recorded
+    closures.  The basis change block-diagonalizes T with every diagonal
+    block in the two-sided cyclic staircase form.
     """
     T = as_operator(T)
-    d = T.shape[0]
-    U = np.zeros((d, 0), dtype=np.complex128)
-    ranges: List[Tuple[int, int]] = []
-    for s in range(d):
-        k = U.shape[1]
-        if k == d:
-            break
-        U = run_program([T], joint_cyclic_program(), d, tol=tol,
-                        seed_vector=unit_vector(d, s), pad_with_seeds=False,
-                        basis=U.T).basis
-        if U.shape[1] > k:
-            ranges.append((k, U.shape[1]))
-    M = conjugate(T, U)
+    res = run_program([T], direct_sum_program(), tol=tol)
+    M = conjugate(T, res.basis)
+    bounds = [0, *res.closures, T.shape[0]]
+    ranges = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
 
     summands = []
     for start, stop in ranges:
@@ -441,7 +431,7 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
     label = np.repeat(np.arange(len(dims)), dims)
     return DecompositionResult(
         input=T,
-        basis_change=U,
+        basis_change=res.basis,
         matrix=M,
         summands=summands,
         dims=dims,

@@ -1,8 +1,9 @@
 """Symbolic instruction streams ordering the vectors fed to Gram-Schmidt.
 
 Each :class:`WordProgram` carries its own stream.  The staircase, joint
-cyclic, Krylov and family programs apply operators to already-orthonormalized
-basis vectors, so an instruction's ``src`` names the src-th accepted vector.
+cyclic, direct sum, Krylov and family programs apply operators to
+already-orthonormalized basis vectors, so an instruction's ``src`` names the
+src-th accepted vector.
 The triangular stream instead applies operators to stored generated vectors
 and is indexed by original position; when a generated vector is rejected it
 is deleted from the sequence and every later reference shifts down, which
@@ -20,6 +21,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional
 STAIRCASE = "staircase"
 TRIANGULAR = "triangular"
 JOINT_CYCLIC = "joint_cyclic"
+DIRECT_SUM = "direct_sum"
 KRYLOV = "krylov"
 FAMILY_SA = "family_sa"
 FAMILY_GEN = "family_gen"
@@ -97,8 +99,8 @@ def _staircase_stream() -> Iterator[WordInstruction]:
         yield apply_op(n, adjoint=True)
 
 
-def _joint_cyclic_stream() -> Iterator[WordInstruction]:
-    yield seed_vec()
+def _joint_cyclic_stream(first: WordInstruction) -> Iterator[WordInstruction]:
+    yield first
     for m in count(1):
         yield apply_op(m, adjoint=False)
         yield apply_op(m, adjoint=True)
@@ -126,7 +128,14 @@ def staircase_program() -> WordProgram:
 
 def joint_cyclic_program() -> WordProgram:
     """v first, then T f_m at position 2m and T* f_m at position 2m+1."""
-    return WordProgram(JOINT_CYCLIC, _joint_cyclic_stream, stride=2)
+    return WordProgram(JOINT_CYCLIC, partial(_joint_cyclic_stream, seed_vec()), stride=2)
+
+
+def direct_sum_program() -> WordProgram:
+    """The joint cyclic stream opened by e_1 instead of v.  Each time the span
+    closes, the executor offers the next standard seed and retries, so one
+    build runs through the reducing summands one after another."""
+    return WordProgram(DIRECT_SUM, partial(_joint_cyclic_stream, seed(1)), stride=2)
 
 
 def krylov_program() -> WordProgram:

@@ -1,4 +1,5 @@
 import json
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from numpy.testing import assert_allclose
 from blocktrid.basis import (
     InstructionCapError,
     conjugate,
-    default_instruction_cap,
     run_program,
     span_residual,
 )
 from blocktrid.kernel import adjoint, max_abs, unit_vector, unitarity_residual
 from blocktrid.words import (
+    WordProgram,
+    apply_op,
+    direct_sum_program,
     parse_trace,
+    seed,
     joint_cyclic_program,
     krylov_program,
     family_program,
@@ -66,7 +70,7 @@ def test_staircase_build_is_unitary_and_logged():
     for trial in range(40):
         d = int(rng.integers(1, 16))
         T = random_matrix(rng, d)
-        res = run_program([T], staircase_program(), d)
+        res = run_program([T], staircase_program())
         assert res.basis.shape == (d, d)
         assert unitarity_residual(res.basis) < 1e-12
         assert res.log.accepted_count == d
@@ -81,7 +85,7 @@ def test_staircase_support_bounds():
     for trial in range(30):
         d = int(rng.integers(2, 16))
         T = random_matrix(rng, d)
-        M = conjugate(T, run_program([T], staircase_program(), d).basis)
+        M = conjugate(T, run_program([T], staircase_program()).basis)
         for n in range(1, d + 1):
             assert max_abs(M[3 * n - 1:, n - 1]) < 1e-10
             assert max_abs(M[n - 1, 3 * n:]) < 1e-10
@@ -94,7 +98,7 @@ def test_staircase_degenerate_inputs_give_identity():
         np.diag([1.0, 2.0, 3.0]).astype(complex),
     ):
         d = T.shape[0]
-        res = run_program([T], staircase_program(), d)
+        res = run_program([T], staircase_program())
         assert max_abs(res.basis - np.eye(d)) < 1e-12
         M = conjugate(T, res.basis)
         assert max_abs(M - T) < 1e-12
@@ -102,7 +106,7 @@ def test_staircase_degenerate_inputs_give_identity():
 
 def test_staircase_zero_matrix_offers_every_seed():
     d = 6
-    res = run_program([np.zeros((d, d))], staircase_program(), d)
+    res = run_program([np.zeros((d, d))], staircase_program())
     seeds = [e.instruction for e in res.log.entries if e.instruction.startswith("seed")]
     assert seeds == [f"seed {k}" for k in range(1, d + 1)]
 
@@ -116,7 +120,7 @@ def test_tri_raw_vectors_match_word_recurrences():
     Ts = adjoint(T)
     e1 = unit_vector(9, 0)
     e2 = unit_vector(9, 1)
-    res = run_program([T], tri_word_program(), 9)
+    res = run_program([T], tri_word_program())
     words = [
         e1, T @ e1, Ts @ e1,
         T @ (T @ e1), T @ (Ts @ e1),
@@ -135,13 +139,13 @@ def test_tri_build_unitary_random():
     for trial in range(20):
         d = int(rng.integers(1, 20))
         T = random_matrix(rng, d)
-        res = run_program([T], tri_word_program(), d)
+        res = run_program([T], tri_word_program())
         assert unitarity_residual(res.basis) < 1e-12
 
 
 def test_tri_zero_matrix_completes_through_skips():
     d = 9
-    res = run_program([np.zeros((d, d))], tri_word_program(), d)
+    res = run_program([np.zeros((d, d))], tri_word_program())
     assert max_abs(res.basis - np.eye(d)) < 1e-14
     # the final seed sits at position 3^9 yet only a handful of offers ran
     assert max(e.position_end for e in res.log.entries) == 3 ** 9
@@ -151,7 +155,7 @@ def test_tri_zero_matrix_completes_through_skips():
 
 def test_tri_identity_matrix_completes_through_skips():
     d = 9
-    res = run_program([np.eye(d)], tri_word_program(), d)
+    res = run_program([np.eye(d)], tri_word_program())
     assert max_abs(res.basis - np.eye(d)) < 1e-14
     assert max(e.position_end for e in res.log.entries) == 3 ** 9
     assert len(res.log.entries) < 60
@@ -162,7 +166,7 @@ def test_tri_deletion_rebinding_trace():
     # later word collapses and the seeds finish the job at positions 9, 27
     T = np.zeros((3, 3), dtype=complex)
     T[0, 1] = 1.0
-    res = run_program([T], tri_word_program(), 3)
+    res = run_program([T], tri_word_program())
     assert max_abs(res.basis - np.eye(3)) < 1e-14
     flat = [(e.position, e.position_end, e.accepted) for e in res.log.entries]
     assert flat == [
@@ -183,7 +187,7 @@ def test_tri_span_condition():
     # e_n lies in the span of the first 3^n basis vectors
     rng = np.random.default_rng(55)
     T = random_matrix(rng, 27)
-    res = run_program([T], tri_word_program(), 27)
+    res = run_program([T], tri_word_program())
     assert span_residual(1, res.basis, 1) < 1e-10
     assert span_residual(2, res.basis, 9) < 1e-8
     assert span_residual(3, res.basis, 27) < 1e-8
@@ -211,19 +215,19 @@ def test_krylov_closure_and_padding():
     T = np.zeros((4, 4), dtype=complex)
     T[1, 0] = 1.0
     v = unit_vector(4, 0)
-    res = run_program([T], krylov_program(), 4, seed_vector=v)
-    assert res.closure_dim == 2
+    res = run_program([T], krylov_program(), seed_vector=v)
+    assert res.closures == [2]
     assert res.basis.shape == (4, 4)
     assert unitarity_residual(res.basis) < 1e-12
-    bare = run_program([T], krylov_program(), 4, seed_vector=v, pad_with_seeds=False)
+    bare = run_program([T], krylov_program(), seed_vector=v, pad_with_seeds=False)
     assert bare.basis.shape == (4, 2)
 
 
 def test_joint_cyclic_closure_detects_reducing_block():
     T = np.diag([1.0, 2.0, 3.0]).astype(complex)
     T[0, 1] = T[1, 0] = 1.0
-    res = run_program([T], joint_cyclic_program(), 3, seed_vector=unit_vector(3, 0))
-    assert res.closure_dim == 2
+    res = run_program([T], joint_cyclic_program(), seed_vector=unit_vector(3, 0))
+    assert res.closures == [2]
     # the closure spans e1, e2
     assert span_residual(1, res.basis, 2) < 1e-12
     assert span_residual(2, res.basis, 2) < 1e-12
@@ -235,35 +239,41 @@ def test_joint_cyclic_generic_vector_is_cyclic():
         d = int(rng.integers(2, 10))
         T = random_matrix(rng, d)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        res = run_program([T], joint_cyclic_program(), d, seed_vector=v)
-        assert res.closure_dim is None
+        res = run_program([T], joint_cyclic_program(), seed_vector=v)
+        assert res.closures == []
         assert unitarity_residual(res.basis) < 1e-12
 
 
 def test_seed_vector_validation():
     T = np.eye(3)
     with pytest.raises(ValueError):
-        run_program([T], krylov_program(), 3)
+        run_program([T], krylov_program())
     with pytest.raises(ValueError):
-        run_program([T], krylov_program(), 3, seed_vector=np.zeros(3))
+        run_program([T], krylov_program(), seed_vector=np.zeros(3))
     with pytest.raises(ValueError):
-        run_program([T], krylov_program(), 3, seed_vector=np.ones(4))
+        run_program([T], krylov_program(), seed_vector=np.ones(4))
 
 
 def test_operator_validation():
     with pytest.raises(ValueError):
-        run_program([], staircase_program(), 3)
-    with pytest.raises(ValueError):
-        run_program([np.eye(4)], staircase_program(), 3)
+        run_program([], staircase_program())
+    with pytest.raises(ValueError, match="square"):
+        run_program([np.ones((4, 3))], staircase_program())
+    # the dimension comes from the first operator; the others must match it
+    with pytest.raises(ValueError, match=r"\(3, 3\) does not match \(4, 4\)"):
+        run_program([np.eye(4), np.eye(3)], family_program(2, selfadjoint=True))
+    with pytest.raises(ValueError, match=r"\(4, 4\) does not match \(3, 3\)"):
+        run_program([np.eye(3), np.eye(4)], family_program(2, selfadjoint=False))
 
 
-def test_instruction_cap():
-    rng = np.random.default_rng(57)
-    T = random_matrix(rng, 5)
-    with pytest.raises(InstructionCapError):
-        run_program([T], staircase_program(), 5, cap=2)
-    assert default_instruction_cap(9) == 10 * 9 + 27
-    assert default_instruction_cap(3, stride=11) == max(10 * 3 + 9, 11 * 4 + 1)
+def test_instruction_cap_stops_a_stream_that_never_seeds_again():
+    # e_1, then T e_1 over and over: on the identity every offer after the
+    # first is rejected, nothing ever closes, and the bound of
+    # (stride + 1) * dim + 2 positions ends the build
+    d = 5
+    stuck = WordProgram("stuck", lambda: chain([seed(1)], repeat(apply_op(1))), stride=2)
+    with pytest.raises(InstructionCapError, match=f"after {3 * d + 2} instructions"):
+        run_program([np.eye(d)], stuck)
 
 
 def test_family_build_completes():
@@ -271,17 +281,17 @@ def test_family_build_completes():
     d = 7
     S1 = random_matrix(rng, d)
     S2 = random_matrix(rng, d)
-    res = run_program([S1, S2], family_program(2, selfadjoint=False), d)
+    res = run_program([S1, S2], family_program(2, selfadjoint=False))
     assert unitarity_residual(res.basis) < 1e-12
     H1 = S1 + adjoint(S1)
     H2 = S2 + adjoint(S2)
-    res_sa = run_program([H1, H2], family_program(2, selfadjoint=True), d)
+    res_sa = run_program([H1, H2], family_program(2, selfadjoint=True))
     assert unitarity_residual(res_sa.basis) < 1e-12
 
 
 def test_log_serializes_to_json():
     T = np.zeros((3, 3), dtype=complex)
-    res = run_program([T], tri_word_program(), 3)
+    res = run_program([T], tri_word_program())
     payload = json.loads(res.log.to_json())
     assert len(payload) == len(res.log.entries)
     assert payload[0]["position"] == 1
@@ -292,7 +302,7 @@ def test_log_serializes_to_json():
 def test_span_residual_full_basis_is_zero():
     rng = np.random.default_rng(59)
     T = random_matrix(rng, 8)
-    U = run_program([T], staircase_program(), 8).basis
+    U = run_program([T], staircase_program()).basis
     for n in range(1, 9):
         assert span_residual(n, U, 8) < 1e-12
     with pytest.raises(ValueError):
@@ -302,7 +312,7 @@ def test_span_residual_full_basis_is_zero():
 def test_span_residual_arrays_match_scalar_calls():
     rng = np.random.default_rng(60)
     d = 30
-    U = run_program([random_matrix(rng, d)], staircase_program(), d).basis
+    U = run_program([random_matrix(rng, d)], staircase_program()).basis
     ns = np.array([1, 2, 5, 5, 17, 30, 30, 4])
     ms = np.array([1, 3, 0, 2, 29, 7, 30, 40])
     batched = span_residual(ns, U, ms)
@@ -327,44 +337,48 @@ def _three_summands(rng):
     return T
 
 
-def test_run_program_grows_given_basis():
+def test_direct_sum_stream_opens_with_e1():
+    instrs = direct_sum_program().instructions()
+    assert [next(instrs).trace() for _ in range(7)] == [
+        "seed 1", "apply 1 0 1", "apply 1 1 1", "apply 1 0 2", "apply 1 1 2",
+        "apply 1 0 3", "apply 1 1 3",
+    ]
+    assert direct_sum_program().stride == 2
+
+
+def test_direct_sum_build_seeds_again_at_each_closure():
     rng = np.random.default_rng(61)
     T = _three_summands(rng)
-    first = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 0),
-                        pad_with_seeds=False)
-    assert first.closure_dim == 3
-    prefix = first.basis.T.copy()
-    res = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 3),
-                      pad_with_seeds=False, basis=prefix)
-    assert res.basis.shape == (9, 6)
-    assert np.array_equal(res.basis[:, :3].T, prefix)
-    # closure_dim counts only the vectors this build added
-    assert res.closure_dim == 3
-    assert max_abs(res.basis.conj().T @ res.basis - np.eye(6)) <= 1e-12
-    # src 1 names the first added vector (e_4), not the first prefix row,
-    # whose images lie in the prefix span and would be rejected
-    applies = [parse_trace(e.instruction) for e in res.log.entries[1:]]
-    assert all(i.kind == "apply" for i in applies)
-    assert [i.src for i in applies[:2]] == [1, 1]
-    assert res.log.entries[1].accepted and res.log.entries[2].accepted
-    alone = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 3),
-                        pad_with_seeds=False)
-    assert alone.closure_dim == 3
-    assert_allclose(res.basis[:, 3:], alone.basis, atol=1e-12)
+    res = run_program([T], direct_sum_program())
+    # T f_4 finds the span of e_1..e_3 closed: e_2 and e_3 are offered and
+    # rejected in its place, e_4 is accepted, and T f_4 comes next
+    assert res.closures == [3, 3, 3, 6, 6, 6]
+    def summand(first):
+        # a generic 3 x 3 block: T f and T* f fill it, later words are rejected
+        return [(f"apply 1 {adj} {m}", m == first)
+                for m in (first, first + 1, first + 2) for adj in (0, 1)]
+
+    trace = [(e.instruction, e.accepted) for e in res.log.entries]
+    assert trace == (
+        [("seed 1", True)] + summand(1)
+        + [("seed 2", False), ("seed 3", False), ("seed 4", True)] + summand(4)
+        + [("seed 5", False), ("seed 6", False), ("seed 7", True)] + summand(7)[:2]
+    )
+    assert [e.position for e in res.log.entries] == list(range(1, len(trace) + 1))
+    assert unitarity_residual(res.basis) < 1e-12
+    # each closure spans its block of standard vectors
+    for n, m in ((3, 3), (6, 6), (9, 9)):
+        assert span_residual(n, res.basis, m) < 1e-12
 
 
-def test_run_program_seed_in_given_span_adds_nothing():
+def test_direct_sum_build_on_identity_and_generic_input():
+    d = 6
+    res = run_program([np.eye(d)], direct_sum_program())
+    assert res.closures == [1, 2, 3, 4, 5]
+    assert np.array_equal(res.basis, np.eye(d))
+    # three positions per summand: the seed and its two rejected words
+    assert len(res.log.entries) == 3 * d - 2
     rng = np.random.default_rng(62)
-    T = _three_summands(rng)
-    prefix = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 0),
-                         pad_with_seeds=False).basis.T.copy()
-    res = run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 1),
-                      pad_with_seeds=False, basis=prefix)
-    assert res.closure_dim == 0
-    assert np.array_equal(res.basis.T, prefix)
-    assert [e.accepted for e in res.log.entries] == [False]
-    with pytest.raises(ValueError):
-        run_program([T], tri_word_program(), 9, basis=prefix)
-    with pytest.raises(ValueError):
-        run_program([T], joint_cyclic_program(), 9, seed_vector=unit_vector(9, 1),
-                    basis=prefix[0])
+    res = run_program([random_matrix(rng, d)], direct_sum_program())
+    assert res.closures == []
+    assert unitarity_residual(res.basis) < 1e-12

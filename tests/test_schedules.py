@@ -15,6 +15,7 @@ from blocktrid.schedules import (
     staircase_coverage_check,
     validate,
 )
+from blocktrid.verify import block_band
 
 
 def staircase_support(i, j):
@@ -96,6 +97,28 @@ def test_covers_false_beyond_span():
         assert covers(i, j, sched) is False
     with pytest.raises(ValueError):
         covers(0, 1, sched)
+
+
+def test_covers_honours_schedule_dim():
+    clipped = BlockSchedule((1, 2, 6), GENERAL, 4)
+    assert covers(4, 4, clipped) and covers(3, 4, clipped)
+    assert covers(5, 5, clipped) is False
+    assert covers(9, 8, clipped) is False
+    # the unclipped schedule still covers both
+    assert covers(5, 5, BlockSchedule((1, 2, 6), GENERAL))
+    assert covers(9, 8, BlockSchedule((1, 2, 6), GENERAL))
+
+
+def test_covers_matches_block_band_on_clipped_schedules():
+    for sizes, dim in (((1, 2, 6), 4), ((1, 2, 6, 18), 11), ((1, 3, 8), 4),
+                       ((2, 4, 12), 2), ((1, 2, 6, 18), 27)):
+        sched = BlockSchedule(sizes, GENERAL, dim)
+        allowed = block_band(sched, dim).allowed
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                assert covers(i, j, sched) == bool(allowed(i, j)), (sizes, dim, i, j)
+        # nothing past the clipped dimension is covered
+        assert not any(covers(i, dim + 1, sched) for i in range(1, dim + 2))
 
 
 def test_block_of_limit_is_min_of_span_and_dim():
