@@ -1,12 +1,17 @@
 """Execute word programs against concrete matrices, producing basis changes.
 
-The orthonormal-style executor feeds each offered vector to Gram-Schmidt and
-stops once the basis is complete.  A reference to a basis vector that does
-not exist yet means the span built so far is closed under the program's
-words.  A program seeded by e_1 then offers the next standard seed and
-retries the reference, so one build can run through a whole direct sum of
-reducing subspaces; a program started from a vector v instead pads with
-standard basis vectors to finish the square unitary, or stops.
+The orthonormal-style executor offers the stream to Gram-Schmidt in blocks
+and stops once the basis is complete.  A block is the longest run of
+upcoming instructions whose source vectors exist when it starts, at most one
+per free basis slot: its candidates are formed with one matrix product per
+operator and decided in stream order by one ``mgs_append`` call, so the
+accept and reject decisions are those of offering one vector at a time.  A
+reference to a basis vector that does not exist when a block starts means
+the span built so far is closed under the program's words.  A program
+seeded by e_1 then offers the next standard seed and retries the reference,
+so one build can run through a whole direct sum of reducing subspaces; a
+program started from a vector v instead pads with standard basis vectors to
+finish the square unitary, or stops.
 
 The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -140,6 +145,9 @@ def run_program(
 
     if program.kind == TRIANGULAR:
         return _run_raw_triangular(ops[0], adjs[0], dim, tol)
+    # the matrix each (op_index, adjoint) of an instruction applies
+    mats = {(i + 1, adjoint): mat
+            for i, pair in enumerate(zip(ops, adjs)) for adjoint, mat in enumerate(pair)}
 
     v = None
     if next(program.instructions()).kind == "seed_vec":
@@ -161,46 +169,77 @@ def run_program(
     closures: List[int] = []
     next_seed = 1
     position = 0
-    words = stream = program.instructions()
+    stream = program.instructions()
+    pending = None  # an instruction read but not offered yet
+    padding = False
 
     while k < dim:
-        position += 1
-        if position > cap:
-            raise InstructionCapError(
-                f"no completion after {cap} instructions (have {k}/{dim})"
-            )
-        instr = next(stream)
-        if instr.kind == "apply" and instr.src > k:
-            closures.append(k)
-            if v is None:
-                # offer the next seed here and the same instruction again at
-                # the next position
-                stream = chain([instr], words)
-                instr = seed(next_seed)
-            elif not pad_with_seeds:
+        # the block: offers whose source vectors exist now, at most one per
+        # free basis slot; seeds that pad a closed cyclic span go one at a
+        # time, so a Krylov build keeps the one-offer arithmetic throughout
+        room = 1 if padding else dim - k
+        block = []
+        while len(block) < room:
+            instr = next(stream) if pending is None else pending
+            pending = None
+            missing = instr.kind == "apply" and instr.src > k
+            if missing and block:
+                # its source may be accepted in this block
+                pending = instr
                 break
-            else:
-                # finish the square unitary with e_1, e_2, ...
-                stream = map(seed, count(1))
-                continue
-        if instr.kind == "seed":
-            if instr.seed_index > dim:
+            position += 1
+            if position > cap:
                 raise InstructionCapError(
-                    f"seed index {instr.seed_index} exceeds dimension {dim}"
+                    f"no completion after {cap} instructions (have {k}/{dim})"
                 )
-            next_seed = instr.seed_index + 1
-            candidate = unit_vector(dim, instr.seed_index - 1)
-        elif instr.kind == "seed_vec":
-            candidate = v
-        else:
-            mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
-            candidate = mat @ B[instr.src - 1]
-        out = mgs_append(B[:k], candidate, tol)
-        if out.accepted:
-            B[k] = out.vector
-            k += 1
-        log.add(position, instr.trace(), out.accepted, out.residual_norm,
-                k if out.accepted else None)
+            if missing:
+                closures.append(k)
+                if v is None:
+                    # offer the next seed here and the same instruction again
+                    # at the next position
+                    pending, instr = instr, seed(next_seed)
+                elif not pad_with_seeds:
+                    break
+                else:
+                    # finish the square unitary with e_1, e_2, ...
+                    stream = map(seed, count(1))
+                    padding, room = True, 1
+                    continue
+            if instr.kind == "seed":
+                if instr.seed_index > dim:
+                    raise InstructionCapError(
+                        f"seed index {instr.seed_index} exceeds dimension {dim}"
+                    )
+                next_seed = instr.seed_index + 1
+            block.append(instr)
+        if not block:
+            break
+
+        candidates = np.zeros((len(block), dim), dtype=np.complex128)
+        groups = {}  # block rows by (op_index, adjoint)
+        for row, instr in enumerate(block):
+            if instr.kind == "apply":
+                groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
+            elif instr.kind == "seed":
+                candidates[row, instr.seed_index - 1] = 1.0
+            else:
+                candidates[row] = v
+        for key, rows in groups.items():
+            if len(rows) == 1:
+                candidates[rows[0]] = mats[key] @ B[block[rows[0]].src - 1]
+            else:
+                # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
+                srcs = [block[row].src - 1 for row in rows]
+                candidates[rows] = B.take(srcs, axis=0) @ mats[key].T
+        # the offers of a block sit at consecutive positions
+        first = position - len(block) + 1
+        outcomes = mgs_append(B[:k], candidates, tol)
+        for pos, (instr, out) in enumerate(zip(block, outcomes), first):
+            if out.accepted:
+                B[k] = out.vector
+                k += 1
+            log.add(pos, instr.trace(), out.accepted, out.residual_norm,
+                    k if out.accepted else None)
     return BuildResult(B[:k].T, log, closures)
 
 
@@ -297,6 +336,7 @@ def span_residual(n, U, m):
 
     ``n`` and ``m`` may be equal-length integer arrays; every distance then
     comes from one projection pass, applied twice, and an ndarray is returned.
+    The first pass's coefficients ``U* e_n`` are row n of U, conjugated.
     """
     U = np.asarray(U, dtype=np.complex128)
     d = U.shape[0]
@@ -305,7 +345,7 @@ def span_residual(n, U, m):
         raise ValueError(f"basis index {n} out of range for dimension {d}")
     R = np.eye(d, dtype=np.complex128)[:, ns - 1]
     keep = np.arange(U.shape[1])[:, None] < ms
-    for _ in range(2):
-        R -= U @ (keep * (U.conj().T @ R))
+    R -= U @ (keep * U[ns - 1].conj().T)
+    R -= U @ (keep * (U.conj().T @ R))
     dist = np.linalg.norm(R, axis=0)
     return float(dist[0]) if np.ndim(n) == np.ndim(m) == 0 else dist

@@ -7,8 +7,9 @@ value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,44 +79,130 @@ class GsOutcome:
     residual_norm: float
 
 
-def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> GsOutcome:
-    """Orthogonalize ``v`` against ``basis`` with classical Gram-Schmidt applied twice.
+def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[GsOutcome]]:
+    """Orthogonalize candidates against ``basis`` with classical Gram-Schmidt applied twice.
 
     Parameters
     ----------
     basis : array_like, shape (k, d)
         Pairwise orthonormal vectors stored as rows; a list of 1-D vectors
         works too, and an empty basis is a (0, d) array or an empty list.
-    v : array_like
-        Candidate vector.
+    v : array_like, shape (d,) or (m, d)
+        One candidate vector, or a block of m candidate rows in offer order.
     tol : float
-        Dependence threshold, relative to ``max(1, ||v||)``.
+        Dependence threshold, relative to ``max(1, ||v_i||)`` for the raw
+        candidate ``v_i``.
 
     Returns
     -------
-    GsOutcome
+    GsOutcome, or a list of m of them for a block
         Accepted with the normalized residual vector, or rejected when the
-        residual norm falls at or below ``tol * max(1, ||v||)``.  Each pass
-        projects out the whole basis at once; the second keeps accepted
-        vectors orthogonal to working accuracy even when the first cancels
-        most of ``v`` ("twice is enough").
+        residual norm falls at or below ``tol * max(1, ||v_i||)``.
+
+    Two passes project the whole basis out of every row at once; the second
+    keeps accepted vectors orthogonal to working accuracy even when the
+    first cancels most of a row ("twice is enough").  Rows are then accepted
+    or rejected in offer order, each against the rows of the block accepted
+    before it: the block is halved recursively, and the rows accepted from a
+    first half are projected out of the second half in one pass before that
+    half is decided.  Passes over more than a few rows are matrix products.
+    A row that follows an accepted row of its block and keeps less than 0.1
+    of its raw norm gets one more pass against the basis and every row
+    accepted before it, since the rounding left by the passes it cancelled
+    in is then large next to its residual.  A single candidate, and the
+    first row of a block, take the two basis passes alone, so a one-row
+    block is decided exactly as the vector would be.
     """
-    w = np.array(v, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ValueError(f"candidate vector must be 1-dimensional, got shape {w.shape}")
+    W = np.array(v, dtype=np.complex128)
+    if W.ndim not in (1, 2):
+        raise ValueError(f"candidates must be a vector or a block of rows, got shape {W.shape}")
+    d = W.shape[-1]
     Q = np.asarray(basis, dtype=np.complex128)
     if Q.shape == (0,):
-        Q = Q.reshape(0, w.shape[0])
-    if Q.ndim != 2 or Q.shape[1] != w.shape[0]:
+        Q = Q.reshape(0, d)
+    if Q.ndim != 2 or Q.shape[1] != d:
         raise ValueError("candidate vector dimension does not match the basis")
-    norm0 = float(np.linalg.norm(w))
+    rows = list(W) if W.ndim == 2 else [W]
+    norms = [_norm(w) for w in rows]
+    limits = [tol * max(1.0, norm) for norm in norms]
+    # a matrix product packs all of Q on every call, which for a few rows
+    # costs more than the matrix-vector products it replaces
     for _ in range(2):
-        # coefficients vdot(q_k, w) = conj(q_k . conj(w)), without copying conj(Q)
-        w -= Q.T @ np.conj(Q @ np.conj(w))
-    r = float(np.linalg.norm(w))
-    if r <= tol * max(1.0, norm0):
+        for part in (rows if len(rows) <= 3 else (W,)):
+            _project(Q, part)
+    if len(rows) == 1:
+        # nothing accepted before it in the block
+        outcome = _accept(rows[0], _norm(rows[0]), limits[0])
+        return [outcome] if W.ndim == 2 else outcome
+    return _decide_in_order(Q, W, rows, norms, limits)
+
+
+def _norm(w) -> float:
+    """``np.linalg.norm`` of a complex vector, with the same arithmetic."""
+    return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
+
+
+def _project(Q, W) -> None:
+    """One classical pass: remove from W, a vector or a block of rows, its
+    components along the orthonormal rows of Q, in place."""
+    # coefficients vdot(q_j, w) = conj(conj(w) . q_j), without copying conj(Q)
+    W -= np.conj(np.conj(W) @ Q.T) @ Q
+
+
+def _halvings(lo, hi, splits):
+    """Record, for every split of the recursive halving of rows lo..hi-1,
+    its midpoint -> (lo, hi)."""
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        splits[mid] = (lo, hi)
+        _halvings(lo, mid, splits)
+        _halvings(mid, hi, splits)
+    return splits
+
+
+def _accept(w, r: float, limit: float) -> GsOutcome:
+    """Reject ``w``, of norm r, if r is at most ``limit``; else normalize it
+    in place."""
+    if r <= limit:
         return GsOutcome(False, None, r)
-    return GsOutcome(True, w / r, r)
+    w /= r
+    return GsOutcome(True, w, r)
+
+
+def _decide_in_order(Q, block, rows, norms, limits):
+    """Accept or reject the rows of ``block``, already projected against Q,
+    in order; accepted rows are normalized in place.
+
+    ``rows`` views the rows of ``block``; ``norms`` and ``limits`` hold their
+    raw norms and dependence limits.  The recursive halving runs unrolled:
+    once the last row of a split's first half [lo, mid) is decided, the rows
+    accepted from it are projected out of its second half [mid, hi).
+    """
+    splits = _halvings(0, len(rows), {})
+    kept = []     # accepted rows, in order
+    before = []   # len(kept) when each row came up
+    outcomes = []
+    for i, w in enumerate(rows):
+        before.append(len(kept))
+        r = _norm(w)
+        if kept and limits[i] < r < 0.1 * norms[i]:
+            # w cancelled in the passes, and their rounding is large next to
+            # r; one more pass restores orthogonality to every accepted row
+            _project(Q, w)
+            _project(block[kept], w)
+            r = _norm(w)
+        outcomes.append(_accept(w, r, limits[i]))
+        if outcomes[-1].accepted:
+            kept.append(i)
+        if i + 1 in splits:
+            lo, hi = splits[i + 1]
+            new = kept[before[lo]:]
+            if new:
+                # a view when the accepted rows are adjacent
+                adjacent = new[-1] - new[0] + 1 == len(new)
+                P = block[new[0]:new[-1] + 1] if adjacent else block[new]
+                _project(P, block[i + 1:hi])
+    return outcomes
 
 
 def svd(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

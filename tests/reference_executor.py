@@ -1,0 +1,113 @@
+"""Vector-at-a-time reference for the orthonormal word-program executor.
+
+This is the loop that ``blocktrid.basis.run_program`` replaced with blocks
+of offers: one matrix-vector product and one classical Gram-Schmidt offer
+(two passes against the whole basis) per stream position.  The differential
+tests in ``test_executor_reference.py`` require the blocked executor to take
+the same accept and reject decisions at the same positions, bar offers at
+the dependence threshold, to record the same closures, and to match this
+basis within ``basis_tolerance`` (bit for bit on Krylov builds).  The
+triangular stream has its own executor and is not covered here.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, count
+
+import numpy as np
+
+from blocktrid.basis import BuildLog, BuildResult, InstructionCapError
+from blocktrid.kernel import DEPENDENCE_TOL, as_operator
+from blocktrid.words import parse_trace, seed
+
+
+def reference_offer(Q, v, tol):
+    """(accepted, normalized residual or None, residual norm) for one offer."""
+    w = np.array(v, dtype=np.complex128)
+    norm0 = float(np.linalg.norm(w))
+    for _ in range(2):
+        w -= Q.T @ np.conj(Q @ np.conj(w))
+    r = float(np.linalg.norm(w))
+    if r <= tol * max(1.0, norm0):
+        return False, None, r
+    return True, w / r, r
+
+
+def reference_run(operators, program, tol=DEPENDENCE_TOL, seed_vector=None,
+                  pad_with_seeds=True) -> BuildResult:
+    """``run_program`` for every program but the triangular one, one offer at a time."""
+    ops = [as_operator(op) for op in operators]
+    dim = ops[0].shape[0]
+    adjs = [op.conj().T.copy() for op in ops]
+    v = None
+    if next(program.instructions()).kind == "seed_vec":
+        v = np.asarray(seed_vector, dtype=np.complex128).reshape(-1)
+    cap = ((program.stride or 1) + 1) * dim + 2
+
+    B = np.zeros((dim, dim), dtype=np.complex128)
+    k = 0
+    log = BuildLog()
+    closures = []
+    next_seed = 1
+    position = 0
+    words = stream = program.instructions()
+
+    while k < dim:
+        position += 1
+        if position > cap:
+            raise InstructionCapError(f"no completion after {cap} instructions")
+        instr = next(stream)
+        if instr.kind == "apply" and instr.src > k:
+            closures.append(k)
+            if v is None:
+                stream = chain([instr], words)
+                instr = seed(next_seed)
+            elif not pad_with_seeds:
+                break
+            else:
+                stream = map(seed, count(1))
+                continue
+        if instr.kind == "seed":
+            if instr.seed_index > dim:
+                raise InstructionCapError(f"seed index {instr.seed_index} exceeds {dim}")
+            next_seed = instr.seed_index + 1
+            candidate = np.zeros(dim, dtype=np.complex128)
+            candidate[instr.seed_index - 1] = 1.0
+        elif instr.kind == "seed_vec":
+            candidate = v
+        else:
+            mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
+            candidate = mat @ B[instr.src - 1]
+        accepted, vector, r = reference_offer(B[:k], candidate, tol)
+        if accepted:
+            B[k] = vector
+            k += 1
+        log.add(position, instr.trace(), accepted, r, k if accepted else None)
+    return BuildResult(B[:k].T, log, closures)
+
+
+def offer_norm(ops, basis, trace, seed_vector=None):
+    """Norm of the raw candidate an instruction offers, from a basis as columns."""
+    instr = parse_trace(trace)
+    if instr.kind == "seed":
+        return 1.0
+    if instr.kind == "seed_vec":
+        return float(np.linalg.norm(seed_vector))
+    op = ops[instr.op_index - 1]
+    mat = op.conj().T if instr.adjoint else op
+    return float(np.linalg.norm(mat @ basis[:, instr.src - 1]))
+
+
+def basis_tolerance(ops, result, seed_vector=None):
+    """Allowed basis difference between two roundings of one build.
+
+    A vector accepted with residual r out of a candidate of norm |v| carries
+    the candidate's rounding amplified by |v| / r, and later candidates
+    built from it carry that again; with rho the smallest accepted
+    r / max(1, |v|), the bound is 10 d eps / rho^2.
+    """
+    d = result.basis.shape[0]
+    rho = min((e.residual_norm / max(1.0, offer_norm(ops, result.basis, e.instruction,
+                                                     seed_vector))
+               for e in result.log.entries if e.accepted), default=None)
+    return 0.0 if rho is None else 10 * d * np.finfo(float).eps / rho ** 2

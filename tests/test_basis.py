@@ -329,6 +329,23 @@ def test_span_residual_arrays_match_scalar_calls():
         span_residual(0, U, 3)
 
 
+def test_span_residual_first_pass_reads_rows_of_u():
+    # U* e_n is row n of U conjugated: the distances repeat the two-pass
+    # formula with U* e_n taken as a product, bit for bit, for a unitary U
+    # and for a matrix that is not
+    rng = np.random.default_rng(63)
+    d = 24
+    ns = np.arange(1, d + 1)
+    ms = np.minimum(3 * ns, d) - (ns % 4)
+    for U in (run_program([random_matrix(rng, d)], staircase_program()).basis,
+              random_matrix(rng, d)):
+        R = np.eye(d, dtype=np.complex128)[:, ns - 1]
+        keep = np.arange(d)[:, None] < ms
+        for _ in range(2):
+            R -= U @ (keep * (U.conj().T @ R))
+        assert np.array_equal(span_residual(ns, U, ms), np.linalg.norm(R, axis=0))
+
+
 def _three_summands(rng):
     # C^9 = span(e_1..e_3) + span(e_4..e_6) + span(e_7..e_9), each reducing for T
     T = np.zeros((9, 9), dtype=complex)

@@ -16,6 +16,7 @@ from blocktrid.kernel import (
     unit_vector,
     unitarity_residual,
 )
+from reference_executor import reference_offer
 
 
 def random_matrix(rng, d):
@@ -116,9 +117,96 @@ def test_mgs_append_dimension_mismatch():
     with pytest.raises(ValueError):
         mgs_append(basis, np.ones(4))
     with pytest.raises(ValueError):
-        mgs_append([], np.ones((2, 2)))
+        mgs_append(basis, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        mgs_append([], np.ones((2, 2, 2)))
     with pytest.raises(ValueError):
         mgs_append(np.zeros((0, 3)), np.ones(4))
+
+
+def _offer_one_at_a_time(Q, V):
+    """Outcomes of offering the rows of V in order, each to the basis so far."""
+    basis = list(Q)
+    outs = []
+    for v in V:
+        out = mgs_append(np.array(basis).reshape(-1, V.shape[1]), v)
+        outs.append(out)
+        if out.accepted:
+            basis.append(out.vector)
+    return outs
+
+
+def _mixed_block(rng, Q, d, m):
+    """m candidate rows: fresh ones, combinations of Q, combinations of
+    earlier rows (with and without a 1e-8 stray part), and zero rows."""
+    rows = []
+    for _ in range(m):
+        kind = rng.integers(5) if rows else 0
+        if kind == 0:
+            rows.append(random_matrix(rng, d)[0])
+        elif kind == 1 and len(Q):
+            rows.append((rng.standard_normal(len(Q)) + 0j) @ Q)
+        elif kind == 2:
+            rows.append(sum(rng.standard_normal() * r for r in rows))
+        elif kind == 3:
+            rows.append(rows[-1] + 1e-8 * random_matrix(rng, d)[0])
+        else:
+            rows.append(np.zeros(d, dtype=np.complex128))
+    return np.array(rows).reshape(m, d)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 9, 20])
+def test_mgs_append_block_decides_rows_as_offered_in_order(m):
+    rng = np.random.default_rng(15 + m)
+    for trial in range(10):
+        d = int(rng.integers(m + 2, 40))
+        k = int(rng.integers(0, d - m))
+        Q = np.linalg.qr(random_matrix(rng, d))[0].T[:k].copy()
+        V = _mixed_block(rng, Q, d, m)
+        block = mgs_append(Q, V)
+        single = _offer_one_at_a_time(Q, V)
+        assert isinstance(block, list) and len(block) == m
+        assert [o.accepted for o in block] == [o.accepted for o in single]
+        kept = [o.vector for o in block if o.accepted]
+        for a, b in zip(block, single):
+            if a.accepted:
+                # a row that keeps 1e-8 of its norm carries its rounding
+                # amplified about 1e8 times
+                assert np.allclose(a.vector, b.vector, rtol=0, atol=1e-6)
+                assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-6)
+        # the accepted rows extend Q to an orthonormal set
+        G = np.vstack([Q, *kept]).reshape(-1, d)
+        assert np.max(np.abs(G.conj() @ G.T - np.eye(len(G))), initial=0.0) < 1e-13
+
+
+def test_mgs_append_one_row_block_is_the_single_offer_bit_for_bit():
+    # a vector, and a block of one row, are decided with the arithmetic of
+    # the one-offer-at-a-time reference
+    rng = np.random.default_rng(16)
+    d = 30
+    Q = np.linalg.qr(random_matrix(rng, d))[0].T[:12].copy()
+    for v in (random_matrix(rng, d)[0], Q[3] + 1e-9 * random_matrix(rng, d)[0], 2 * Q[0]):
+        accepted, vector, r = reference_offer(Q, v, DEPENDENCE_TOL)
+        (row,) = mgs_append(Q, v[None, :])
+        for out in (row, mgs_append(Q, v)):
+            assert out.accepted == accepted
+            assert out.residual_norm == r
+            assert (out.vector is None) == (vector is None)
+            assert vector is None or np.array_equal(out.vector, vector)
+
+
+def test_mgs_append_block_stays_orthogonal_through_cancellation():
+    # each near copy keeps about 1e-8 of its norm after the in-block pass;
+    # the extra pass keeps it orthogonal to the basis and to its original
+    rng = np.random.default_rng(17)
+    d = 24
+    Q = np.linalg.qr(random_matrix(rng, d))[0].T[:6].copy()
+    fresh = random_matrix(rng, d)[:4]
+    V = np.vstack([fresh, fresh + 1e-8 * random_matrix(rng, d)[:4]])
+    outs = mgs_append(Q, V)
+    assert all(o.accepted for o in outs)
+    G = np.vstack([Q] + [o.vector for o in outs])
+    assert np.max(np.abs(G.conj() @ G.T - np.eye(len(G)))) < 1e-13
 
 
 def test_svd_frozen_examples():
