@@ -328,6 +328,11 @@ def conjugate(T, U) -> np.ndarray:
     resid = unitarity_residual(U)
     if resid > 1e-8:
         raise ValueError(f"basis change is not unitary (residual {resid:.3e})")
+    return conjugate_unchecked(T, U)
+
+
+def conjugate_unchecked(T, U) -> np.ndarray:
+    """U* T U with no checks, for a U that :func:`conjugate` has accepted."""
     return U.conj().T @ T @ U
 
 

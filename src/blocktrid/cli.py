@@ -1,13 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 when the produced report passes (or the query succeeds),
-2 when a report fails or a schedule is invalid, 1 on usage and IO errors.
+2 when a report fails or a schedule is invalid, 1 on usage and IO errors
+and on a build that cannot finish.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, NamedTuple, Optional, Tuple
@@ -15,6 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import transforms
+from .basis import InstructionCapError
 from .kernel import DEPENDENCE_TOL, unit_vector
 from .matio import (
     FORMAT_EXTENSIONS,
@@ -165,8 +168,8 @@ def build_parser() -> _Parser:
 
 def _threshold(args) -> float:
     if getattr(args, "threshold", None) is not None:
-        if args.threshold <= 0:
-            raise _CliError("--threshold must be positive")
+        if not _finite_positive(args.threshold):
+            raise _CliError("--threshold must be finite and positive")
         return args.threshold
     env = os.environ.get(ENV_THRESHOLD)
     if env:
@@ -174,10 +177,14 @@ def _threshold(args) -> float:
             value = float(env)
         except ValueError:
             raise _CliError(f"cannot parse {ENV_THRESHOLD}={env!r}")
-        if value <= 0:
-            raise _CliError(f"{ENV_THRESHOLD} must be positive")
+        if not _finite_positive(value):
+            raise _CliError(f"{ENV_THRESHOLD} must be finite and positive")
         return value
     return DEFAULT_THRESHOLD
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def _load(args) -> np.ndarray:
@@ -403,7 +410,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvalidScheduleError as exc:
         print(f"invalid schedule: {exc}", file=sys.stderr)
         return 2
-    except (_CliError, OSError, ValueError) as exc:
+    except (_CliError, InstructionCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,7 +91,8 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         One candidate vector, or a block of m candidate rows in offer order.
     tol : float
         Dependence threshold, relative to ``max(1, ||v_i||)`` for the raw
-        candidate ``v_i``.
+        candidate ``v_i``; it must lie in [0, 1), since a larger one rejects
+        every unit seed and no basis can be completed.
 
     Returns
     -------
@@ -113,6 +114,8 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     first row of a block, take the two basis passes alone, so a one-row
     block is decided exactly as the vector would be.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"dependence tolerance must lie in [0, 1), got {tol!r}")
     W = np.array(v, dtype=np.complex128)
     if W.ndim not in (1, 2):
         raise ValueError(f"candidates must be a vector or a block of rows, got shape {W.shape}")

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .schedules import covering_index
-from .verify import DEFAULT_THRESHOLD
+from .verify import DEFAULT_THRESHOLD, require_finite
 
 CELL = 12
 FILL = "#2c5d8f"
@@ -32,6 +32,7 @@ def _lines(template: str, *columns: list) -> str:
 
 
 def render_svg(M, schedule=None, threshold: float = DEFAULT_THRESHOLD) -> str:
+    require_finite(threshold)
     M = np.asarray(M)
     rows, cols = M.shape
     width, height = cols * CELL, rows * CELL

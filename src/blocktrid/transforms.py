@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import BuildLog, conjugate, run_program
+from .basis import BuildLog, conjugate, conjugate_unchecked, run_program
 from .kernel import (
     DEPENDENCE_TOL,
     adjoint,
@@ -41,6 +41,7 @@ from .verify import (
     full_report,
     hessenberg_pattern,
     joint_cyclic_pattern,
+    matrix_report,
     polar_blocks,
     staircase_refined,
     tri_blocks,
@@ -332,7 +333,9 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
 
     Returns (U, forms), one form per operator, each claiming the stride-s
     staircase pattern with s = N+1 for a selfadjoint family and s = 2N+1 in
-    general.  The selfadjoint flag is verified entrywise.
+    general.  The selfadjoint flag is verified entrywise.  The shared basis
+    is checked once: every member's report carries the first member's
+    unitarity and span residuals.
     """
     ops = [as_operator(S, f"operator {k + 1}") for k, S in enumerate(operators)]
     if not ops:
@@ -352,22 +355,30 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     program = family_program(N, selfadjoint)
     stride = program.stride
     res = run_program(ops, program, tol=tol)
+    U = res.basis
     bounds = [(n, min(1 + (n - 1) * stride, d)) for n in range(1, d + 1)]
-    forms = [
-        _finish(
-            threshold,
+    forms = []
+    for k, S in enumerate(ops):
+        form = SparsifiedForm(
             input=S,
-            basis_change=res.basis,
-            matrix=conjugate(S, res.basis),
+            basis_change=U,
+            # the first member's conjugate checks that U is unitary
+            matrix=conjugate_unchecked(S, U) if forms else conjugate(S, U),
             form_kind="family",
             pattern=family_stride(stride),
             span_bounds=bounds,
             log=res.log,
             extras={"family_index": k + 1, "family_size": N, "stride": stride},
         )
-        for k, S in enumerate(ops)
-    ]
-    return res.basis, forms
+        if forms:
+            # U's unitarity and span checks are the first member's
+            first = forms[0].report
+            form.report = matrix_report(form, threshold, first.unitarity_residual,
+                                        list(first.span_residuals))
+        else:
+            form.report = full_report(form, threshold)
+        forms.append(form)
+    return U, forms
 
 
 def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:

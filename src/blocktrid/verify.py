@@ -7,6 +7,8 @@ magnitude threshold sitting at a disallowed position is a violation.  The
 report bundles every residual family relevant to a form (unitarity,
 reconstruction, pattern, spanning, block positivity, block triangularity,
 similarity invariants) and decides pass/fail against the documented thresholds.
+The checks of the basis change alone (unitarity, spans) are computed apart
+from those of the matrix, so forms sharing one basis change can share them.
 
 Block patterns locate indices with the schedule's single partition locator,
 :class:`~blocktrid.schedules.BlockIndex`.  Every mirrored (``alt``) pattern
@@ -17,6 +19,7 @@ the primary checks run on ``M*``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -156,11 +159,19 @@ def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
     return np.broadcast_to(spec.allowed(i, j), shape)
 
 
+def require_finite(threshold: float) -> None:
+    """Reject a NaN or infinite magnitude threshold: no entry lies above one,
+    so every check against it would hold vacuously."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+
+
 def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
     """All (i, j, magnitude) with |M(i,j)| > threshold outside the support.
 
     Violations come in row-major order.
     """
+    require_finite(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     M = np.asarray(M)
@@ -171,6 +182,7 @@ def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
 
 def pattern_text(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD) -> str:
     """ASCII sketch: '*' above threshold, '.' allowed-but-zero, 'X' violation."""
+    require_finite(threshold)
     M = np.asarray(M)
     hot = np.abs(M) > threshold
     ok = _support_mask(spec, M.shape)
@@ -276,15 +288,43 @@ def _tri_block_checks(M, schedule: BlockSchedule, below: str, above: str):
     return out
 
 
+def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
+                 ) -> Tuple[float, List[Tuple[int, int, float]]]:
+    """The checks that depend on the basis change alone.
+
+    Returns ``max|U*U - I|`` and, for every (n, m) in ``span_bounds``, the
+    triple (n, m, distance from e_n to the span of U's first m columns).
+    """
+    from .basis import span_residual
+    from .kernel import unitarity_residual
+
+    unitarity = unitarity_residual(U)
+    spans = []
+    if span_bounds:
+        ns, ms = np.array(span_bounds).T
+        dists = span_residual(ns, U, ms).tolist()
+        spans = [(n, m, r) for (n, m), r in zip(span_bounds, dists)]
+    return unitarity, spans
+
+
 def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationReport:
     """Compute every residual family relevant to ``form``.
 
     ``form`` carries input, basis_change, matrix, form_kind, pattern,
     schedule, and span_bounds (see the transforms module).
     """
-    from .basis import span_residual
-    from .kernel import unitarity_residual
+    return matrix_report(form, threshold,
+                         *basis_checks(form.basis_change, form.span_bounds))
 
+
+def matrix_report(form, threshold: float, unitarity: float,
+                  span_residuals: List[Tuple[int, int, float]]) -> VerificationReport:
+    """``form``'s report from the :func:`basis_checks` of its basis change.
+
+    Forms sharing one basis change can share its basis checks; every check
+    of ``form.matrix`` is computed here.  The report keeps ``span_residuals``
+    as given.
+    """
     T = form.input
     U = form.basis_change
     M = form.matrix
@@ -295,19 +335,15 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
         threshold=threshold,
         input_norm_max=max_abs(T),
         input_norm_fro=float(np.linalg.norm(T, "fro")),
-        unitarity_residual=unitarity_residual(U),
+        unitarity_residual=unitarity,
         # backward error max|U M U* - T|: it does not repeat the products
         # that built M = U* T U, so it cannot cancel to zero by construction
         reconstruction_residual=max_abs(U @ M @ U.conj().T - T),
         pattern_kind=form.pattern.kind,
         pattern_violations=check_pattern(M, form.pattern, threshold),
+        span_residuals=span_residuals,
         closure_dim=form.extras.get("closure_dim"),
     )
-
-    if form.span_bounds:
-        ns, ms = np.array(form.span_bounds).T
-        dists = span_residual(ns, U, ms).tolist()
-        report.span_residuals = [(n, m, r) for (n, m), r in zip(form.span_bounds, dists)]
 
     # a mirrored form is the primary form of T*, conjugate-transposed, so its
     # block checks are the primary ones run on M*; M*'s blocks below the

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,42 @@ def test_threshold_env_and_flag(tmp_path, capsys, monkeypatch):
                  "--threshold", "1e-3"]) == 2
     monkeypatch.setenv("BLOCKTRID_THRESHOLD", "zebra")
     assert main(["verify", "--input", path, "--pattern", "staircase"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_threshold_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    # nothing lies above a NaN or infinite threshold: every check would pass
+    path = _write(tmp_path, "ones.json", np.ones((4, 4)))
+    argv = ["verify", "--input", path, "--pattern", "hessenberg"]
+    assert main(argv + ["--threshold", value]) == 1
+    assert "--threshold must be finite and positive" in capsys.readouterr().err
+    monkeypatch.setenv("BLOCKTRID_THRESHOLD", value)
+    assert main(argv) == 1
+    assert "BLOCKTRID_THRESHOLD must be finite and positive" in capsys.readouterr().err
+    assert main(["staircase", "--input", path]) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "10", "inf"])
+@pytest.mark.parametrize("name", ["identity", "gaussian"])
+def test_bad_dependence_tolerance_is_a_usage_error(tmp_path, capsys, tol, name):
+    if name == "identity":
+        path = _write(tmp_path, "I.json", np.eye(6))
+    else:
+        path = _random_file(tmp_path, 6, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["staircase", "--input", path, "--tol-dep", tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dependence tolerance must lie in [0, 1)")
+
+
+def test_build_that_cannot_finish_is_an_error(tmp_path, capsys):
+    # the zero operator closes the span of the seed vector at once; at this
+    # tolerance both padding seeds fall within 0.9 of that span
+    path = _write(tmp_path, "Z.json", np.zeros((2, 2)))
+    argv = ["hessenberg", "--input", path, "--seed-vector", "random:3", "--tol-dep", "0.9"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed index 3 exceeds dimension 2\n"
 
 
 def test_usage_and_io_errors(tmp_path, capsys):

@@ -196,6 +196,12 @@ def test_render_svg_threshold():
     assert svg_tight.count("fill-opacity") == 1
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_render_svg_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="finite"):
+        render_svg(np.eye(3), threshold=threshold)
+
+
 MM_ARRAY = "%%MatrixMarket matrix array complex general\n"
 MM_COORD = "%%MatrixMarket matrix coordinate complex general\n"
 

@@ -209,6 +209,20 @@ def test_mgs_append_block_stays_orthogonal_through_cancellation():
     assert np.max(np.abs(G.conj() @ G.T - np.eye(len(G)))) < 1e-13
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, 10.0, math.inf, 1.0])
+def test_mgs_append_rejects_bad_tolerance(tol):
+    # a negative or NaN tol accepts zero residuals, and one of 1 or more
+    # rejects every unit seed, so no build could finish
+    for candidate in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            mgs_append(np.eye(3)[:1], candidate, tol)
+
+
+def test_mgs_append_zero_tolerance_rejects_only_zero_residuals():
+    assert not mgs_append(np.eye(3)[:1], np.eye(3)[0], 0.0).accepted
+    assert mgs_append(np.eye(3)[:1], np.eye(3)[1] * 1e-150, 0.0).accepted
+
+
 def test_svd_frozen_examples():
     # nilpotent shift: singular values 2, 0
     W, s, V = svd([[0, 2], [0, 0]])

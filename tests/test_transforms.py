@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from blocktrid import (
     tri_sparsify,
     unitarity_residual,
 )
-from blocktrid.verify import SPAN_LIMIT
+import blocktrid.basis as basis
+import blocktrid.kernel as kernel
+from blocktrid.transforms import SparsifiedForm
+from blocktrid.verify import SPAN_LIMIT, family_stride, full_report
 
 S2 = math.sqrt(2.0)
 
@@ -390,6 +394,80 @@ def test_family_rejects_mixed_dims():
     rng = np.random.default_rng(29)
     with pytest.raises(ValueError, match="shape"):
         family_staircase([_rand(rng, 4), _rand(rng, 5)])
+
+
+def _family_ops(rng, d, N, selfadjoint):
+    ops = [_rand(rng, d) for _ in range(N)]
+    return [A + A.conj().T for A in ops] if selfadjoint else ops
+
+
+@pytest.mark.parametrize("selfadjoint", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 7, 20, 64])
+def test_family_members_equal_per_member_recomputation(d, N, selfadjoint):
+    # members after the first reuse its basis checks; every member must still
+    # read exactly as if conjugated and verified on its own
+    rng = np.random.default_rng(1000 * d + 10 * N + selfadjoint)
+    ops = _family_ops(rng, d, N, selfadjoint)
+    U, forms = family_staircase(ops, selfadjoint=selfadjoint)
+    for S, form in zip(ops, forms):
+        assert form.basis_change.tobytes() == U.tobytes()
+        fresh = SparsifiedForm(
+            input=S,
+            basis_change=U,
+            matrix=basis.conjugate(S, U),
+            form_kind="family",
+            pattern=family_stride(form.extras["stride"]),
+            span_bounds=form.span_bounds,
+            extras=form.extras,
+        )
+        assert form.matrix.tobytes() == fresh.matrix.tobytes()
+        assert form.report.to_json() == full_report(fresh).to_json()
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` under every blocktrid module attribute holding it,
+    as an external tracer does; returns the list the wrapper appends to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "blocktrid" or mod_name.startswith("blocktrid."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("selfadjoint", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_family_checks_its_basis_once(monkeypatch, N, selfadjoint):
+    rng = np.random.default_rng(30 + N)
+    ops = _family_ops(rng, 9, N, selfadjoint)
+    unitarity = _count_calls(monkeypatch, kernel, "unitarity_residual")
+    spans = _count_calls(monkeypatch, basis, "span_residual")
+    _, forms = family_staircase(ops, selfadjoint=selfadjoint)
+    # the first member's conjugate and report; nothing for the others
+    assert len(unitarity) == 2
+    assert len(spans) == 1
+    assert all(form.passing for form in forms)
+
+
+def test_family_members_own_their_span_residuals():
+    rng = np.random.default_rng(33)
+    _, forms = family_staircase(_family_ops(rng, 8, 3, False))
+    before = [form.report.to_json() for form in forms]
+    assert forms[0].report.span_residuals == forms[2].report.span_residuals
+    forms[1].report.span_residuals[0] = (1, 1, 1.0)
+    forms[0].report.span_residuals.clear()
+    assert forms[2].report.to_json() == before[2]
+    assert forms[1].report.span_residuals[1:] == forms[2].report.span_residuals[1:]
+    assert not forms[1].passing
+    assert forms[2].passing
 
 
 def test_reducing_closure_eigenvector():

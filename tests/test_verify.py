@@ -115,6 +115,19 @@ def test_threshold_is_strict():
         check_pattern(M, staircase_refined(), -1.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_is_rejected(threshold):
+    # nothing lies above a NaN or infinite threshold, so the all-ones matrix
+    # would pass every pattern check
+    ones = np.ones((4, 4), dtype=np.complex128)
+    with pytest.raises(ValueError, match="finite"):
+        check_pattern(ones, hessenberg_pattern(), threshold)
+    with pytest.raises(ValueError, match="finite"):
+        pattern_text(ones, hessenberg_pattern(), threshold)
+    with pytest.raises(ValueError, match="finite"):
+        tri_sparsify(ones, threshold=threshold)
+
+
 def test_pattern_text_sketch():
     M = np.zeros((3, 3), dtype=np.complex128)
     M[0, 0] = 1.0
