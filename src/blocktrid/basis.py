@@ -23,7 +23,7 @@ stream positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import count
 from typing import List, Optional, Sequence
 
@@ -87,18 +87,7 @@ class BuildLog:
         return sum(1 for e in self.entries if e.accepted)
 
     def to_json(self) -> str:
-        payload = [
-            {
-                "position": e.position,
-                "position_end": e.position_end,
-                "instruction": e.instruction,
-                "accepted": e.accepted,
-                "residual_norm": e.residual_norm,
-                "survivor_index": e.survivor_index,
-            }
-            for e in self.entries
-        ]
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps([asdict(e) for e in self.entries], sort_keys=True)
 
 
 @dataclass
@@ -337,7 +326,8 @@ def conjugate_unchecked(T, U) -> np.ndarray:
 
 
 def span_residual(n, U, m):
-    """Distance from e_n to the span of the first m basis columns of U.
+    """Distance from e_n to the span of the first m basis columns of U,
+    for 1 <= n <= d and 0 <= m <= the number of columns.
 
     ``n`` and ``m`` may be equal-length integer arrays; every distance then
     comes from one projection pass, applied twice, and an ndarray is returned.
@@ -348,6 +338,8 @@ def span_residual(n, U, m):
     ns, ms = np.broadcast_arrays(np.atleast_1d(n), np.atleast_1d(m))
     if np.any((ns < 1) | (ns > d)):
         raise ValueError(f"basis index {n} out of range for dimension {d}")
+    if np.any((ms < 0) | (ms > U.shape[1])):
+        raise ValueError(f"span size {m} out of range for {U.shape[1]} columns")
     R = np.eye(d, dtype=np.complex128)[:, ns - 1]
     keep = np.arange(U.shape[1])[:, None] < ms
     R -= U @ (keep * U[ns - 1].conj().T)

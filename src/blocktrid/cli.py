@@ -18,7 +18,7 @@ import numpy as np
 
 from . import transforms
 from .basis import InstructionCapError
-from .kernel import DEPENDENCE_TOL, unit_vector
+from .kernel import DEPENDENCE_TOL, as_operator, unit_vector
 from .matio import (
     FORMAT_EXTENSIONS,
     FORMATS,
@@ -88,11 +88,9 @@ def _add_common(parser, *optional: str, multi_input: bool = False):
         parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
-def _add_schedule_flags(parser, default: Optional[str] = "canonical"):
+def _add_schedule_flag(parser, default: Optional[str] = "canonical"):
     parser.add_argument("--schedule", default=default,
                         help="canonical, cyclic, or custom:n1,n2,...")
-    parser.add_argument("--kind", choices=(GENERAL, CYCLIC), default=GENERAL,
-                        help="growth rule the schedule is checked against")
 
 
 class _FormCommand(NamedTuple):
@@ -133,7 +131,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=spec.help)
         _add_common(p, *_OPTIONAL_FLAGS)
         if "schedule" in spec.flags:
-            _add_schedule_flags(p)
+            _add_schedule_flag(p)
         if "seed" in spec.flags:
             p.add_argument("--seed-vector", dest="seed_vector", default="1",
                            help="k for e_k, or random:SEED")
@@ -149,20 +147,22 @@ def build_parser() -> _Parser:
     _add_common(p, "--tol-dep", "--output", "--report")
 
     p = sub.add_parser("schedule", help="validate or print a block schedule")
-    _add_schedule_flags(p, default=None)
+    _add_schedule_flag(p, default=None)
+    p.add_argument("--kind", choices=(GENERAL, CYCLIC), default=GENERAL,
+                   help="growth rule the schedule is checked against")
     p.add_argument("--dim", type=int, default=None,
                    help="matrix dimension the schedule should cover")
 
     p = sub.add_parser("verify", help="check a matrix file against a pattern")
     _add_common(p, "--report")
-    _add_schedule_flags(p, default=None)
+    _add_schedule_flag(p, default=None)
     p.add_argument("--pattern", required=True,
                    help="staircase | coarse | hessenberg | jointcyclic | "
                         "band | polar | polar-alt | tri | tri-alt | family:STRIDE")
 
     p = sub.add_parser("render", help="render a matrix sparsity pattern to SVG")
     _add_common(p, "--output")
-    _add_schedule_flags(p, default=None)
+    _add_schedule_flag(p, default=None)
     return parser
 
 
@@ -235,10 +235,11 @@ def _finish_form(form, args) -> int:
 def _cmd_form(args) -> int:
     spec = _FORMS[args.command]
     thr = _threshold(args)
-    T = _load(args)
+    # an empty matrix fails here, before a schedule or seed is fitted to it
+    T = as_operator(_load(args))
     extra = []
     if "schedule" in spec.flags:
-        extra.append(parse_spec(args.schedule, T.shape[0], args.kind))
+        extra.append(parse_spec(args.schedule, T.shape[0]))
     if "seed" in spec.flags:
         extra.append(_seed_vector(args.seed_vector, T.shape[0]))
     kwargs = {"alt": args.alt} if spec.alt_help else {}
@@ -337,7 +338,7 @@ def _pattern_for(name: str, d: int, args):
     if name in ("band", "polar", "polar-alt", "tri", "tri-alt"):
         if not args.schedule:
             raise _CliError(f"pattern {name!r} needs --schedule")
-        sched = parse_spec(args.schedule, d, args.kind)
+        sched = parse_spec(args.schedule, d)
         if name == "band":
             return block_band(sched, d)
         if name.startswith("polar"):
@@ -375,7 +376,7 @@ def _cmd_render(args) -> int:
     M = _load(args)
     sched = None
     if args.schedule:
-        sched = parse_spec(args.schedule, M.shape[0], args.kind)
+        sched = parse_spec(args.schedule, M.shape[0])
     text = render_svg(M, sched, thr)
     if args.output:
         os.makedirs(args.output, exist_ok=True)

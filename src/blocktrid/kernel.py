@@ -19,7 +19,7 @@ DEPENDENCE_TOL = 1e-10
 
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a square complex128 array, rejecting bad input.
+    """Coerce ``a`` to a nonempty square complex128 array, rejecting bad input.
 
     Parameters
     ----------
@@ -36,6 +36,8 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
     A = np.array(a, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
+    if A.size == 0:
+        raise ValueError(f"{name} is empty; an operator needs dimension at least 1")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
@@ -152,17 +154,6 @@ def _project(Q, W) -> None:
     W -= np.conj(np.conj(W) @ Q.T) @ Q
 
 
-def _halvings(lo, hi, splits):
-    """Record, for every split of the recursive halving of rows lo..hi-1,
-    its midpoint -> (lo, hi)."""
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        splits[mid] = (lo, hi)
-        _halvings(lo, mid, splits)
-        _halvings(mid, hi, splits)
-    return splits
-
-
 def _accept(w, r: float, limit: float) -> GsOutcome:
     """Reject ``w``, of norm r, if r is at most ``limit``; else normalize it
     in place."""
@@ -177,34 +168,42 @@ def _decide_in_order(Q, block, rows, norms, limits):
     in order; accepted rows are normalized in place.
 
     ``rows`` views the rows of ``block``; ``norms`` and ``limits`` hold their
-    raw norms and dependence limits.  The recursive halving runs unrolled:
-    once the last row of a split's first half [lo, mid) is decided, the rows
-    accepted from it are projected out of its second half [mid, hi).
+    raw norms and dependence limits.  Rows [lo, hi) are halved recursively:
+    once the first half [lo, mid) is decided, the rows accepted from it are
+    projected out of the second half [mid, hi) before that half is decided.
     """
-    splits = _halvings(0, len(rows), {})
     kept = []     # accepted rows, in order
-    before = []   # len(kept) when each row came up
     outcomes = []
-    for i, w in enumerate(rows):
-        before.append(len(kept))
-        r = _norm(w)
-        if kept and limits[i] < r < 0.1 * norms[i]:
-            # w cancelled in the passes, and their rounding is large next to
-            # r; one more pass restores orthogonality to every accepted row
-            _project(Q, w)
-            _project(block[kept], w)
-            r = _norm(w)
-        outcomes.append(_accept(w, r, limits[i]))
-        if outcomes[-1].accepted:
-            kept.append(i)
-        if i + 1 in splits:
-            lo, hi = splits[i + 1]
-            new = kept[before[lo]:]
+
+    def decide(lo, hi):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            start = len(kept)
+            decide(lo, mid)
+            new = kept[start:]
             if new:
                 # a view when the accepted rows are adjacent
                 adjacent = new[-1] - new[0] + 1 == len(new)
                 P = block[new[0]:new[-1] + 1] if adjacent else block[new]
-                _project(P, block[i + 1:hi])
+                _project(P, block[mid:hi])
+            decide(mid, hi)
+        elif hi > lo:
+            w = rows[lo]
+            r = _norm(w)
+            if kept and limits[lo] < r < 0.1 * norms[lo]:
+                # w cancelled in the passes, and their rounding is large next to r;
+                # one more pass restores orthogonality to every accepted row
+                _project(Q, w)
+                _project(block[kept], w)
+                r = _norm(w)
+            outcomes.append(_accept(w, r, limits[lo]))
+            if outcomes[-1].accepted:
+                kept.append(lo)
+
+    decide(0, len(rows))
+    # decide refers to itself; breaking that cycle frees the arrays it holds
+    # on return instead of at the next garbage collection
+    del decide
     return outcomes
 
 

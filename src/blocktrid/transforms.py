@@ -35,6 +35,7 @@ from .verify import (
     DEFAULT_THRESHOLD,
     PatternSpec,
     VerificationReport,
+    basis_checks,
     block_band,
     check_pattern,
     family_stride,
@@ -334,8 +335,8 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     Returns (U, forms), one form per operator, each claiming the stride-s
     staircase pattern with s = N+1 for a selfadjoint family and s = 2N+1 in
     general.  The selfadjoint flag is verified entrywise.  The shared basis
-    is checked once: every member's report carries the first member's
-    unitarity and span residuals.
+    is checked once: every member's report carries the same unitarity and
+    span residuals.
     """
     ops = [as_operator(S, f"operator {k + 1}") for k, S in enumerate(operators)]
     if not ops:
@@ -357,6 +358,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     res = run_program(ops, program, tol=tol)
     U = res.basis
     bounds = [(n, min(1 + (n - 1) * stride, d)) for n in range(1, d + 1)]
+    unitarity, spans = basis_checks(U, bounds)
     forms = []
     for k, S in enumerate(ops):
         form = SparsifiedForm(
@@ -370,13 +372,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
             log=res.log,
             extras={"family_index": k + 1, "family_size": N, "stride": stride},
         )
-        if forms:
-            # U's unitarity and span checks are the first member's
-            first = forms[0].report
-            form.report = matrix_report(form, threshold, first.unitarity_residual,
-                                        list(first.span_residuals))
-        else:
-            form.report = full_report(form, threshold)
+        form.report = matrix_report(form, threshold, unitarity, list(spans))
         forms.append(form)
     return U, forms
 

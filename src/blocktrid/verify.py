@@ -11,30 +11,28 @@ The checks of the basis change alone (unitarity, spans) are computed apart
 from those of the matrix, so forms sharing one basis change can share them.
 
 Block patterns locate indices with the schedule's single partition locator,
-:class:`~blocktrid.schedules.BlockIndex`.  Every mirrored (``alt``) pattern
-is its primary pattern transposed, and a mirrored form's block checks are
-the primary checks run on ``M*``.
+:class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims more of a
+block than its support (positive blocks, triangular corners) carries the
+checks of that claim, and every report runs them.  Every mirrored (``alt``)
+pattern is its primary pattern transposed, and its block checks are the
+primary checks run on ``M*``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernel import hermitian_eigvals, max_abs
-from .schedules import BlockIndex, BlockSchedule, block_slices, covering_index
+from .schedules import BlockIndex, BlockSchedule, covering_index
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
 SPAN_LIMIT = 1e-8
-HERMITIAN_LIMIT = 1e-9
-PSD_EIG_REL = 1e-8
-TAIL_LIMIT = 1e-10
-TRIANGULAR_LIMIT = 1e-10
 TRACE_REL = 1e-6
 FROBENIUS_REL = 1e-8
 DEFAULT_THRESHOLD = 1e-10
@@ -45,11 +43,14 @@ class PatternSpec:
     """Named support predicate, with the block schedule where one applies.
 
     ``allowed(i, j)`` must accept 1-based ints and broadcast integer arrays.
+    ``block_checks``, where the pattern claims more of its blocks than their
+    support, maps a matrix to the report fields that check that claim.
     """
 
     kind: str
     allowed: Callable[[int, int], bool]
     schedule: Optional[BlockSchedule] = None
+    block_checks: Optional[Callable[[np.ndarray], Dict[str, list]]] = None
 
 
 def staircase_coarse() -> PatternSpec:
@@ -102,9 +103,11 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     return PatternSpec("joint_cyclic", allowed)
 
 
-def _mirrored(spec: PatternSpec, kind: str) -> PatternSpec:
-    """``spec`` transposed: the support of a primary form of ``T*``, conjugate-transposed."""
-    return PatternSpec(kind, lambda i, j: spec.allowed(j, i), spec.schedule)
+def _mirrored(spec: PatternSpec, kind: str, checks) -> PatternSpec:
+    """``spec`` transposed: the support of a primary form of ``T*``,
+    conjugate-transposed, whose block checks are ``checks`` run on ``M*``."""
+    return PatternSpec(kind, lambda i, j: spec.allowed(j, i), spec.schedule,
+                       lambda M: checks(M.conj().T))
 
 
 def block_band(schedule: BlockSchedule, dim: int) -> PatternSpec:
@@ -125,8 +128,9 @@ def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> Patter
         bj, lj = idx.locate(j)
         return (abs(bi - bj) <= 1) & ((bj != bi + 1) | (lj <= idx.sizes[bi - 1]))
 
-    spec = PatternSpec("polar_blocks", allowed, schedule)
-    return _mirrored(spec, "polar_alt_blocks") if alt else spec
+    spec = PatternSpec("polar_blocks", allowed, schedule,
+                       lambda M: _polar_block_checks(M, idx))
+    return _mirrored(spec, "polar_alt_blocks", spec.block_checks) if alt else spec
 
 
 def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternSpec:
@@ -149,8 +153,61 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
         above_ok = (lj <= nk) | ((lj <= 2 * nk) & (li >= lj - nk))
         return (bi == bj) | ((bj == bi + 1) & above_ok) | ((bi == bj + 1) & below_ok)
 
-    spec = PatternSpec("tri_blocks", allowed, schedule)
-    return _mirrored(spec, "tri_alt_blocks") if alt else spec
+    support = PatternSpec("tri_blocks", allowed, schedule)
+    spec = replace(support,
+                   block_checks=lambda M: _tri_block_checks(M, support, idx, "B", "A"))
+    if not alt:
+        return spec
+    # M*'s blocks below the diagonal are M's above it, hence the swapped labels
+    return _mirrored(spec, "tri_alt_blocks",
+                     lambda M: _tri_block_checks(M, support, idx, "A", "B"))
+
+
+HERMITIAN_LIMIT = 1e-9
+PSD_EIG_REL = 1e-8
+TAIL_LIMIT = 1e-10
+
+
+def _polar_block_checks(M, idx: BlockIndex) -> Dict[str, list]:
+    """Hermitian/PSD/tail numbers for the square parts of the cut blocks
+    right of the diagonal."""
+    herm, eigs, tails, scales = [], [], [], []
+    for k in range(len(idx.slices) - 1):
+        r0, r1 = idx.slices[k]
+        c0, c1 = idx.slices[k + 1]
+        blk = M[r0:r1, c0:c1]
+        nk = r1 - r0
+        square = blk[:, :nk]
+        tail = blk[:, nk:]
+        herm.append((k + 1, max_abs(square - square.conj().T)))
+        sym = 0.5 * (square + square.conj().T)
+        ev = hermitian_eigvals(sym)
+        eigs.append((k + 1, float(ev[0]) if ev.size else 0.0))
+        tails.append((k + 1, max_abs(tail)))
+        scales.append((k + 1, max_abs(square)))
+    return {"hermitian_residuals": herm, "psd_min_eigs": eigs,
+            "tail_residuals": tails, "block_scales": scales}
+
+
+TRIANGULAR_LIMIT = 1e-10
+
+
+def _tri_block_checks(M, spec: PatternSpec, idx: BlockIndex,
+                      below: str, above: str) -> Dict[str, list]:
+    """Largest magnitude off the triangular support ``spec``, per
+    off-diagonal block of ``idx``.
+
+    Each pair lists the block below the diagonal, labelled ``below``, before
+    the one above it, labelled ``above``.
+    """
+    off = np.where(_support_mask(spec, M.shape), 0.0, np.abs(M))
+    out = []
+    for k in range(len(idx.slices) - 1):
+        r0, r1 = idx.slices[k]
+        c0, c1 = idx.slices[k + 1]
+        out += [(below, k + 1, max_abs(off[c0:c1, r0:r1])),
+                (above, k + 1, max_abs(off[r0:r1, c0:c1]))]
+    return {"triangular_residuals": out}
 
 
 def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
@@ -250,44 +307,6 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _polar_block_checks(M, idx: BlockIndex):
-    """Hermitian/PSD/tail numbers for the square parts of the cut blocks
-    right of the diagonal."""
-    herm, eigs, tails, scales = [], [], [], []
-    for k in range(len(idx.slices) - 1):
-        r0, r1 = idx.slices[k]
-        c0, c1 = idx.slices[k + 1]
-        blk = M[r0:r1, c0:c1]
-        nk = r1 - r0
-        square = blk[:, :nk]
-        tail = blk[:, nk:]
-        herm.append((k + 1, max_abs(square - square.conj().T)))
-        sym = 0.5 * (square + square.conj().T)
-        ev = hermitian_eigvals(sym)
-        eigs.append((k + 1, float(ev[0]) if ev.size else 0.0))
-        tails.append((k + 1, max_abs(tail)))
-        scales.append((k + 1, max_abs(square)))
-    return herm, eigs, tails, scales
-
-
-def _tri_block_checks(M, schedule: BlockSchedule, below: str, above: str):
-    """Largest magnitude off the triangular support, per off-diagonal block.
-
-    Each pair lists the block below the diagonal, labelled ``below``, before
-    the one above it, labelled ``above``.
-    """
-    d = M.shape[0]
-    off = np.where(_support_mask(tri_blocks(schedule, d), M.shape), 0.0, np.abs(M))
-    slices = block_slices(schedule, d)
-    out = []
-    for k in range(len(slices) - 1):
-        r0, r1 = slices[k]
-        c0, c1 = slices[k + 1]
-        out += [(below, k + 1, max_abs(off[c0:c1, r0:r1])),
-                (above, k + 1, max_abs(off[r0:r1, c0:c1]))]
-    return out
-
-
 def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
                  ) -> Tuple[float, List[Tuple[int, int, float]]]:
     """The checks that depend on the basis change alone.
@@ -311,7 +330,7 @@ def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationRepor
     """Compute every residual family relevant to ``form``.
 
     ``form`` carries input, basis_change, matrix, form_kind, pattern,
-    schedule, and span_bounds (see the transforms module).
+    span_bounds and extras (see the transforms module).
     """
     return matrix_report(form, threshold,
                          *basis_checks(form.basis_change, form.span_bounds))
@@ -322,13 +341,13 @@ def matrix_report(form, threshold: float, unitarity: float,
     """``form``'s report from the :func:`basis_checks` of its basis change.
 
     Forms sharing one basis change can share its basis checks; every check
-    of ``form.matrix`` is computed here.  The report keeps ``span_residuals``
-    as given.
+    of ``form.matrix`` is computed here, the block checks that
+    ``form.pattern`` carries among them.  The report keeps
+    ``span_residuals`` as given.
     """
     T = form.input
     U = form.basis_change
     M = form.matrix
-    d = T.shape[0]
 
     report = VerificationReport(
         form_kind=form.form_kind,
@@ -345,20 +364,9 @@ def matrix_report(form, threshold: float, unitarity: float,
         closure_dim=form.extras.get("closure_dim"),
     )
 
-    # a mirrored form is the primary form of T*, conjugate-transposed, so its
-    # block checks are the primary ones run on M*; M*'s blocks below the
-    # diagonal are M's above it, hence the swapped triangular labels
-    mirrored = form.form_kind in ("polar_alt", "triangular_alt")
-    Mp = M.conj().T if mirrored else M
-    if form.form_kind in ("polar", "polar_alt") and form.schedule is not None:
-        herm, eigs, tails, scales = _polar_block_checks(Mp, covering_index(form.schedule, d))
-        report.hermitian_residuals = herm
-        report.psd_min_eigs = eigs
-        report.tail_residuals = tails
-        report.block_scales = scales
-    if form.form_kind in ("triangular", "triangular_alt") and form.schedule is not None:
-        labels = ("A", "B") if mirrored else ("B", "A")
-        report.triangular_residuals = _tri_block_checks(Mp, form.schedule, *labels)
+    if form.pattern.block_checks is not None:
+        for name, value in form.pattern.block_checks(M).items():
+            setattr(report, name, value)
 
     # tr(A^2) = sum(A * A^T) and tr(A^3) = sum(A^2 * A^T): one product each
     T2, M2 = T @ T, M @ M

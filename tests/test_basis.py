@@ -314,7 +314,7 @@ def test_span_residual_arrays_match_scalar_calls():
     d = 30
     U = run_program([random_matrix(rng, d)], staircase_program()).basis
     ns = np.array([1, 2, 5, 5, 17, 30, 30, 4])
-    ms = np.array([1, 3, 0, 2, 29, 7, 30, 40])
+    ms = np.array([1, 3, 0, 2, 29, 7, 30, 30])
     batched = span_residual(ns, U, ms)
     assert isinstance(batched, np.ndarray) and batched.shape == ns.shape
     for n, m, r in zip(ns.tolist(), ms.tolist(), batched):
@@ -327,6 +327,17 @@ def test_span_residual_arrays_match_scalar_calls():
         span_residual(np.array([3, 31]), U, np.array([3, 30]))
     with pytest.raises(ValueError):
         span_residual(0, U, 3)
+
+
+@pytest.mark.parametrize("m", [-1, 4, 7])
+def test_span_residual_rejects_span_sizes_outside_the_columns(m):
+    # the first m columns exist only for 0 <= m <= the number of columns
+    with pytest.raises(ValueError, match="span size"):
+        span_residual(1, np.eye(3), m)
+    with pytest.raises(ValueError, match="span size"):
+        span_residual(np.array([1, 2]), np.eye(3), np.array([2, m]))
+    assert span_residual(1, np.eye(3), 0) == 1.0
+    assert span_residual(3, np.eye(3), 3) == 0.0
 
 
 def test_span_residual_first_pass_reads_rows_of_u():

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 import blocktrid.transforms as transforms
-from blocktrid import emit_matrix, parse_matrix, unit_vector
+from blocktrid import (
+    CYCLIC,
+    block_band,
+    check_pattern,
+    emit_matrix,
+    parse_matrix,
+    render_svg,
+    schedule_for_dim,
+    unit_vector,
+)
 from blocktrid.cli import main
 
 
@@ -332,6 +341,10 @@ def test_form_commands_call_module_attribute(tmp_path, capsys, monkeypatch,
     ("render", ["--tol-dep", "1e-9"]),
     ("render", ["--report", "json"]),
     ("render", ["--svg"]),
+    ("tridiag", ["--kind", "general"]),
+    ("polar", ["--kind", "general"]),
+    ("verify", ["--kind", "general"]),
+    ("render", ["--kind", "general"]),
 ])
 def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
     path = _write(tmp_path, "D.json", np.diag([1.0, 2.0, 3.0, 4.0]))
@@ -347,3 +360,43 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag)
         assert main(run) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_verify_and_render_read_cyclic_as_the_cyclic_canonical_schedule(tmp_path, capsys):
+    rng = np.random.default_rng(64)
+    T = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    path = _write(tmp_path, "B.json", transforms.block_tridiagonalize(T).matrix)
+    M = parse_matrix(path)
+    cyclic = schedule_for_dim(40, CYCLIC)
+    assert cyclic.sizes != schedule_for_dim(40).sizes
+    assert main(["render", "--input", path, "--schedule", "cyclic"]) == 0
+    assert capsys.readouterr().out == render_svg(M, cyclic)
+    code = main(["verify", "--input", path, "--pattern", "band", "--schedule", "cyclic",
+                 "--report", "json"])
+    hits = check_pattern(M, block_band(cyclic, 40))
+    assert hits and code == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == [list(v) for v in hits]
+
+
+EMPTY = '{"rows": 0, "cols": 0, "data": []}'
+
+
+@pytest.mark.parametrize("command", [
+    "staircase", "tridiag", "polar", "trisparse", "hessenberg", "jointcyclic",
+    "decompose", "family",
+])
+def test_form_commands_reject_an_empty_operator(tmp_path, capsys, command):
+    path = tmp_path / "E.json"
+    path.write_text(EMPTY)
+    assert main([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is empty; an operator needs dimension at least 1" in captured.err
+
+
+def test_verify_and_render_accept_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "E.json"
+    path.write_text(EMPTY)
+    assert main(["verify", "--input", str(path), "--pattern", "staircase"]) == 0
+    assert main(["render", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.count("<svg") == 1

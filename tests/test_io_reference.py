@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
@@ -65,14 +65,18 @@ def test_emit_and_parse_match_reference(M):
 
 @SLOW
 @given(st.one_of(matrices(), small_matrices))
+@example(np.array([[1.27116101e+308 + 1.27116101e+308j]]))
 def test_render_matches_reference(M):
     d = M.shape[0]
     top = float(np.abs(M).max())
     # Where |z| overflows, the reference writes "nan" opacities; the
-    # opacities now come from the halved entries.
+    # opacities now come from the halved entries.  The half-maximum
+    # threshold then comes from them too, since top / 2 is infinite and
+    # render_svg rejects non-finite thresholds.
     scale = 2.0 if np.isinf(top) else 1.0
+    half = float(np.abs(M / 2).max()) if np.isinf(top) else top / 2
     for schedule in (None, schedule_for_dim(d)):
-        for threshold in (1e-10, top / 2):
+        for threshold in (1e-10, half):
             assert render_svg(M, schedule, threshold) == ref.render_svg(
                 M / scale, schedule, threshold / scale)
 

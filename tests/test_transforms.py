@@ -30,6 +30,7 @@ import blocktrid.basis as basis
 import blocktrid.kernel as kernel
 from blocktrid.transforms import SparsifiedForm
 from blocktrid.verify import SPAN_LIMIT, family_stride, full_report
+from blocktrid.words import staircase_program
 
 S2 = math.sqrt(2.0)
 
@@ -588,3 +589,25 @@ def test_reconstruction_residual_is_backward_error():
     assert form.report.reconstruction_residual == expected
     assert expected > 0.0
     assert form.passing
+
+
+_EMPTY_BUILDS = {
+    "staircase": staircase,
+    "block_tridiagonalize": block_tridiagonalize,
+    "polar_sparsify": polar_sparsify,
+    "tri_sparsify": tri_sparsify,
+    "krylov_hessenberg": lambda T: krylov_hessenberg(T, np.ones(1)),
+    "joint_cyclic_staircase": lambda T: joint_cyclic_staircase(T, np.ones(1)),
+    "family_staircase": lambda T: family_staircase([T]),
+    "decompose": decompose,
+    "reducing_closure": lambda T: reducing_closure(T, np.ones(1)),
+    "run_program": lambda T: basis.run_program([T], staircase_program()),
+    "conjugate": lambda T: basis.conjugate(T, T),
+}
+
+
+@pytest.mark.parametrize("name", _EMPTY_BUILDS)
+def test_every_form_rejects_an_empty_operator(name):
+    # no form is claimed of a 0 x 0 operator: it would pass vacuously
+    with pytest.raises(ValueError, match="is empty; an operator needs dimension at least 1"):
+        _EMPTY_BUILDS[name](np.zeros((0, 0)))
