@@ -2,14 +2,14 @@
 
 Exit codes: 0 when the produced report passes (or the query succeeds),
 2 when a report fails or a schedule is invalid, 1 on usage and IO errors
-and on a build that cannot finish.
+and on a build that cannot finish.  ``verify`` runs a pattern's support and
+block checks as records under the report's rule, and names the first failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import List, NamedTuple, Optional, Tuple
@@ -39,11 +39,13 @@ from .transforms import decompose, family_staircase
 from .verify import (
     DEFAULT_THRESHOLD,
     block_band,
-    check_pattern,
     family_stride,
     hessenberg_pattern,
     joint_cyclic_pattern,
+    pattern_checks,
+    pattern_fields,
     polar_blocks,
+    require_finite,
     staircase_coarse,
     staircase_refined,
     tri_blocks,
@@ -167,24 +169,21 @@ def build_parser() -> _Parser:
 
 
 def _threshold(args) -> float:
-    if getattr(args, "threshold", None) is not None:
-        if not _finite_positive(args.threshold):
-            raise _CliError("--threshold must be finite and positive")
-        return args.threshold
     env = os.environ.get(ENV_THRESHOLD)
-    if env:
+    if getattr(args, "threshold", None) is not None:
+        value, name = args.threshold, "--threshold"
+    elif env:
         try:
-            value = float(env)
+            value, name = float(env), ENV_THRESHOLD
         except ValueError:
             raise _CliError(f"cannot parse {ENV_THRESHOLD}={env!r}")
-        if not _finite_positive(value):
-            raise _CliError(f"{ENV_THRESHOLD} must be finite and positive")
-        return value
-    return DEFAULT_THRESHOLD
-
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+    else:
+        return DEFAULT_THRESHOLD
+    try:
+        require_finite(value)
+    except ValueError:
+        raise _CliError(f"{name} must be finite and positive")
+    return value
 
 
 def _load(args) -> np.ndarray:
@@ -351,16 +350,19 @@ def _cmd_verify(args) -> int:
     thr = _threshold(args)
     M = _load(args)
     spec = _pattern_for(args.pattern, M.shape[0], args)
-    hits = check_pattern(M, spec, thr)
+    fields = pattern_fields(M, spec, thr)
+    hits = fields["pattern_violations"]
+    failed = [c for c in pattern_checks(fields) if c.failed]
     if args.report == "json":
         payload = {
-            "passing": not hits,
+            "passing": not failed,
             "pattern": spec.kind,
             "threshold": thr,
             "violations": [list(v) for v in hits],
+            "failures": failed,
         }
         print(json.dumps(payload, sort_keys=True))
-    elif not hits:
+    elif not failed:
         print(f"{spec.kind}: clean at threshold {thr:g}")
     else:
         print(f"{spec.kind}: {len(hits)} violations at threshold {thr:g}")
@@ -368,7 +370,8 @@ def _cmd_verify(args) -> int:
             print(f"  ({i},{j}) |entry| = {mag:.6e}")
         if len(hits) > 10:
             print(f"  ... and {len(hits) - 10} more")
-    return 0 if not hits else 2
+        print("  first failed check: {} at {}: {:.6e}, limit {:.6e}".format(*failed[0]))
+    return 2 if failed else 0
 
 
 def _cmd_render(args) -> int:

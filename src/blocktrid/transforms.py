@@ -32,7 +32,9 @@ from .schedules import (
     validate,
 )
 from .verify import (
+    COUPLING_LIMIT,
     DEFAULT_THRESHOLD,
+    Check,
     PatternSpec,
     VerificationReport,
     basis_checks,
@@ -398,7 +400,8 @@ class DecompositionResult:
 
     @property
     def passing(self) -> bool:
-        return self.coupling_residual <= 1e-9 and all(s.passing for s in self.summands)
+        coupling = Check("coupling_residual", None, self.coupling_residual, COUPLING_LIMIT)
+        return not coupling.failed and all(s.passing for s in self.summands)
 
 
 def decompose(T, tol: float = DEPENDENCE_TOL,

@@ -6,9 +6,11 @@ grids gives the whole support mask.  Checking is entrywise: anything above the
 magnitude threshold sitting at a disallowed position is a violation.  The
 report bundles every residual family relevant to a form (unitarity,
 reconstruction, pattern, spanning, block positivity, block triangularity,
-similarity invariants) and decides pass/fail against the documented thresholds.
-The checks of the basis change alone (unitarity, spans) are computed apart
-from those of the matrix, so forms sharing one basis change can share them.
+similarity invariants) as :class:`Check` records with their limits, and passes
+when ``failures``, the records over their limits, is empty; ``blocktrid
+verify`` reads a pattern's support and block records the same way.  The checks
+of the basis change alone (unitarity, spans) are computed apart from those of
+the matrix, so forms sharing one basis change can share them.
 
 Block patterns locate indices with the schedule's single partition locator,
 :class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims more of a
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,28 @@ RECONSTRUCTION_REL = 1e-8
 SPAN_LIMIT = 1e-8
 TRACE_REL = 1e-6
 FROBENIUS_REL = 1e-8
+HERMITIAN_LIMIT = 1e-9
+PSD_EIG_REL = 1e-8
+TAIL_LIMIT = 1e-10
+TRIANGULAR_LIMIT = 1e-10
+COUPLING_LIMIT = 1e-9
 DEFAULT_THRESHOLD = 1e-10
+
+
+class Check(NamedTuple):
+    """``value`` of the field ``check`` at ``at`` against ``limit``, a lower
+    bound for ``psd_min_eigs`` and an upper one otherwise; a NaN value fails."""
+
+    check: str
+    at: object
+    value: float
+    limit: float
+
+    @property
+    def failed(self) -> bool:
+        if self.check == "psd_min_eigs":
+            return not self.value >= self.limit
+        return not self.value <= self.limit
 
 
 @dataclass(frozen=True)
@@ -163,11 +186,6 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
                      lambda M: _tri_block_checks(M, support, idx, "A", "B"))
 
 
-HERMITIAN_LIMIT = 1e-9
-PSD_EIG_REL = 1e-8
-TAIL_LIMIT = 1e-10
-
-
 def _polar_block_checks(M, idx: BlockIndex) -> Dict[str, list]:
     """Hermitian/PSD/tail numbers for the square parts of the cut blocks
     right of the diagonal."""
@@ -187,9 +205,6 @@ def _polar_block_checks(M, idx: BlockIndex) -> Dict[str, list]:
         scales.append((k + 1, max_abs(square)))
     return {"hermitian_residuals": herm, "psd_min_eigs": eigs,
             "tail_residuals": tails, "block_scales": scales}
-
-
-TRIANGULAR_LIMIT = 1e-10
 
 
 def _tri_block_checks(M, spec: PatternSpec, idx: BlockIndex,
@@ -217,10 +232,9 @@ def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
 
 
 def require_finite(threshold: float) -> None:
-    """Reject a NaN or infinite magnitude threshold: no entry lies above one,
-    so every check against it would hold vacuously."""
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    """Reject a threshold no entry lies above (NaN, infinite) or every zero does (<= 0)."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
 
 
 def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
@@ -229,12 +243,34 @@ def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
     Violations come in row-major order.
     """
     require_finite(threshold)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     M = np.asarray(M)
     mags = np.abs(M)
     rows, cols = np.nonzero((mags > threshold) & ~_support_mask(spec, M.shape))
     return list(zip((rows + 1).tolist(), (cols + 1).tolist(), mags[rows, cols].tolist()))
+
+
+def pattern_fields(M, spec: PatternSpec, threshold: float) -> Dict[str, object]:
+    """The threshold, ``M``'s violations of ``spec`` and its block check fields."""
+    return {"threshold": threshold, "pattern_violations": check_pattern(M, spec, threshold),
+            **(spec.block_checks(M) if spec.block_checks else {})}
+
+
+def pattern_checks(fields: Dict[str, object]) -> List[Check]:
+    """Records of the support and block ``fields``; ``block_scales`` only scales PSD limits."""
+    scales = dict(fields.get("block_scales", ()))
+    return [
+        *(Check("pattern_violations", (i, j), mag, fields["threshold"])
+          for i, j, mag in fields["pattern_violations"]),
+        *(Check("hermitian_residuals", f"block {k}", r, HERMITIAN_LIMIT)
+          for k, r in fields.get("hermitian_residuals", ())),
+        *(Check("psd_min_eigs", f"block {k}", eig,
+                -PSD_EIG_REL * max(1.0, scales.get(k, 1.0)))
+          for k, eig in fields.get("psd_min_eigs", ())),
+        *(Check("tail_residuals", f"block {k}", r, TAIL_LIMIT)
+          for k, r in fields.get("tail_residuals", ())),
+        *(Check("triangular_residuals", f"block {label}{k}", r, TRIANGULAR_LIMIT)
+          for label, k, r in fields.get("triangular_residuals", ())),
+    ]
 
 
 def pattern_text(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD) -> str:
@@ -270,32 +306,24 @@ class VerificationReport:
     block_scales: List[Tuple[int, float]] = field(default_factory=list)
 
     @property
-    def passing(self) -> bool:
-        if self.unitarity_residual > UNITARITY_LIMIT:
-            return False
-        if self.reconstruction_residual > RECONSTRUCTION_REL * (1 + self.input_norm_max):
-            return False
-        if self.pattern_violations:
-            return False
-        if any(r > SPAN_LIMIT for _, _, r in self.span_residuals):
-            return False
-        if any(r > HERMITIAN_LIMIT for _, r in self.hermitian_residuals):
-            return False
-        scales = dict(self.block_scales)
-        for k, eig in self.psd_min_eigs:
-            if eig < -PSD_EIG_REL * max(1.0, scales.get(k, 1.0)):
-                return False
-        if any(r > TAIL_LIMIT for _, r in self.tail_residuals):
-            return False
-        if any(r > TRIANGULAR_LIMIT for _, _, r in self.triangular_residuals):
-            return False
+    def failures(self) -> List[Check]:
+        """The records over their limits, read from the fields as they are."""
         base = self.input_norm_fro
-        for p, drift in enumerate(self.trace_drifts, start=1):
-            if drift > TRACE_REL * max(1.0, base) ** p:
-                return False
-        if self.frobenius_drift > FROBENIUS_REL * (1 + base):
-            return False
-        return True
+        return [c for c in (
+            Check("unitarity_residual", None, self.unitarity_residual, UNITARITY_LIMIT),
+            Check("reconstruction_residual", None, self.reconstruction_residual,
+                  RECONSTRUCTION_REL * (1 + self.input_norm_max)),
+            *(Check("span_residuals", (n, m), r, SPAN_LIMIT)
+              for n, m, r in self.span_residuals),
+            *pattern_checks(vars(self)),
+            *(Check("trace_drifts", p, drift, TRACE_REL * max(1.0, base) ** p)
+              for p, drift in enumerate(self.trace_drifts, start=1)),
+            Check("frobenius_drift", None, self.frobenius_drift, FROBENIUS_REL * (1 + base)),
+        ) if c.failed]
+
+    @property
+    def passing(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -303,7 +331,8 @@ class VerificationReport:
             "kind": payload.pop("pattern_kind"),
             "violations": payload.pop("pattern_violations"),
         }
-        payload["passing"] = self.passing
+        payload["failures"] = self.failures
+        payload["passing"] = not payload["failures"]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -351,7 +380,6 @@ def matrix_report(form, threshold: float, unitarity: float,
 
     report = VerificationReport(
         form_kind=form.form_kind,
-        threshold=threshold,
         input_norm_max=max_abs(T),
         input_norm_fro=float(np.linalg.norm(T, "fro")),
         unitarity_residual=unitarity,
@@ -359,14 +387,10 @@ def matrix_report(form, threshold: float, unitarity: float,
         # that built M = U* T U, so it cannot cancel to zero by construction
         reconstruction_residual=max_abs(U @ M @ U.conj().T - T),
         pattern_kind=form.pattern.kind,
-        pattern_violations=check_pattern(M, form.pattern, threshold),
         span_residuals=span_residuals,
         closure_dim=form.extras.get("closure_dim"),
+        **pattern_fields(M, form.pattern, threshold),
     )
-
-    if form.pattern.block_checks is not None:
-        for name, value in form.pattern.block_checks(M).items():
-            setattr(report, name, value)
 
     # tr(A^2) = sum(A * A^T) and tr(A^3) = sum(A^2 * A^T): one product each
     T2, M2 = T @ T, M @ M

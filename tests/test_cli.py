@@ -7,12 +7,17 @@ import pytest
 import blocktrid.transforms as transforms
 from blocktrid import (
     CYCLIC,
+    SparsifiedForm,
     block_band,
     check_pattern,
     emit_matrix,
+    full_report,
     parse_matrix,
+    parse_spec,
+    polar_blocks,
     render_svg,
     schedule_for_dim,
+    tri_blocks,
     unit_vector,
 )
 from blocktrid.cli import main
@@ -400,3 +405,50 @@ def test_verify_and_render_accept_an_empty_file(tmp_path, capsys):
     assert main(["verify", "--input", str(path), "--pattern", "staircase"]) == 0
     assert main(["render", "--input", str(path)]) == 0
     assert capsys.readouterr().out.count("<svg") == 1
+
+
+#: pattern name -> (form, pattern function, threshold, entry to break, broken
+#: value, the check that sees it).  Each broken entry lies inside the
+#: support, or below the threshold, so only the pattern's block checks can
+#: catch it.
+BLOCK_CLAIMS = {
+    "polar": ("polar_sparsify", polar_blocks, 1e-10, (0, 1), -5.0, "psd_min_eigs"),
+    "polar-alt": ("polar_sparsify", polar_blocks, 1e-10, (1, 0), -5.0, "psd_min_eigs"),
+    "tri": ("tri_sparsify", tri_blocks, 1e-6, (2, 0), 1e-8, "triangular_residuals"),
+    "tri-alt": ("tri_sparsify", tri_blocks, 1e-6, (0, 2), 1e-8, "triangular_residuals"),
+}
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+@pytest.mark.parametrize("pattern", list(BLOCK_CLAIMS))
+def test_verify_agrees_with_the_report_on_block_claims(tmp_path, capsys, pattern, tampered):
+    build, make_pattern, thr, (i, j), value, check = BLOCK_CLAIMS[pattern]
+    alt = pattern.endswith("-alt")
+    rng = np.random.default_rng(90)
+    T = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    M = getattr(transforms, build)(T, alt=alt).matrix
+    if tampered:
+        M[i, j] = value
+    path = _write(tmp_path, "M.json", M)
+    M = parse_matrix(path)
+    # the library's verdict on the file: its report with the identity as
+    # basis change, whose basis and similarity checks all hold exactly
+    spec = make_pattern(parse_spec("canonical", 9), 9, alt=alt)
+    form = SparsifiedForm(input=M, basis_change=np.eye(9, dtype=complex), matrix=M,
+                          form_kind="file", pattern=spec)
+    failures = full_report(form, thr).failures
+    assert [c.check for c in failures] == ([check] if tampered else [])
+
+    argv = ["verify", "--input", path, "--pattern", pattern, "--schedule", "canonical",
+            "--threshold", repr(thr)]
+    assert main(argv) == (2 if failures else 0)
+    out = capsys.readouterr().out
+    if failures:
+        first = "{} at {}: {:.6e}, limit {:.6e}".format(*failures[0])
+        assert f"first failed check: {first}" in out
+    else:
+        assert out == f"{spec.kind}: clean at threshold {thr:g}\n"
+    assert main(argv + ["--report", "json"]) == (2 if failures else 0)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == json.loads(json.dumps(failures))
+    assert payload["passing"] is not tampered

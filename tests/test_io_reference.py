@@ -77,6 +77,13 @@ def test_render_matches_reference(M):
     half = float(np.abs(M / 2).max()) if np.isinf(top) else top / 2
     for schedule in (None, schedule_for_dim(d)):
         for threshold in (1e-10, half):
+            if threshold == 0.0:
+                # a zero matrix (or one whose largest entry halves to zero)
+                # has no positive half-maximum, and render_svg rejects a
+                # threshold that is not positive
+                with pytest.raises(ValueError, match="positive"):
+                    render_svg(M, schedule, threshold)
+                continue
             assert render_svg(M, schedule, threshold) == ref.render_svg(
                 M / scale, schedule, threshold / scale)
 
@@ -93,8 +100,10 @@ def test_render_matches_reference_on_real_int_and_empty_inputs():
     cases = [np.zeros((3, 3)), np.eye(4, dtype=int), np.arange(9.0).reshape(3, 3) - 4,
              np.array([[-0.0, 5e-324], [1e300, -1e-300]])]
     for M in cases:
-        for threshold in (1e-10, 0.5, -1.0):
+        for threshold in (1e-10, 0.5):
             assert render_svg(M, None, threshold) == ref.render_svg(M, None, threshold)
+        with pytest.raises(ValueError, match="positive"):
+            render_svg(M, None, -1.0)
     sched = BlockSchedule((1, 2, 6), GENERAL)
     assert render_svg(np.eye(9), sched) == ref.render_svg(np.eye(9), sched)
 

@@ -1,0 +1,88 @@
+"""The record rule of ``passing`` against the ten written-out comparisons of
+``reference_verdict.py``.
+
+Every form runs on six kinds of input (Gaussian, normal, rank-one, the
+nilpotent shift, identity, zero) at d in {5, 9, 16, 33}, each scaled by
+1e-12, 1e-6, 1, 1e6 and 1e12, where a check on an absolute limit passes
+vacuously or fails on roundoff; both rules must give the same verdict on
+every report, on every family member and decompose summand, and on
+decompose's own verdict.  The triangular builds of the scaled shift that
+overflow are left to ``test_tri_sparsify_of_a_scaled_shift_overflows``.
+"""
+
+import numpy as np
+import pytest
+
+import blocktrid as bt
+from reference_verdict import reference_decompose_passing, reference_passing
+
+KINDS = ("gaussian", "normal", "rank_one", "nilpotent", "identity", "zero")
+SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+
+#: (d, scale) of the shift N whose raw triangular words overflow: tri_sparsify
+#: and its mirror fail with "overflow encountered in dot" there.
+OVERFLOWING_SHIFTS = [(16, 1e12), (33, 1e6), (33, 1e12)]
+
+
+def _input(kind, d):
+    rng = np.random.default_rng(d)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "gaussian":
+        return gaussian(d, d)
+    if kind == "normal":
+        Q, _ = np.linalg.qr(gaussian(d, d))
+        return Q @ np.diag(gaussian(d)) @ Q.conj().T
+    if kind == "rank_one":
+        return np.outer(gaussian(d), gaussian(d).conj())
+    if kind == "nilpotent":
+        return np.diag(np.ones(d - 1), 1)
+    return np.eye(d) if kind == "identity" else np.zeros((d, d))
+
+
+def _reports(T, skip_tri):
+    """(name, report) for every form of T but decompose, family members
+    included; ``skip_tri`` leaves out both triangular forms."""
+    e1 = bt.unit_vector(T.shape[0], 0)
+    forms = {
+        "staircase": lambda: bt.staircase(T),
+        "block_tridiagonalize": lambda: bt.block_tridiagonalize(T),
+        "polar_sparsify": lambda: bt.polar_sparsify(T),
+        "polar_sparsify alt": lambda: bt.polar_sparsify(T, alt=True),
+        "tri_sparsify": lambda: bt.tri_sparsify(T),
+        "tri_sparsify alt": lambda: bt.tri_sparsify(T, alt=True),
+        "krylov_hessenberg": lambda: bt.krylov_hessenberg(T, e1),
+        "joint_cyclic_staircase": lambda: bt.joint_cyclic_staircase(T, e1),
+    }
+    for name, build in forms.items():
+        if not (skip_tri and name.startswith("tri")):
+            yield name, build().report
+    for k, form in enumerate(bt.family_staircase([T, T.conj().T])[1]):
+        yield f"family member {k + 1}", form.report
+
+
+@pytest.mark.parametrize("d", [5, 9, 16, 33])
+@pytest.mark.parametrize("kind", KINDS)
+def test_record_verdict_matches_reference(kind, d):
+    for scale in SCALES:
+        T = scale * _input(kind, d)
+        skip_tri = kind == "nilpotent" and (d, scale) in OVERFLOWING_SHIFTS
+        for name, report in _reports(T, skip_tri):
+            assert report.passing == reference_passing(report), (scale, name)
+        res = bt.decompose(T)
+        for k, summand in enumerate(res.summands):
+            assert summand.passing == reference_passing(summand.report), (scale, k)
+        assert res.passing == reference_decompose_passing(res), scale
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="raw triangular words of a scaled shift overflow in "
+                          "kernel._norm; their residual is inf and so is the "
+                          "dependence limit tol*max(1, |v|)")
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("d, scale", OVERFLOWING_SHIFTS)
+def test_tri_sparsify_of_a_scaled_shift_overflows(d, scale, alt):
+    form = bt.tri_sparsify(scale * np.diag(np.ones(d - 1), 1), alt=alt)
+    assert form.passing

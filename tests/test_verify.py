@@ -115,10 +115,10 @@ def test_threshold_is_strict():
         check_pattern(M, staircase_refined(), -1.0)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_threshold_is_rejected(threshold):
     # nothing lies above a NaN or infinite threshold, so the all-ones matrix
-    # would pass every pattern check
+    # would pass every pattern check; every zero lies above 0 and -1
     ones = np.ones((4, 4), dtype=np.complex128)
     with pytest.raises(ValueError, match="finite"):
         check_pattern(ones, hessenberg_pattern(), threshold)
