@@ -113,30 +113,26 @@ def run_program(
 ) -> BuildResult:
     """Execute ``program`` against ``operators``.
 
-    operators is a list of d x d matrices of one shape (one per op_index the
-    program uses); adjoints are derived.  An instruction referencing a basis
-    vector that does not exist yet finds the span built so far closed, and
-    its size goes to ``closures``.  A program not opened by ``seed v`` then
-    offers the next standard seed in that position and retries the
-    instruction in the next.  A cyclic program starts from ``seed_vector`` v
-    (required, nonzero); at its closure, seeds e_1, e_2, ... finish the basis
-    unless ``pad_with_seeds`` is false, in which case the returned basis
-    holds the closure only.
+    operators is a list of d x d matrices of one shape, exactly one per
+    op_index the program uses; adjoints are derived.  An instruction
+    referencing a basis vector that does not exist yet finds the span built
+    so far closed, and its size goes to ``closures``.  A program not opened
+    by ``seed v`` then offers the next standard seed in that position and
+    retries the instruction in the next.  A cyclic program starts from
+    ``seed_vector`` v (required, nonzero); at its closure, seeds e_1, e_2,
+    ... finish the basis unless ``pad_with_seeds`` is false, in which case
+    the returned basis holds the closure only.  Any other program rejects a
+    ``seed_vector``.
     """
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
-    if not ops:
-        raise ValueError("need at least one operator")
+    if len(ops) != program.n_ops:
+        raise ValueError(f"this program applies {program.n_ops} operator(s), "
+                         f"got {len(ops)}")
     dim = ops[0].shape[0]
-    for op in ops:
+    for i, op in enumerate(ops):
         if op.shape != (dim, dim):
-            raise ValueError(f"operator shape {op.shape} does not match {(dim, dim)}")
+            raise ValueError(f"operator {i + 1} shape {op.shape} does not match {(dim, dim)}")
     adjs = [op.conj().T.copy() for op in ops]
-
-    if program.kind == TRIANGULAR:
-        return _run_raw_triangular(ops[0], adjs[0], dim, tol)
-    # the matrix each (op_index, adjoint) of an instruction applies
-    mats = {(i + 1, adjoint): mat
-            for i, pair in enumerate(zip(ops, adjs)) for adjoint, mat in enumerate(pair)}
 
     v = None
     if next(program.instructions()).kind == "seed_vec":
@@ -147,6 +143,13 @@ def run_program(
             raise ValueError(f"seed vector length {v.shape[0]} does not match dim {dim}")
         if np.linalg.norm(v) == 0.0:
             raise ValueError("seed vector must be nonzero")
+    elif seed_vector is not None:
+        raise ValueError("this program does not start from a seed vector; one was given")
+    if program.kind == TRIANGULAR:
+        return _run_raw_triangular(ops[0], adjs[0], dim, tol)
+    # the matrix each (op_index, adjoint) of an instruction applies
+    mats = {(i + 1, adjoint): mat
+            for i, pair in enumerate(zip(ops, adjs)) for adjoint, mat in enumerate(pair)}
     # at most stride words per basis vector, one position per seed (dim seeds
     # and v), and the one position at which a padded stream finds its closure
     cap = ((program.stride or 1) + 1) * dim + 2

@@ -2,8 +2,10 @@
 
 Exit codes: 0 when the produced report passes (or the query succeeds),
 2 when a report fails or a schedule is invalid, 1 on usage and IO errors
-and on a build that cannot finish.  ``verify`` runs a pattern's support and
-block checks as records under the report's rule, and names the first failure.
+and on a build that cannot finish.  Every verdict, from a form, a family,
+a decomposition or ``verify``'s pattern records, is read from the
+library's ``failures`` and printed by :func:`_verdict`, which names the
+first failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -32,12 +35,13 @@ from .schedules import (
     CYCLIC,
     GENERAL,
     InvalidScheduleError,
+    growth_violation,
     parse_spec,
-    validate,
 )
 from .transforms import decompose, family_staircase
 from .verify import (
     DEFAULT_THRESHOLD,
+    Check,
     block_band,
     family_stride,
     hessenberg_pattern,
@@ -186,10 +190,6 @@ def _threshold(args) -> float:
     return value
 
 
-def _load(args) -> np.ndarray:
-    return parse_matrix(args.input, args.format)
-
-
 def _seed_vector(text: str, d: int) -> np.ndarray:
     if text.startswith("random:"):
         try:
@@ -214,28 +214,27 @@ def _format_of(args) -> str:
     return format_for_path(path)
 
 
-def _finish_form(form, args) -> int:
-    if args.svg and not args.output:
-        raise _CliError("--svg needs --output")
-    report = form.report
+def _verdict(args, failures: List[Check], lines: List[str], payload, emit=None) -> int:
+    """Print ``payload()`` under ``--report json``, else ``lines`` and the
+    first of ``failures``; under ``--output`` write ``emit(dir, format)``'s
+    files.  Exit 2 exactly when ``failures`` holds a record."""
     if args.report == "json":
-        print(report.to_json())
+        print(payload())
     else:
-        status = "passing" if report.passing else "FAILING"
-        print(f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
-              f"{len(report.pattern_violations)} violations, {status}")
-    if args.output:
-        paths = emit_form(form, args.output, _format_of(args), svg=args.svg)
-        for path in paths:
+        print(*lines, sep="\n")
+        if failures:
+            print("  first failed check: {} at {}: {:.6e}, limit {:.6e}".format(*failures[0]))
+    if emit is not None and args.output:
+        for path in emit(args.output, _format_of(args)):
             print(f"wrote {path}")
-    return 0 if report.passing else 2
+    return 2 if failures else 0
 
 
 def _cmd_form(args) -> int:
     spec = _FORMS[args.command]
     thr = _threshold(args)
     # an empty matrix fails here, before a schedule or seed is fitted to it
-    T = as_operator(_load(args))
+    T = as_operator(parse_matrix(args.input, args.format))
     extra = []
     if "schedule" in spec.flags:
         extra.append(parse_spec(args.schedule, T.shape[0]))
@@ -244,78 +243,70 @@ def _cmd_form(args) -> int:
     kwargs = {"alt": args.alt} if spec.alt_help else {}
     build = getattr(transforms, spec.function)
     form = build(T, *extra, tol=args.tol_dep, threshold=thr, **kwargs)
-    return _finish_form(form, args)
+    report = form.report
+    failures = report.failures
+    line = (f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
+            f"{len(report.pattern_violations)} violations, "
+            f"{'FAILING' if failures else 'passing'}")
+    return _verdict(args, failures, [line], report.to_json,
+                    partial(emit_form, form, svg=args.svg))
 
 
 def _cmd_family(args) -> int:
-    if args.svg and not args.output:
-        raise _CliError("--svg needs --output")
     thr = _threshold(args)
     ops = [parse_matrix(path, args.format) for path in args.input]
     _, forms = family_staircase(ops, selfadjoint=args.selfadjoint,
                                 tol=args.tol_dep, threshold=thr)
-    passing = all(form.passing for form in forms)
-    if args.report == "json":
-        payload = {
-            "passing": passing,
-            "forms": [json.loads(form.report.to_json()) for form in forms],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, form in enumerate(forms, start=1):
-            status = "passing" if form.passing else "FAILING"
-            print(f"family[{k}]: dim {form.dim}, stride {form.extras['stride']}, "
-                  f"{len(form.report.pattern_violations)} violations, {status}")
-    if args.output:
-        for k, form in enumerate(forms, start=1):
-            paths = emit_form(form, args.output, _format_of(args),
-                              prefix=f"family_{k}", svg=args.svg)
-            for path in paths:
-                print(f"wrote {path}")
-    return 0 if passing else 2
+    each = [form.report.failures for form in forms]
+    failures = [c for fails in each for c in fails]
+    lines = [f"family[{k}]: dim {form.dim}, stride {form.extras['stride']}, "
+             f"{len(form.report.pattern_violations)} violations, "
+             f"{'FAILING' if fails else 'passing'}"
+             for k, (form, fails) in enumerate(zip(forms, each), start=1)]
+
+    def emit(out_dir, fmt):
+        return [path for k, form in enumerate(forms, start=1)
+                for path in emit_form(form, out_dir, fmt, prefix=f"family_{k}",
+                                      svg=args.svg)]
+
+    return _verdict(args, failures, lines, lambda: json.dumps({
+        "passing": not failures,
+        "forms": [json.loads(form.report.to_json()) for form in forms],
+    }, sort_keys=True), emit)
 
 
 def _cmd_decompose(args) -> int:
     thr = _threshold(args)
-    T = _load(args)
-    res = decompose(T, tol=args.tol_dep, threshold=thr)
-    if args.report == "json":
-        payload = {
-            "passing": res.passing,
-            "dims": res.dims,
-            "coupling_residual": res.coupling_residual,
-            "summands": [json.loads(s.report.to_json()) for s in res.summands],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        status = "passing" if res.passing else "FAILING"
-        print(f"decompose: dims {res.dims}, coupling {res.coupling_residual:.3e}, "
-              f"{status}")
-    if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        fmt = _format_of(args)
+    res = decompose(parse_matrix(args.input, args.format), tol=args.tol_dep,
+                    threshold=thr)
+    failures = res.failures
+    line = (f"decompose: dims {res.dims}, coupling {res.coupling_residual:.3e}, "
+            f"{'FAILING' if failures else 'passing'}")
+
+    def emit(out_dir, fmt):
+        os.makedirs(out_dir, exist_ok=True)
         ext = FORMAT_EXTENSIONS[fmt]
-        for name, mat in (("M", res.matrix), ("U", res.basis_change)):
-            path = os.path.join(args.output, f"decompose_{name}{ext}")
-            emit_matrix(mat, path, fmt)
-            print(f"wrote {path}")
-    return 0 if res.passing else 2
+        return [emit_matrix(mat, os.path.join(out_dir, f"decompose_{name}{ext}"), fmt)
+                for name, mat in (("M", res.matrix), ("U", res.basis_change))]
+
+    return _verdict(args, failures, [line], lambda: json.dumps({
+        "passing": not failures,
+        "dims": res.dims,
+        "coupling_residual": res.coupling_residual,
+        "summands": [json.loads(s.report.to_json()) for s in res.summands],
+    }, sort_keys=True), emit)
 
 
 def _cmd_schedule(args) -> int:
     if args.schedule is None:
         raise _CliError("schedule requires --schedule")
     sched = parse_spec(args.schedule, args.dim, args.kind)
-    bad = validate(sched.sizes, sched.kind)
+    bad = growth_violation(sched.sizes, sched.kind)
     if bad is None:
         print(f"valid {sched.kind} schedule: {sched.describe()} "
               f"(span {sched.span})")
         return 0
-    factor = 2 if sched.kind == GENERAL else 1
-    bound = factor * sum(sched.sizes[:bad])
-    rule = "2*(n_1+...+n_k)" if sched.kind == GENERAL else "n_1+...+n_k"
-    print(f"invalid {sched.kind} schedule {sched.describe()}: "
-          f"violation at k={bad}: n_{bad + 1} = {sched.sizes[bad]} < {rule} = {bound}")
+    print(f"invalid {sched.kind} schedule {sched.describe()}: {bad}")
     return 2
 
 
@@ -348,35 +339,30 @@ def _pattern_for(name: str, d: int, args):
 
 def _cmd_verify(args) -> int:
     thr = _threshold(args)
-    M = _load(args)
+    M = parse_matrix(args.input, args.format)
     spec = _pattern_for(args.pattern, M.shape[0], args)
     fields = pattern_fields(M, spec, thr)
     hits = fields["pattern_violations"]
-    failed = [c for c in pattern_checks(fields) if c.failed]
-    if args.report == "json":
-        payload = {
-            "passing": not failed,
-            "pattern": spec.kind,
-            "threshold": thr,
-            "violations": [list(v) for v in hits],
-            "failures": failed,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif not failed:
-        print(f"{spec.kind}: clean at threshold {thr:g}")
+    failures = [c for c in pattern_checks(fields) if c.failed]
+    if not failures:
+        lines = [f"{spec.kind}: clean at threshold {thr:g}"]
     else:
-        print(f"{spec.kind}: {len(hits)} violations at threshold {thr:g}")
-        for i, j, mag in hits[:10]:
-            print(f"  ({i},{j}) |entry| = {mag:.6e}")
+        lines = [f"{spec.kind}: {len(hits)} violations at threshold {thr:g}",
+                 *(f"  ({i},{j}) |entry| = {mag:.6e}" for i, j, mag in hits[:10])]
         if len(hits) > 10:
-            print(f"  ... and {len(hits) - 10} more")
-        print("  first failed check: {} at {}: {:.6e}, limit {:.6e}".format(*failed[0]))
-    return 2 if failed else 0
+            lines.append(f"  ... and {len(hits) - 10} more")
+    return _verdict(args, failures, lines, lambda: json.dumps({
+        "passing": not failures,
+        "pattern": spec.kind,
+        "threshold": thr,
+        "violations": [list(v) for v in hits],
+        "failures": failures,
+    }, sort_keys=True))
 
 
 def _cmd_render(args) -> int:
     thr = _threshold(args)
-    M = _load(args)
+    M = parse_matrix(args.input, args.format)
     sched = None
     if args.schedule:
         sched = parse_spec(args.schedule, M.shape[0])
@@ -410,6 +396,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        if getattr(args, "svg", False) and not args.output:
+            raise _CliError("--svg needs --output")
         return _COMMANDS[args.command](args)
     except InvalidScheduleError as exc:
         print(f"invalid schedule: {exc}", file=sys.stderr)

@@ -27,11 +27,13 @@ import numpy as np
 GENERAL = "general"
 CYCLIC = "cyclic"
 
-_KINDS = (GENERAL, CYCLIC)
+#: n_{k+1} >= _GROWTH[kind] * (n_1 + ... + n_k)
+_GROWTH = {GENERAL: 2, CYCLIC: 1}
 
 
 class InvalidScheduleError(ValueError):
-    """A schedule fails the growth rule required by the requested transform."""
+    """A schedule fails the growth rule required by the requested transform,
+    or does not span the matrix it is fitted to."""
 
 
 def _check_sizes(sizes: Sequence[int]) -> Tuple[int, ...]:
@@ -46,15 +48,27 @@ def _check_sizes(sizes: Sequence[int]) -> Tuple[int, ...]:
 def validate(sizes: Sequence[int], kind: str) -> Optional[int]:
     """First k (1-based) where n_{k+1} breaks the growth rule, or None if valid."""
     sizes = _check_sizes(sizes)
-    if kind not in _KINDS:
+    if kind not in _GROWTH:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    factor = 2 if kind == GENERAL else 1
+    factor = _GROWTH[kind]
     total = sizes[0]
     for k in range(1, len(sizes)):
         if sizes[k] < factor * total:
             return k
         total += sizes[k]
     return None
+
+
+def growth_violation(sizes: Sequence[int], kind: str) -> Optional[str]:
+    """The first inequality ``sizes`` break under ``kind``'s growth rule, as
+    text ("violation at k=2: n_3 = 5 < 2*(n_1+...+n_k) = 6"), or None."""
+    bad = validate(sizes, kind)
+    if bad is None:
+        return None
+    factor = _GROWTH[kind]
+    rule = "n_1+...+n_k" if factor == 1 else f"{factor}*(n_1+...+n_k)"
+    return (f"violation at k={bad}: n_{bad + 1} = {sizes[bad]} < {rule} = "
+            f"{factor * sum(sizes[:bad])}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +87,7 @@ class BlockSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", _check_sizes(self.sizes))
-        if self.kind not in _KINDS:
+        if self.kind not in _GROWTH:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.dim is not None and self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
@@ -141,11 +155,9 @@ def schedule_for_dim(dim: int, kind: str = GENERAL, n1: int = 1) -> BlockSchedul
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    factor = 3 if kind == GENERAL else 2
-    if kind not in _KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    boundaries: List[int] = []
     full = canonical_schedule(40, n1, kind)
+    factor = _GROWTH[kind] + 1
+    boundaries: List[int] = []
     for s in full.partial_sums:
         if factor * s <= dim:
             boundaries.append(s)
@@ -209,10 +221,11 @@ class BlockIndex:
 
 
 def covering_index(schedule: BlockSchedule, dim: int) -> BlockIndex:
-    """``BlockIndex(schedule, dim)``, after checking that the blocks reach ``dim``."""
+    """``BlockIndex(schedule, dim)``, after checking that the blocks reach
+    ``dim``; the one place a schedule is checked to span a matrix."""
     idx = BlockIndex(schedule, dim)
     if idx.span < dim:
-        raise ValueError(
+        raise InvalidScheduleError(
             f"schedule spans {schedule.span}, too short for dimension {dim}"
         )
     return idx

@@ -28,8 +28,9 @@ from .schedules import (
     InvalidScheduleError,
     block_slices,
     canonical_covering,
+    covering_index,
+    growth_violation,
     schedule_for_dim,
-    validate,
 )
 from .verify import (
     COUPLING_LIMIT,
@@ -124,16 +125,10 @@ def _require_general_cover(schedule: Optional[BlockSchedule], d: int) -> BlockSc
     satisfy the doubling growth rule and to span d."""
     if schedule is None:
         schedule = schedule_for_dim(d, GENERAL)
-    bad = validate(schedule.sizes, GENERAL)
+    bad = growth_violation(schedule.sizes, GENERAL)
     if bad is not None:
-        raise InvalidScheduleError(
-            f"block growth rule fails at k={bad}: "
-            f"size {schedule.sizes[bad]} < 2*(n_1+...+n_{bad})"
-        )
-    if schedule.span < d:
-        raise InvalidScheduleError(
-            f"schedule spans {schedule.span} < matrix dimension {d}"
-        )
+        raise InvalidScheduleError(bad)
+    covering_index(schedule, d)
     return BlockSchedule(schedule.sizes, GENERAL, d)
 
 
@@ -224,12 +219,9 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
     """Positive-block form of a matrix already in block tridiagonal shape."""
     Mb = as_operator(Mb)
     d = Mb.shape[0]
-    if schedule.span < d:
-        raise InvalidScheduleError(
-            f"schedule spans {schedule.span} < matrix dimension {d}"
-        )
+    spec = block_band(schedule, d)
     slices = _require_nondecreasing(schedule, d)
-    band = check_pattern(Mb, block_band(schedule, d), threshold)
+    band = check_pattern(Mb, spec, threshold)
     if band:
         i, j, mag = band[0]
         raise ValueError(
@@ -341,12 +333,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
     span residuals.
     """
     ops = [as_operator(S, f"operator {k + 1}") for k, S in enumerate(operators)]
-    if not ops:
-        raise ValueError("family must contain at least one operator")
-    d = ops[0].shape[0]
-    for k, S in enumerate(ops):
-        if S.shape != (d, d):
-            raise ValueError(f"operator {k + 1} has shape {S.shape}, expected {(d, d)}")
+    program = family_program(len(ops), selfadjoint)
     if selfadjoint:
         for k, S in enumerate(ops):
             drift = max_abs(S - S.conj().T)
@@ -354,11 +341,10 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
                 raise ValueError(
                     f"operator {k + 1} is not selfadjoint (|S - S*| = {drift:.3e})"
                 )
-    N = len(ops)
-    program = family_program(N, selfadjoint)
     stride = program.stride
     res = run_program(ops, program, tol=tol)
     U = res.basis
+    d = U.shape[0]
     bounds = [(n, min(1 + (n - 1) * stride, d)) for n in range(1, d + 1)]
     unitarity, spans = basis_checks(U, bounds)
     forms = []
@@ -372,7 +358,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
             pattern=family_stride(stride),
             span_bounds=bounds,
             log=res.log,
-            extras={"family_index": k + 1, "family_size": N, "stride": stride},
+            extras={"family_index": k + 1, "family_size": len(ops), "stride": stride},
         )
         form.report = matrix_report(form, threshold, unitarity, list(spans))
         forms.append(form)
@@ -389,7 +375,8 @@ def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:
 
 @dataclass
 class DecompositionResult:
-    """Direct-sum split into jointly-cyclic summands."""
+    """Direct-sum split into jointly-cyclic summands.  ``failures`` holds the
+    coupling record if it fails, then each summand's failed records."""
 
     input: np.ndarray
     basis_change: np.ndarray
@@ -399,9 +386,14 @@ class DecompositionResult:
     coupling_residual: float
 
     @property
-    def passing(self) -> bool:
+    def failures(self) -> List[Check]:
         coupling = Check("coupling_residual", None, self.coupling_residual, COUPLING_LIMIT)
-        return not coupling.failed and all(s.passing for s in self.summands)
+        return [c for c in (coupling,) if c.failed] + [
+            c for s in self.summands for c in s.report.failures]
+
+    @property
+    def passing(self) -> bool:
+        return not self.failures
 
 
 def decompose(T, tol: float = DEPENDENCE_TOL,

@@ -81,12 +81,14 @@ class WordProgram:
     """A deterministic instruction stream.
 
     ``stream`` returns a fresh iterator over the instructions; ``stride`` is
-    the number of positions per stage where the program has one.
+    the number of positions per stage where the program has one; ``n_ops``,
+    the number of operators it applies, is set only by the functions below.
     """
 
     kind: str
     stream: Callable[[], Iterator[WordInstruction]]
     stride: Optional[int] = None
+    n_ops: int = field(default=1, init=False)
 
     def instructions(self) -> Iterator[WordInstruction]:
         return self.stream()
@@ -148,11 +150,10 @@ def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
     (S_k f_n, S_k* f_n) in the general flavor.  Stride N+1 or 2N+1."""
     if n_ops < 1:
         raise ValueError("family needs at least one operator")
-    if selfadjoint:
-        return WordProgram(FAMILY_SA, partial(_family_stream, n_ops, False),
-                           stride=n_ops + 1)
-    return WordProgram(FAMILY_GEN, partial(_family_stream, n_ops, True),
-                       stride=2 * n_ops + 1)
+    kind, stride = (FAMILY_SA, n_ops + 1) if selfadjoint else (FAMILY_GEN, 2 * n_ops + 1)
+    program = WordProgram(kind, partial(_family_stream, n_ops, not selfadjoint), stride=stride)
+    object.__setattr__(program, "n_ops", n_ops)
+    return program
 
 
 def tri_word_program() -> WordProgram:

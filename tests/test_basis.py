@@ -266,6 +266,25 @@ def test_operator_validation():
         run_program([np.eye(3), np.eye(4)], family_program(2, selfadjoint=False))
 
 
+@pytest.mark.parametrize("n_ops, program, seed_vector, message", [
+    # each of these once built a basis from part of its input, or died
+    # with a KeyError, instead of naming the mismatch
+    (2, staircase_program(), None, "applies 1 operator"),
+    (2, tri_word_program(), None, "applies 1 operator"),
+    (1, family_program(2, selfadjoint=False), None, "applies 2 operator"),
+    (3, family_program(2, selfadjoint=True), None, "applies 2 operator"),
+    (1, staircase_program(), np.zeros(4), "does not start from a seed vector"),
+    (1, direct_sum_program(), np.ones(4), "does not start from a seed vector"),
+    (1, tri_word_program(), np.ones(4), "does not start from a seed vector"),
+], ids=["staircase-2-ops", "triangular-2-ops", "family2-1-op", "family2-3-ops",
+        "staircase-zero-seed", "direct-sum-seed", "triangular-seed"])
+def test_run_program_rejects_inputs_it_would_ignore(n_ops, program, seed_vector, message):
+    rng = np.random.default_rng(61)
+    ops = [random_matrix(rng, 4) for _ in range(n_ops)]
+    with pytest.raises(ValueError, match=message):
+        run_program(ops, program, seed_vector=seed_vector)
+
+
 def test_instruction_cap_stops_a_stream_that_never_seeds_again():
     # e_1, then T e_1 over and over: on the identity every offer after the
     # first is rejected, nothing ever closes, and the bound of

@@ -72,6 +72,10 @@ def test_output_directory_files(tmp_path, capsys):
 def test_svg_without_output_is_usage_error(tmp_path, capsys):
     path = _random_file(tmp_path, 3, 53)
     assert main(["staircase", "--input", path, "--svg"]) == 1
+    # rejected before any input is read or built
+    for command in ("staircase", "family"):
+        assert main([command, "--input", str(tmp_path / "missing.json"), "--svg"]) == 1
+        assert capsys.readouterr().err.endswith("error: --svg needs --output\n")
 
 
 def test_tridiag_and_polar_schedules(tmp_path, capsys):
@@ -192,7 +196,7 @@ def test_render_subcommand(tmp_path, capsys):
 def test_render_rejects_schedule_shorter_than_matrix(tmp_path, capsys):
     path = _write(tmp_path, "E.mtx", np.eye(3))
     for command in (["render"], ["verify", "--pattern", "band"]):
-        assert main(command + ["--input", path, "--schedule", "custom:1"]) == 1
+        assert main(command + ["--input", path, "--schedule", "custom:1"]) == 2
         err = capsys.readouterr().err
         assert "schedule spans 1, too short for dimension 3" in err
     assert main(["render", "--input", path, "--schedule", "custom:1,2"]) == 0
@@ -299,6 +303,70 @@ def _cli_parity_cases(d):
         (["jointcyclic", "--seed-vector", "random:7"],
          lambda T: transforms.joint_cyclic_staircase(T, v7)),
     ]
+
+
+#: command -> the library call it makes, at a given threshold
+VERDICT_COMMANDS = {
+    "staircase": lambda T, thr: transforms.staircase(T, threshold=thr),
+    "tridiag": lambda T, thr: transforms.block_tridiagonalize(T, threshold=thr),
+    "polar": lambda T, thr: transforms.polar_sparsify(T, threshold=thr),
+    "trisparse": lambda T, thr: transforms.tri_sparsify(T, threshold=thr),
+    "hessenberg": lambda T, thr: transforms.krylov_hessenberg(
+        T, unit_vector(T.shape[0], 0), threshold=thr),
+    "jointcyclic": lambda T, thr: transforms.joint_cyclic_staircase(
+        T, unit_vector(T.shape[0], 0), threshold=thr),
+    "family": lambda T, thr: transforms.family_staircase([T], threshold=thr)[1],
+    "decompose": lambda T, thr: transforms.decompose(T, threshold=thr),
+}
+
+
+def _failures_and_payload(command, result):
+    """``result``'s failed records in order, and its ``--report json`` text."""
+    if command == "family":
+        return [c for form in result for c in form.report.failures], json.dumps({
+            "passing": all(form.passing for form in result),
+            "forms": [json.loads(form.report.to_json()) for form in result],
+        }, sort_keys=True)
+    if command == "decompose":
+        return result.failures, json.dumps({
+            "passing": result.passing,
+            "dims": result.dims,
+            "coupling_residual": result.coupling_residual,
+            "summands": [json.loads(s.report.to_json()) for s in result.summands],
+        }, sort_keys=True)
+    return result.report.failures, result.report.to_json()
+
+
+@pytest.mark.parametrize("command", list(VERDICT_COMMANDS))
+def test_every_verdict_command_names_its_first_failure(tmp_path, capsys, monkeypatch,
+                                                       command):
+    # a Gaussian passes at the default threshold and fails at 1e-300 on its
+    # roundoff entries, in every form
+    monkeypatch.delenv("BLOCKTRID_THRESHOLD", raising=False)
+    path = _random_file(tmp_path, 16, 65)
+    T = parse_matrix(path)
+    assert main([command, "--input", path]) == 0
+    assert "first failed check" not in capsys.readouterr().out
+    argv = [command, "--input", path, "--threshold", "1e-300"]
+    failures, payload = _failures_and_payload(command, VERDICT_COMMANDS[command](T, 1e-300))
+    assert failures
+    assert main(argv) == 2
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "  first failed check: {} at {}: {:.6e}, limit {:.6e}".format(*failures[0])
+    assert main(argv + ["--report", "json"]) == 2
+    assert capsys.readouterr().out == payload + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tridiag"], ["polar"], ["verify", "--pattern", "band"], ["verify", "--pattern", "polar"],
+    ["verify", "--pattern", "tri"], ["render"],
+], ids=" ".join)
+def test_a_schedule_too_short_for_the_matrix_exits_2(tmp_path, capsys, argv):
+    path = _random_file(tmp_path, 9, 66)
+    assert main(argv + ["--input", path, "--schedule", "custom:1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "schedule spans 3, too short for dimension 9" in captured.err
 
 
 def test_form_commands_match_library_reports(tmp_path, capsys, monkeypatch):

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
+import blocktrid.transforms as transforms
+from blocktrid.render import render_svg
 from blocktrid.schedules import (
     CYCLIC,
     GENERAL,
     BlockSchedule,
+    InvalidScheduleError,
     block_of,
     block_slices,
     canonical_covering,
     canonical_schedule,
     covers,
+    growth_violation,
     parse_spec,
     schedule_for_dim,
     staircase_coverage_check,
     validate,
 )
-from blocktrid.verify import block_band
+from blocktrid.verify import block_band, polar_blocks, tri_blocks
 
 
 def staircase_support(i, j):
@@ -233,3 +237,29 @@ def test_describe_round_trip():
     sched = canonical_schedule(4, 1, GENERAL)
     again = parse_spec("custom:" + sched.describe(), sched.span, GENERAL)
     assert again.sizes == sched.sizes
+
+
+@pytest.mark.parametrize("consume", [
+    lambda T, s: transforms.block_tridiagonalize(T, s),
+    lambda T, s: transforms.polar_sparsify(T, s),
+    lambda T, s: transforms.polar_sparsify_tridiagonal(T, s),
+    lambda T, s: block_band(s, 9),
+    lambda T, s: polar_blocks(s, 9),
+    lambda T, s: tri_blocks(s, 9),
+    lambda T, s: render_svg(T, s),
+], ids=["block_tridiagonalize", "polar_sparsify", "polar_sparsify_tridiagonal",
+        "block_band", "polar_blocks", "tri_blocks", "render_svg"])
+def test_a_schedule_shorter_than_the_matrix_is_invalid_everywhere(consume):
+    # 1,2 satisfies both growth rules, so only its span of 3 < 9 is at fault
+    short = BlockSchedule((1, 2))
+    with pytest.raises(InvalidScheduleError,
+                       match="^schedule spans 3, too short for dimension 9$"):
+        consume(np.eye(9, dtype=complex), short)
+
+
+def test_growth_violation_names_the_first_broken_inequality():
+    assert growth_violation([1, 2, 6], GENERAL) is None
+    assert growth_violation([1, 2, 5], GENERAL) == \
+        "violation at k=2: n_3 = 5 < 2*(n_1+...+n_k) = 6"
+    assert growth_violation([1, 1, 2, 3], CYCLIC) == \
+        "violation at k=3: n_4 = 3 < n_1+...+n_k = 4"
