@@ -17,7 +17,14 @@ The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
 rejections in bulk, so degenerate inputs (zero, identity) finish in
 polynomially many offers even though their seeds sit at exponentially distant
-stream positions.
+stream positions.  Each step forms at most one candidate at position n: the
+seed, or T or T* applied to the survivor its token resolves to, unless that
+survivor does not exist yet or was offered to the same operator already.
+Anything but an acceptance rejects positions n..last by one skip rule,
+``last = min(n + (q - token), run_end)`` with q the first accepted position
+at or after the token, or ``run_end`` when there is none: up to q every
+token of the run resolves to the same survivor, and a seed's run is its own
+position.
 """
 
 from __future__ import annotations
@@ -119,10 +126,10 @@ def run_program(
     so far closed, and its size goes to ``closures``.  A program not opened
     by ``seed v`` then offers the next standard seed in that position and
     retries the instruction in the next.  A cyclic program starts from
-    ``seed_vector`` v (required, nonzero); at its closure, seeds e_1, e_2,
-    ... finish the basis unless ``pad_with_seeds`` is false, in which case
-    the returned basis holds the closure only.  Any other program rejects a
-    ``seed_vector``.
+    ``seed_vector`` v (required, finite and nonzero); at its closure, seeds
+    e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is false, in
+    which case the returned basis holds the closure only.  Any other program
+    rejects a ``seed_vector``.
     """
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
     if len(ops) != program.n_ops:
@@ -141,6 +148,8 @@ def run_program(
         v = np.asarray(seed_vector, dtype=np.complex128).reshape(-1)
         if v.shape != (dim,):
             raise ValueError(f"seed vector length {v.shape[0]} does not match dim {dim}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("seed vector contains non-finite entries")
         if np.linalg.norm(v) == 0.0:
             raise ValueError("seed vector must be nonzero")
     elif seed_vector is not None:
@@ -236,7 +245,7 @@ def run_program(
 
 
 def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
-    """Triangular-stream executor with the deletion rule and run skipping."""
+    """Triangular-stream executor: one offer, or none, decides each step."""
     B = np.zeros((dim, dim), dtype=np.complex128)
     k = 0
     raw: List[np.ndarray] = []
@@ -251,63 +260,33 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
                 f"stage {word.stage} exceeds dimension {dim}; seeds should have "
                 "completed the basis"
             )
-        instr = word.instruction
-        if instr.kind == "seed":
+        instr, token = word.instruction, word.token
+        # the one candidate, if any; a repeated (adjoint, survivor) has none
+        candidate = None
+        if token is None:
             candidate = unit_vector(dim, instr.seed_index - 1)
-            out = mgs_append(B[:k], candidate, tol)
-            if out.accepted:
-                raw.append(candidate)
-                B[k] = out.vector
-                k += 1
-                survivors.mark_accepted(n)
-                log.add(n, instr.trace(), True, out.residual_norm, k)
-            else:
-                survivors.mark_rejected(n)
-                log.add(n, instr.trace(), False, out.residual_norm, None)
+        else:
+            sigma = survivors.resolve(token)
+            key = (instr.adjoint, sigma)
+            if sigma <= survivors.survivors and key not in offered:
+                offered.add(key)
+                candidate = (Tadj if instr.adjoint else T) @ raw[sigma - 1]
+        out = None if candidate is None else mgs_append(B[:k], candidate, tol)
+        if out is not None and out.accepted:
+            raw.append(candidate)
+            B[k] = out.vector
+            k += 1
+            survivors.mark_accepted(n)
+            log.add(n, instr.trace(), True, out.residual_norm, k)
             n += 1
             continue
-
-        token = word.token
-        sigma = survivors.resolve(token)
-        if sigma > survivors.survivors:
-            # reference to a vector that does not exist yet: a zero offer,
-            # and every later token in this run resolves the same way
-            survivors.mark_rejected_range(n, word.run_end)
-            log.add(n, instr.trace(), False, None, None, position_end=word.run_end)
-            n = word.run_end + 1
-            continue
-
-        key = (instr.adjoint, sigma)
-        if key in offered:
-            residual = None
-            accepted = False
-        else:
-            offered.add(key)
-            mat = Tadj if instr.adjoint else T
-            candidate = mat @ raw[sigma - 1]
-            out = mgs_append(B[:k], candidate, tol)
-            residual = out.residual_norm
-            accepted = out.accepted
-            if accepted:
-                raw.append(candidate)
-                B[k] = out.vector
-                k += 1
-                survivors.mark_accepted(n)
-                log.add(n, instr.trace(), True, residual, k)
-                n += 1
-                continue
-
-        # rejected (computed or a repeat offer): skip the rest of the run
-        # while the token keeps resolving to the same survivor
-        q = survivors.next_accepted_at_or_after(token)
-        if q is None:
-            skip_to = word.run_end
-        else:
-            skip_to = min(n + (q - token), word.run_end)
-        survivors.mark_rejected_range(n, skip_to)
-        log.add(n, instr.trace(), False, residual, None, position_end=skip_to)
-        n = skip_to + 1
-
+        # the skip rule: positions n..last are rejected
+        q = None if token is None else survivors.next_accepted_at_or_after(token)
+        last = word.run_end if q is None else min(n + (q - token), word.run_end)
+        survivors.mark_rejected_range(n, last)
+        residual = None if out is None else out.residual_norm
+        log.add(n, instr.trace(), False, residual, None, position_end=last)
+        n = last + 1
     return BuildResult(B.T, log, raw_vectors=raw)
 
 

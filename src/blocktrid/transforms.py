@@ -148,18 +148,6 @@ def block_tridiagonalize(T, schedule: Optional[BlockSchedule] = None,
                            pattern=block_band(schedule, d), schedule=schedule)
 
 
-def _require_nondecreasing(schedule: BlockSchedule, d: int) -> List[Tuple[int, int]]:
-    slices = block_slices(schedule, d)
-    sizes = [b - a for a, b in slices]
-    for a, b in zip(sizes, sizes[1:]):
-        if b < a:
-            raise InvalidScheduleError(
-                f"block sizes must be non-decreasing inside the matrix, "
-                f"got {sizes}"
-            )
-    return slices
-
-
 def _polar_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
     """Block diagonal unitary turning each right-of-diagonal block into (P | 0).
 
@@ -198,9 +186,9 @@ def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = Fals
     T = as_operator(T)
     d = T.shape[0]
     schedule = _require_general_cover(schedule, d)
-    slices = _require_nondecreasing(schedule, d)
+    pattern = polar_blocks(schedule, d, alt)
     res, Mb = _build(T, staircase_program(), tol, alt)
-    V = _polar_conjugator(Mb, slices)
+    V = _polar_conjugator(Mb, block_slices(schedule, d))
     M = V.conj().T @ Mb @ V
     return _finish(
         threshold,
@@ -208,7 +196,7 @@ def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = Fals
         basis_change=res.basis @ V,
         matrix=M.conj().T if alt else M,
         form_kind="polar_alt" if alt else "polar",
-        pattern=polar_blocks(schedule, d, alt),
+        pattern=pattern,
         schedule=schedule,
         log=res.log,
     )
@@ -220,7 +208,7 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
     Mb = as_operator(Mb)
     d = Mb.shape[0]
     spec = block_band(schedule, d)
-    slices = _require_nondecreasing(schedule, d)
+    pattern = polar_blocks(schedule, d)
     band = check_pattern(Mb, spec, threshold)
     if band:
         i, j, mag = band[0]
@@ -228,14 +216,14 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
             f"input is not block tridiagonal for this schedule: "
             f"|M({i},{j})| = {mag:.3e}"
         )
-    V = _polar_conjugator(Mb, slices)
+    V = _polar_conjugator(Mb, block_slices(schedule, d))
     return _finish(
         threshold,
         input=Mb,
         basis_change=V,
         matrix=V.conj().T @ Mb @ V,
         form_kind="polar",
-        pattern=polar_blocks(schedule, d, False),
+        pattern=pattern,
         schedule=schedule,
     )
 

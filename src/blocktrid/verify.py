@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import hermitian_eigvals, max_abs
-from .schedules import BlockIndex, BlockSchedule, covering_index
+from .schedules import BlockIndex, BlockSchedule, InvalidScheduleError, covering_index
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
@@ -142,9 +142,13 @@ def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> Patter
 
     Primary: each block right of the diagonal is (P | 0), only its leading
     n_k columns may be nonzero.  Alt: the primary pattern transposed, so each
-    block below the diagonal is (P | 0) transposed.
+    block below the diagonal is (P | 0) transposed.  Block sizes must not
+    shrink inside the matrix, or a cut block has no leading square.
     """
     idx = covering_index(schedule, dim)
+    if np.any(np.diff(idx.sizes) < 0):
+        raise InvalidScheduleError(f"block sizes must be non-decreasing inside the "
+                                   f"matrix, got {idx.sizes.tolist()}")
 
     def allowed(i, j):
         bi, _ = idx.locate(i)

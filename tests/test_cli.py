@@ -369,6 +369,20 @@ def test_a_schedule_too_short_for_the_matrix_exits_2(tmp_path, capsys, argv):
     assert "schedule spans 3, too short for dimension 9" in captured.err
 
 
+@pytest.mark.parametrize("pattern", ["polar", "polar-alt"])
+@pytest.mark.parametrize("d, schedule", [(12, "custom:1,2,6,18"), (5, "custom:3,2,1,6"),
+                                         (9, "custom:3,2,1,6"), (12, "custom:3,2,1,6")])
+def test_verify_polar_on_shrinking_blocks_exits_2(tmp_path, capsys, pattern, d, schedule):
+    # a cut block right of a larger one has no leading square; this once
+    # died in numpy broadcasting and exited 1
+    path = _random_file(tmp_path, d, 67)
+    assert main(["verify", "--input", path, "--pattern", pattern,
+                 "--schedule", schedule]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid schedule: block sizes must be non-decreasing")
+
+
 def test_form_commands_match_library_reports(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BLOCKTRID_THRESHOLD", raising=False)
     path = _random_file(tmp_path, 10, 61)

@@ -29,7 +29,7 @@ from blocktrid import (
 import blocktrid.basis as basis
 import blocktrid.kernel as kernel
 from blocktrid.transforms import SparsifiedForm
-from blocktrid.verify import SPAN_LIMIT, family_stride, full_report
+from blocktrid.verify import SPAN_LIMIT, family_stride, full_report, polar_blocks
 from blocktrid.words import staircase_program
 
 S2 = math.sqrt(2.0)
@@ -179,8 +179,14 @@ def test_polar_zero_and_rank_one_blocks(zero_block):
 
 @pytest.mark.parametrize("build", [krylov_hessenberg, joint_cyclic_staircase,
                                    reducing_closure])
-@pytest.mark.parametrize("seed, message", [(np.zeros(5), "nonzero"),
-                                           (np.ones(4), "does not match")])
+@pytest.mark.parametrize("seed, message", [
+    (np.zeros(5), "nonzero"),
+    (np.ones(4), "does not match"),
+    # a NaN seed once gave a NaN basis, an infinite one a vacuous closure
+    (np.array([np.nan, 0, 0, 0, 0]), "non-finite"),
+    (np.array([np.inf, 0, 0, 0, 0]), "non-finite"),
+    (np.array([1, 0, 0, 0, -np.inf]), "non-finite"),
+], ids=["zero", "short", "nan", "inf", "minus-inf"])
 def test_seed_vector_is_validated(build, seed, message):
     T = _rand(np.random.default_rng(21), 5)
     with pytest.raises(ValueError, match=message):
@@ -236,6 +242,21 @@ def test_polar_rejects_shrinking_blocks():
     T = _rand(rng, 10)
     with pytest.raises(InvalidScheduleError, match="non-decreasing"):
         polar_sparsify(T, canonical_schedule(4, 1, GENERAL))
+
+
+@pytest.mark.parametrize("sizes, d, message", [
+    ((3, 2, 1, 6), 9, r"non-decreasing inside the matrix, got \[3, 2, 1, 3\]"),
+    ((3, 2, 1, 6), 12, r"non-decreasing inside the matrix, got \[3, 2, 1, 6\]"),
+    # the span is checked before the sizes
+    ((3, 2, 1), 9, "schedule spans 6, too short for dimension 9"),
+], ids=["clipped", "spanning", "short"])
+def test_polar_direct_entry_rejects_shrinking_blocks(sizes, d, message):
+    schedule = BlockSchedule(sizes, GENERAL)
+    with pytest.raises(InvalidScheduleError, match=message):
+        polar_sparsify_tridiagonal(np.zeros((d, d)), schedule)
+    for alt in (False, True):
+        with pytest.raises(InvalidScheduleError, match=message):
+            polar_blocks(schedule, d, alt)
 
 
 def test_tri_zero_matrix():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from blocktrid import (
     BlockSchedule,
     GENERAL,
+    InvalidScheduleError,
     block_band,
     block_slices,
     canonical_covering,
@@ -332,9 +333,21 @@ def _every_pattern(d):
              joint_cyclic_pattern(), joint_cyclic_pattern(max(1, d // 3))]
     # canonical schedule clipped to d, and the shortest canonical covering
     for sched in (schedule_for_dim(d, GENERAL), canonical_covering(d, GENERAL, 1)):
-        specs += [block_band(sched, d), polar_blocks(sched, d), polar_blocks(sched, d, alt=True),
-                  tri_blocks(sched, d), tri_blocks(sched, d, alt=True)]
+        specs += [block_band(sched, d), tri_blocks(sched, d), tri_blocks(sched, d, alt=True)]
+        for alt in (False, True):
+            if _shrinks(sched, d):
+                # canonical_covering(130) clips to 1, 2, 6, 18, 54, 49
+                with pytest.raises(InvalidScheduleError, match="non-decreasing"):
+                    polar_blocks(sched, d, alt)
+            else:
+                specs.append(polar_blocks(sched, d, alt))
     return specs
+
+
+def _shrinks(schedule, dim):
+    """True when a block inside the matrix is smaller than the one before it."""
+    sizes = [stop - start for start, stop in block_slices(schedule, dim)]
+    return any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 64, 130])
@@ -427,9 +440,15 @@ def test_block_patterns_match_per_entry_reference():
     cases = _random_schedules(rng, 120)
     assert any(not s.is_valid for s, _ in cases) and any(s.is_valid for s, _ in cases)
     assert any(d < s.span for s, d in cases)
+    assert any(_shrinks(s, d) for s, d in cases) and not all(_shrinks(s, d) for s, d in cases)
     for sched, dim in cases:
         i, j = np.ogrid[1:dim + 1, 1:dim + 1]
         for name, build in builders.items():
+            if name.startswith("polar") and _shrinks(sched, dim):
+                # a cut block right of a larger one has no leading square
+                with pytest.raises(InvalidScheduleError, match="non-decreasing"):
+                    build(sched, dim)
+                continue
             spec = build(sched, dim)
             mask = np.broadcast_to(spec.allowed(i, j), (dim, dim))
             expected = _reference_support(name, sched, dim)
