@@ -35,6 +35,7 @@ from .schedules import (
     CYCLIC,
     GENERAL,
     InvalidScheduleError,
+    covering_index,
     growth_violation,
     parse_spec,
 )
@@ -283,18 +284,25 @@ def _cmd_decompose(args) -> int:
     line = (f"decompose: dims {res.dims}, coupling {res.coupling_residual:.3e}, "
             f"{'FAILING' if failures else 'passing'}")
 
+    def payload():
+        return json.dumps({
+            "passing": not failures,
+            "dims": res.dims,
+            "coupling_residual": res.coupling_residual,
+            "summands": [json.loads(s.report.to_json()) for s in res.summands],
+        }, sort_keys=True)
+
     def emit(out_dir, fmt):
         os.makedirs(out_dir, exist_ok=True)
         ext = FORMAT_EXTENSIONS[fmt]
-        return [emit_matrix(mat, os.path.join(out_dir, f"decompose_{name}{ext}"), fmt)
-                for name, mat in (("M", res.matrix), ("U", res.basis_change))]
+        paths = [emit_matrix(mat, os.path.join(out_dir, f"decompose_{name}{ext}"), fmt)
+                 for name, mat in (("M", res.matrix), ("U", res.basis_change))]
+        paths.append(os.path.join(out_dir, "decompose_report.json"))
+        with open(paths[-1], "w") as handle:
+            handle.write(payload() + "\n")
+        return paths
 
-    return _verdict(args, failures, [line], lambda: json.dumps({
-        "passing": not failures,
-        "dims": res.dims,
-        "coupling_residual": res.coupling_residual,
-        "summands": [json.loads(s.report.to_json()) for s in res.summands],
-    }, sort_keys=True), emit)
+    return _verdict(args, failures, [line], payload, emit)
 
 
 def _cmd_schedule(args) -> int:
@@ -302,12 +310,13 @@ def _cmd_schedule(args) -> int:
         raise _CliError("schedule requires --schedule")
     sched = parse_spec(args.schedule, args.dim, args.kind)
     bad = growth_violation(sched.sizes, sched.kind)
-    if bad is None:
-        print(f"valid {sched.kind} schedule: {sched.describe()} "
-              f"(span {sched.span})")
-        return 0
-    print(f"invalid {sched.kind} schedule {sched.describe()}: {bad}")
-    return 2
+    if bad is not None:
+        print(f"invalid {sched.kind} schedule {sched.describe()}: {bad}")
+        return 2
+    print(f"valid {sched.kind} schedule: {sched.describe()} (span {sched.span})")
+    if args.dim is not None:
+        covering_index(sched, args.dim)
+    return 0
 
 
 def _pattern_for(name: str, d: int, args):

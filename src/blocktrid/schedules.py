@@ -19,8 +19,8 @@ partition arithmetic; callers converting to numpy subtract one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import accumulate, count, islice, takewhile
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +113,22 @@ class BlockSchedule:
         return ",".join(str(n) for n in self.sizes)
 
 
+def _canonical_sums(n1: int, kind: str) -> Iterator[int]:
+    """The canonical partial sums s_k = n1*3^{k-1} (general) or
+    n1*(2^k - 1) (cyclic), k = 1, 2, ...; every canonical schedule reads them."""
+    if n1 < 1:
+        raise ValueError("n1 must be positive")
+    if kind == GENERAL:
+        return (n1 * 3 ** (k - 1) for k in count(1))
+    if kind == CYCLIC:
+        return (n1 * (2 ** k - 1) for k in count(1))
+    raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+def _from_sums(sums: List[int], kind: str, dim: Optional[int] = None) -> BlockSchedule:
+    return BlockSchedule(tuple(b - a for a, b in zip([0] + sums, sums)), kind, dim)
+
+
 def canonical_schedule(blocks: int, n1: int = 1, kind: str = GENERAL) -> BlockSchedule:
     """Tight-growth schedule: [n1, 2n1, 6n1, 18n1, ...] or [n1, 2n1, 4n1, ...].
 
@@ -122,26 +138,18 @@ def canonical_schedule(blocks: int, n1: int = 1, kind: str = GENERAL) -> BlockSc
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    if n1 < 1:
-        raise ValueError("n1 must be positive")
-    if kind == GENERAL:
-        sizes = [n1] + [2 * n1 * 3 ** (k - 2) for k in range(2, blocks + 1)]
-    elif kind == CYCLIC:
-        sizes = [n1 * 2 ** (k - 1) for k in range(1, blocks + 1)]
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    return BlockSchedule(tuple(sizes), kind)
+    return _from_sums(list(islice(_canonical_sums(n1, kind), blocks)), kind)
 
 
 def canonical_covering(dim: int, kind: str = GENERAL, n1: int = 1) -> BlockSchedule:
     """Smallest canonical schedule whose span reaches ``dim``, clipped to it."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    blocks = 1
-    while canonical_schedule(blocks, n1, kind).span < dim:
-        blocks += 1
-    sched = canonical_schedule(blocks, n1, kind)
-    return BlockSchedule(sched.sizes, kind, dim)
+    sums = []
+    for s in _canonical_sums(n1, kind):
+        sums.append(s)
+        if s >= dim:
+            return _from_sums(sums, kind, dim)
 
 
 def schedule_for_dim(dim: int, kind: str = GENERAL, n1: int = 1) -> BlockSchedule:
@@ -155,21 +163,9 @@ def schedule_for_dim(dim: int, kind: str = GENERAL, n1: int = 1) -> BlockSchedul
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    full = canonical_schedule(40, n1, kind)
+    sums = _canonical_sums(n1, kind)
     factor = _GROWTH[kind] + 1
-    boundaries: List[int] = []
-    for s in full.partial_sums:
-        if factor * s <= dim:
-            boundaries.append(s)
-        else:
-            break
-    sizes = []
-    prev = 0
-    for s in boundaries:
-        sizes.append(s - prev)
-        prev = s
-    sizes.append(dim - prev)
-    return BlockSchedule(tuple(sizes), kind, dim)
+    return _from_sums([*takewhile(lambda s: factor * s <= dim, sums), dim], kind, dim)
 
 
 def block_slices(schedule: BlockSchedule, dim: Optional[int] = None) -> List[Tuple[int, int]]:

@@ -1,9 +1,11 @@
 """Symbolic instruction streams ordering the vectors fed to Gram-Schmidt.
 
 Each :class:`WordProgram` carries its own stream.  The staircase, joint
-cyclic, direct sum, Krylov and family programs apply operators to
-already-orthonormalized basis vectors, so an instruction's ``src`` names the
-src-th accepted vector.
+cyclic, direct sum, Krylov and family programs share one rule: a stream
+opens with a fixed first vector (v or e_1) or with the seed e_n at the head
+of every stage n, then offers S_k f_n, and S_k* f_n when adjoints are on,
+for k = 1..N.  They apply operators to already-orthonormalized basis
+vectors, so an instruction's ``src`` names the src-th accepted vector.
 The triangular stream instead applies operators to stored generated vectors
 and is indexed by original position; when a generated vector is rejected it
 is deleted from the sequence and every later reference shifts down, which
@@ -94,29 +96,16 @@ class WordProgram:
         return self.stream()
 
 
-def _staircase_stream() -> Iterator[WordInstruction]:
+def _stream(first: Optional[WordInstruction], n_ops: int,
+            adjoints: bool) -> Iterator[WordInstruction]:
+    """The one stream rule: ``first`` once, or the seed e_n at the head of
+    every stage n when ``first`` is None; then S_k f_n, followed by S_k* f_n
+    when ``adjoints``, for k = 1..n_ops."""
+    if first is not None:
+        yield first
     for n in count(1):
-        yield seed(n)
-        yield apply_op(n, adjoint=False)
-        yield apply_op(n, adjoint=True)
-
-
-def _joint_cyclic_stream(first: WordInstruction) -> Iterator[WordInstruction]:
-    yield first
-    for m in count(1):
-        yield apply_op(m, adjoint=False)
-        yield apply_op(m, adjoint=True)
-
-
-def _krylov_stream() -> Iterator[WordInstruction]:
-    yield seed_vec()
-    for n in count(1):
-        yield apply_op(n, adjoint=False)
-
-
-def _family_stream(n_ops: int, adjoints: bool) -> Iterator[WordInstruction]:
-    for n in count(1):
-        yield seed(n)
+        if first is None:
+            yield seed(n)
         for k in range(1, n_ops + 1):
             yield apply_op(n, adjoint=False, op_index=k)
             if adjoints:
@@ -125,24 +114,24 @@ def _family_stream(n_ops: int, adjoints: bool) -> Iterator[WordInstruction]:
 
 def staircase_program() -> WordProgram:
     """Stage n offers e_n, then T f_n, then T* f_n (positions 3n-2..3n)."""
-    return WordProgram(STAIRCASE, _staircase_stream, stride=3)
+    return WordProgram(STAIRCASE, partial(_stream, None, 1, True), stride=3)
 
 
 def joint_cyclic_program() -> WordProgram:
     """v first, then T f_m at position 2m and T* f_m at position 2m+1."""
-    return WordProgram(JOINT_CYCLIC, partial(_joint_cyclic_stream, seed_vec()), stride=2)
+    return WordProgram(JOINT_CYCLIC, partial(_stream, seed_vec(), 1, True), stride=2)
 
 
 def direct_sum_program() -> WordProgram:
     """The joint cyclic stream opened by e_1 instead of v.  Each time the span
     closes, the executor offers the next standard seed and retries, so one
     build runs through the reducing summands one after another."""
-    return WordProgram(DIRECT_SUM, partial(_joint_cyclic_stream, seed(1)), stride=2)
+    return WordProgram(DIRECT_SUM, partial(_stream, seed(1), 1, True), stride=2)
 
 
 def krylov_program() -> WordProgram:
     """v first, then T f_n at position n+1 (upper Hessenberg ordering)."""
-    return WordProgram(KRYLOV, _krylov_stream, stride=1)
+    return WordProgram(KRYLOV, partial(_stream, seed_vec(), 1, False), stride=1)
 
 
 def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
@@ -151,7 +140,7 @@ def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
     if n_ops < 1:
         raise ValueError("family needs at least one operator")
     kind, stride = (FAMILY_SA, n_ops + 1) if selfadjoint else (FAMILY_GEN, 2 * n_ops + 1)
-    program = WordProgram(kind, partial(_family_stream, n_ops, not selfadjoint), stride=stride)
+    program = WordProgram(kind, partial(_stream, None, n_ops, not selfadjoint), stride=stride)
     object.__setattr__(program, "n_ops", n_ops)
     return program
 

@@ -143,6 +143,10 @@ def test_decompose_command(tmp_path, capsys):
     assert payload["dims"] == [1, 1, 1]
     assert (tmp_path / "dec" / "decompose_M.json").exists()
     assert (tmp_path / "dec" / "decompose_U.json").exists()
+    # the report file holds the --report json payload, newline-terminated
+    report = tmp_path / "dec" / "decompose_report.json"
+    assert report.read_text() == out.splitlines()[0] + "\n"
+    assert f"wrote {report}" in out.splitlines()
 
 
 def test_schedule_subcommand(capsys):
@@ -158,6 +162,21 @@ def test_schedule_subcommand(capsys):
     assert "1,2,6" in capsys.readouterr().out
     assert main(["schedule", "--schedule", "canonical"]) == 1
     assert main(["schedule"]) == 1
+
+
+def test_schedule_dim_checks_coverage(capsys):
+    # the growth check and its line come first; --dim then checks the span
+    # as every other command that fits a schedule to a matrix does
+    assert main(["schedule", "--schedule", "custom:1,2", "--dim", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "valid general schedule: 1,2 (span 3)\n"
+    assert captured.err == "invalid schedule: schedule spans 3, too short for dimension 10\n"
+    assert main(["schedule", "--schedule", "custom:1,2", "--dim", "3"]) == 0
+    assert main(["schedule", "--schedule", "custom:1,2,6", "--dim", "4"]) == 0
+    assert main(["schedule", "--schedule", "custom:1,2,5", "--dim", "10"]) == 2
+    assert "violation at k=2" in capsys.readouterr().out
+    assert main(["schedule", "--schedule", "canonical", "--dim", "512"]) == 0
+    assert capsys.readouterr().out == "valid general schedule: 1,2,6,18,54,431 (span 512)\n"
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -263,3 +263,60 @@ def test_growth_violation_names_the_first_broken_inequality():
         "violation at k=2: n_3 = 5 < 2*(n_1+...+n_k) = 6"
     assert growth_violation([1, 1, 2, 3], CYCLIC) == \
         "violation at k=3: n_4 = 3 < n_1+...+n_k = 4"
+
+
+def canonical_sizes(blocks, n1, kind):
+    """Canonical sizes grown block by block: general n_{k+1} = 2*(n_1+...+n_k),
+    cyclic n_{k+1} = 2*n_k, both from n_1 = n1."""
+    sizes = [n1]
+    while len(sizes) < blocks:
+        sizes.append(2 * sum(sizes) if kind == GENERAL else 2 * sizes[-1])
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("kind", [GENERAL, CYCLIC])
+@pytest.mark.parametrize("n1", [1, 2, 3])
+def test_canonical_fits_match_their_rules(kind, n1):
+    for blocks in range(1, 21):
+        sched = canonical_schedule(blocks, n1, kind)
+        assert (sched.sizes, sched.kind, sched.dim) == (canonical_sizes(blocks, n1, kind),
+                                                       kind, None)
+    factor = 3 if kind == GENERAL else 2
+    for d in range(1, 2001):
+        # covering: the fewest canonical blocks that reach d, tagged with d
+        blocks = 1
+        while sum(canonical_sizes(blocks, n1, kind)) < d:
+            blocks += 1
+        sched = canonical_covering(d, kind, n1)
+        assert (sched.sizes, sched.kind, sched.dim) == (canonical_sizes(blocks, n1, kind),
+                                                       kind, d)
+        # fitted: canonical boundaries s while factor*s <= d, then the tail to d
+        blocks = 0
+        while factor * sum(canonical_sizes(blocks + 1, n1, kind)) <= d:
+            blocks += 1
+        head = canonical_sizes(blocks, n1, kind) if blocks else ()
+        sched = schedule_for_dim(d, kind, n1)
+        assert (sched.sizes, sched.kind, sched.dim) == (head + (d - sum(head),), kind, d)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: canonical_schedule(0), "need at least one block"),
+    (lambda: canonical_schedule(0, 0, "bogus"), "need at least one block"),
+    (lambda: canonical_schedule(3, 0), "n1 must be positive"),
+    (lambda: canonical_schedule(3, 0, "bogus"), "n1 must be positive"),
+    (lambda: canonical_schedule(3, 1, "bogus"), "unknown schedule kind 'bogus'"),
+    (lambda: canonical_covering(0), "dim must be positive"),
+    (lambda: canonical_covering(0, "bogus", 0), "dim must be positive"),
+    (lambda: canonical_covering(5, GENERAL, 0), "n1 must be positive"),
+    (lambda: canonical_covering(5, "bogus", 0), "n1 must be positive"),
+    (lambda: canonical_covering(5, "bogus"), "unknown schedule kind 'bogus'"),
+    (lambda: schedule_for_dim(-1), "dim must be positive"),
+    (lambda: schedule_for_dim(0, "bogus", 0), "dim must be positive"),
+    (lambda: schedule_for_dim(5, CYCLIC, 0), "n1 must be positive"),
+    (lambda: schedule_for_dim(5, "bogus", 0), "n1 must be positive"),
+    (lambda: schedule_for_dim(5, "bogus"), "unknown schedule kind 'bogus'"),
+])
+def test_canonical_fits_name_the_first_bad_argument(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ from blocktrid.words import (
     SurvivorMap,
     WordInstruction,
     apply_op,
+    direct_sum_program,
     family_program,
     joint_cyclic_program,
     krylov_program,
@@ -152,6 +153,46 @@ def test_family_size_one_general_is_staircase():
     a = take(family_program(1, selfadjoint=False), 30)
     b = take(staircase_program(), 30)
     assert a == b
+
+
+def stage_rule(p, opener, n_ops, adjoints):
+    """Instruction at 1-based position p, read off the stage arithmetic: an
+    opener takes position 1 once, otherwise e_n heads stage n; then S_k f_n
+    (and S_k* f_n after it with adjoints) for k = 1..n_ops."""
+    per = 2 if adjoints else 1
+    if opener is not None:
+        if p == 1:
+            return opener
+        n, r = divmod(p - 2, n_ops * per)
+    else:
+        n, r = divmod(p - 1, 1 + n_ops * per)
+        if r == 0:
+            return seed(n + 1)
+        r -= 1
+    k, adjoint = divmod(r, per)
+    return apply_op(n + 1, adjoint=bool(adjoint), op_index=k + 1)
+
+
+# program, kind, stride, n_ops, opener (None: a seed heads every stage), adjoints
+STAGE_RULES = [
+    (staircase_program(), "staircase", 3, 1, None, True),
+    (joint_cyclic_program(), "joint_cyclic", 2, 1, seed_vec(), True),
+    (direct_sum_program(), "direct_sum", 2, 1, seed(1), True),
+    (krylov_program(), "krylov", 1, 1, seed_vec(), False),
+] + [
+    (family_program(n, selfadjoint=sa), "family_sa" if sa else "family_gen",
+     1 + n * (1 if sa else 2), n, None, not sa)
+    for n in (1, 2, 3) for sa in (True, False)
+]
+
+
+@pytest.mark.parametrize("program, kind, stride, n_ops, opener, adjoints", STAGE_RULES)
+def test_programs_follow_their_stage_rule(program, kind, stride, n_ops, opener, adjoints):
+    assert (program.kind, program.stride, program.n_ops) == (kind, stride, n_ops)
+    expected = [stage_rule(p, opener, n_ops, adjoints) for p in range(1, 601)]
+    assert take(program, 600) == expected
+    # each call gives a fresh stream
+    assert take(program, 600) == expected
 
 
 def test_family_size_validation():
