@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -22,14 +22,7 @@ import numpy as np
 from . import transforms
 from .basis import InstructionCapError
 from .kernel import DEPENDENCE_TOL, as_operator, unit_vector
-from .matio import (
-    FORMAT_EXTENSIONS,
-    FORMATS,
-    emit_form,
-    emit_matrix,
-    format_for_path,
-    parse_matrix,
-)
+from .matio import FORMATS, emit_form, emit_result, format_for_path, parse_matrix
 from .render import render_svg
 from .schedules import (
     CYCLIC,
@@ -272,7 +265,7 @@ def _cmd_family(args) -> int:
 
     return _verdict(args, failures, lines, lambda: json.dumps({
         "passing": not failures,
-        "forms": [json.loads(form.report.to_json()) for form in forms],
+        "forms": [form.report.json_object() for form in forms],
     }, sort_keys=True), emit)
 
 
@@ -284,23 +277,17 @@ def _cmd_decompose(args) -> int:
     line = (f"decompose: dims {res.dims}, coupling {res.coupling_residual:.3e}, "
             f"{'FAILING' if failures else 'passing'}")
 
+    @cache  # stdout and the report file share one encoding
     def payload():
         return json.dumps({
             "passing": not failures,
             "dims": res.dims,
             "coupling_residual": res.coupling_residual,
-            "summands": [json.loads(s.report.to_json()) for s in res.summands],
+            "summands": [s.report.json_object() for s in res.summands],
         }, sort_keys=True)
 
     def emit(out_dir, fmt):
-        os.makedirs(out_dir, exist_ok=True)
-        ext = FORMAT_EXTENSIONS[fmt]
-        paths = [emit_matrix(mat, os.path.join(out_dir, f"decompose_{name}{ext}"), fmt)
-                 for name, mat in (("M", res.matrix), ("U", res.basis_change))]
-        paths.append(os.path.join(out_dir, "decompose_report.json"))
-        with open(paths[-1], "w") as handle:
-            handle.write(payload() + "\n")
-        return paths
+        return emit_result(res, payload(), out_dir, fmt, "decompose")
 
     return _verdict(args, failures, [line], payload, emit)
 
@@ -326,14 +313,6 @@ def _pattern_for(name: str, d: int, args):
         "hessenberg": hessenberg_pattern,
         "jointcyclic": joint_cyclic_pattern,
     }
-    if name in fixed:
-        return fixed[name]()
-    if name.startswith("family:"):
-        try:
-            stride = int(name[len("family:"):])
-        except ValueError:
-            raise _CliError(f"cannot parse stride in {name!r}")
-        return family_stride(stride)
     if name in ("band", "polar", "polar-alt", "tri", "tri-alt"):
         if not args.schedule:
             raise _CliError(f"pattern {name!r} needs --schedule")
@@ -343,7 +322,17 @@ def _pattern_for(name: str, d: int, args):
         if name.startswith("polar"):
             return polar_blocks(sched, d, alt=name.endswith("alt"))
         return tri_blocks(sched, d, alt=name.endswith("alt"))
-    raise _CliError(f"unknown pattern {name!r}")
+    if name not in fixed and not name.startswith("family:"):
+        raise _CliError(f"unknown pattern {name!r}")
+    if args.schedule is not None:
+        raise _CliError(f"pattern {name!r} takes no --schedule")
+    if name in fixed:
+        return fixed[name]()
+    try:
+        stride = int(name[len("family:"):])
+    except ValueError:
+        raise _CliError(f"cannot parse stride in {name!r}")
+    return family_stride(stride)
 
 
 def _cmd_verify(args) -> int:
@@ -398,12 +387,15 @@ _COMMANDS = {
 }
 
 
+#: The one parser of the process; parsing leaves no state on it.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             return 1
         if getattr(args, "svg", False) and not args.output:
             raise _CliError("--svg needs --output")

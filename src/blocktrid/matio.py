@@ -393,6 +393,21 @@ def emit_matrix(M, path: str, fmt: Optional[str] = None) -> str:
     return path
 
 
+def emit_result(result, report_text: str, out_dir: str, fmt: str, prefix: str) -> List[str]:
+    """Write ``<prefix>_M`` and ``<prefix>_U`` (``result``'s matrix and basis change, in
+    ``fmt``), then ``<prefix>_report.json`` (``report_text``) in ``out_dir``; returns the paths."""
+    if fmt not in FORMAT_EXTENSIONS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    os.makedirs(out_dir, exist_ok=True)
+    ext = FORMAT_EXTENSIONS[fmt]
+    paths = [emit_matrix(mat, os.path.join(out_dir, f"{prefix}_{name}{ext}"), fmt)
+             for name, mat in (("M", result.matrix), ("U", result.basis_change))]
+    paths.append(os.path.join(out_dir, f"{prefix}_report.json"))
+    with open(paths[-1], "w") as handle:
+        handle.write(report_text + "\n")
+    return paths
+
+
 def emit_form(form, out_dir: str, fmt: str = "mm", prefix: Optional[str] = None,
               svg: bool = False) -> List[str]:
     """Write a sparsified form to disk: matrix, unitary, report, optional SVG.
@@ -403,19 +418,8 @@ def emit_form(form, out_dir: str, fmt: str = "mm", prefix: Optional[str] = None,
     """
     from .render import render_svg
 
-    if fmt not in FORMAT_EXTENSIONS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    os.makedirs(out_dir, exist_ok=True)
     prefix = prefix or form.form_kind
-    ext = FORMAT_EXTENSIONS[fmt]
-    paths = [
-        emit_matrix(form.matrix, os.path.join(out_dir, f"{prefix}_M{ext}"), fmt),
-        emit_matrix(form.basis_change, os.path.join(out_dir, f"{prefix}_U{ext}"), fmt),
-    ]
-    report_path = os.path.join(out_dir, f"{prefix}_report.json")
-    with open(report_path, "w") as handle:
-        handle.write(form.report.to_json() + "\n")
-    paths.append(report_path)
+    paths = emit_result(form, form.report.to_json(), out_dir, fmt, prefix)
     if svg:
         svg_path = os.path.join(out_dir, f"{prefix}_pattern.svg")
         with open(svg_path, "w") as handle:

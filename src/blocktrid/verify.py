@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -329,15 +329,19 @@ class VerificationReport:
     def passing(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> str:
-        payload = asdict(self)
+    def json_object(self) -> Dict[str, object]:
+        """The fields, not copied, with ``pattern`` nested and ``failures`` and ``passing``."""
+        payload = dict(vars(self))
         payload["pattern"] = {
             "kind": payload.pop("pattern_kind"),
             "violations": payload.pop("pattern_violations"),
         }
         payload["failures"] = self.failures
         payload["passing"] = not payload["failures"]
-        return json.dumps(payload, sort_keys=True)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.json_object(), sort_keys=True)
 
 
 def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]

@@ -1,9 +1,11 @@
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+import blocktrid.cli as cli
 import blocktrid.transforms as transforms
 from blocktrid import (
     CYCLIC,
@@ -198,6 +200,71 @@ def test_verify_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passing"] is False
     assert [4, 1, 1.0] in payload["violations"]
+
+
+@pytest.mark.parametrize("schedule", ["garbage", "custom:1", "canonical"])
+@pytest.mark.parametrize("pattern", ["staircase", "coarse", "hessenberg", "jointcyclic",
+                                     "family:5"])
+def test_verify_rejects_a_schedule_its_pattern_does_not_read(tmp_path, capsys, pattern,
+                                                             schedule):
+    # custom:1 is too short for the 9x9 file; no schedule is read, so
+    # neither it nor garbage may pass unnoticed
+    path = _random_file(tmp_path, 9, 68)
+    assert main(["verify", "--input", path, "--pattern", pattern, "--schedule", schedule]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pattern {pattern!r} takes no --schedule\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main parses with the parser built at import; no call may leave state
+    # on it that changes a later one, so each call must match the same call
+    # on a fresh parser
+    a, b, c = (_random_file(tmp_path, 5, seed, f"{name}.json")
+               for seed, name in ((70, "A"), (71, "B"), (72, "C")))
+    M = np.zeros((4, 4), dtype=complex)
+    M[3, 0] = 0.3  # outside the staircase support
+    v = _write(tmp_path, "V.json", M)
+    calls = [
+        (["family", "--input", a, "--input", b, "--input", c, "--report", "json"], None),
+        (["family", "--input", a, "--report", "json"], None),
+        (["staircase", "--input", a, "--kind", "general"], None),
+        (["verify", "--help"], None),
+        (["verify", "--input", v, "--pattern", "staircase"], "0.5"),
+        (["verify", "--input", v, "--pattern", "staircase"], None),
+        (["verify", "--input", v, "--pattern", "band", "--schedule", "custom:1,3"], None),
+        (["verify", "--input", v, "--pattern", "band"], None),
+        (["verify", "--input", v, "--pattern", "staircase", "--schedule", "custom:1,3"], None),
+    ]
+
+    def run(argv, threshold):
+        if threshold is None:
+            monkeypatch.delenv("BLOCKTRID_THRESHOLD", raising=False)
+        else:
+            monkeypatch.setenv("BLOCKTRID_THRESHOLD", threshold)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        shared = [run(*call) for call in calls]
+    assert built == []
+    assert [code for code, _ in shared] == [0, 0, 1, 0, 0, 2, 0, 1, 1]
+    assert [len(json.loads(out)["forms"]) for _, out in shared[:2]] == [3, 1]
+    assert shared[3][1].startswith("usage: blocktrid verify")
+    for call, got in zip(calls, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        assert run(*call) == got, call
 
 
 def test_render_subcommand(tmp_path, capsys):

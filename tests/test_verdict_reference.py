@@ -1,19 +1,24 @@
 """The record rule of ``passing`` against the ten written-out comparisons of
-``reference_verdict.py``.
+``reference_verdict.py``, and ``to_json`` against the ``asdict`` encoder of
+``reference_report_json.py``.
 
 Every form runs on six kinds of input (Gaussian, normal, rank-one, the
 nilpotent shift, identity, zero) at d in {5, 9, 16, 33}, each scaled by
 1e-12, 1e-6, 1, 1e6 and 1e12, where a check on an absolute limit passes
 vacuously or fails on roundoff; both rules must give the same verdict on
 every report, on every family member and decompose summand, and on
-decompose's own verdict.  The triangular builds of the scaled shift that
+decompose's own verdict.  Each of those reports must encode to the
+reference bytes and keep its fields as they were.  The triangular builds of the scaled shift that
 overflow are left to ``test_tri_sparsify_of_a_scaled_shift_overflows``.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 import blocktrid as bt
+from reference_report_json import reference_report_json
 from reference_verdict import reference_decompose_passing, reference_passing
 
 KINDS = ("gaussian", "normal", "rank_one", "nilpotent", "identity", "zero")
@@ -63,6 +68,13 @@ def _reports(T, skip_tri):
         yield f"family member {k + 1}", form.report
 
 
+def _assert_matches_references(report, where):
+    fields = copy.deepcopy(vars(report))
+    assert report.passing == reference_passing(report), where
+    assert report.to_json() == reference_report_json(report), where
+    assert vars(report) == fields, where
+
+
 @pytest.mark.parametrize("d", [5, 9, 16, 33])
 @pytest.mark.parametrize("kind", KINDS)
 def test_record_verdict_matches_reference(kind, d):
@@ -70,10 +82,10 @@ def test_record_verdict_matches_reference(kind, d):
         T = scale * _input(kind, d)
         skip_tri = kind == "nilpotent" and (d, scale) in OVERFLOWING_SHIFTS
         for name, report in _reports(T, skip_tri):
-            assert report.passing == reference_passing(report), (scale, name)
+            _assert_matches_references(report, (scale, name))
         res = bt.decompose(T)
         for k, summand in enumerate(res.summands):
-            assert summand.passing == reference_passing(summand.report), (scale, k)
+            _assert_matches_references(summand.report, (scale, k))
         assert res.passing == reference_decompose_passing(res), scale
 
 
