@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -242,8 +242,9 @@ def _cmd_form(args) -> int:
     line = (f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
             f"{len(report.pattern_violations)} violations, "
             f"{'FAILING' if failures else 'passing'}")
-    return _verdict(args, failures, [line], report.to_json,
-                    partial(emit_form, form, svg=args.svg))
+    text = cache(report.to_json)  # stdout and the report file share one encoding
+    return _verdict(args, failures, [line], text,
+                    lambda out_dir, fmt: emit_form(form, text(), out_dir, fmt, svg=args.svg))
 
 
 def _cmd_family(args) -> int:
@@ -258,38 +259,37 @@ def _cmd_family(args) -> int:
              f"{'FAILING' if fails else 'passing'}"
              for k, (form, fails) in enumerate(zip(forms, each), start=1)]
 
+    texts = cache(lambda: [form.report.to_json() for form in forms])
+
+    def payload():
+        # json.dumps({"passing": ..., "forms": [...]}, sort_keys=True), with
+        # each member's object nested as the text it encodes to on its own
+        return '{"forms": [%s], "passing": %s}' % (", ".join(texts()),
+                                                  json.dumps(not failures))
+
     def emit(out_dir, fmt):
-        return [path for k, form in enumerate(forms, start=1)
-                for path in emit_form(form, out_dir, fmt, prefix=f"family_{k}",
+        return [path for k, (form, text) in enumerate(zip(forms, texts()), start=1)
+                for path in emit_form(form, text, out_dir, fmt, prefix=f"family_{k}",
                                       svg=args.svg)]
 
-    return _verdict(args, failures, lines, lambda: json.dumps({
-        "passing": not failures,
-        "forms": [form.report.json_object() for form in forms],
-    }, sort_keys=True), emit)
+    return _verdict(args, failures, lines, payload, emit)
 
 
 def _cmd_decompose(args) -> int:
     thr = _threshold(args)
     res = decompose(parse_matrix(args.input, args.format), tol=args.tol_dep,
                     threshold=thr)
-    failures = res.failures
-    line = (f"decompose: dims {res.dims}, coupling {res.coupling_residual:.3e}, "
+    report = res.report
+    failures = report.failures
+    line = (f"decompose: dims {res.dims}, {len(report.pattern_violations)} violations, "
             f"{'FAILING' if failures else 'passing'}")
 
     @cache  # stdout and the report file share one encoding
     def payload():
-        return json.dumps({
-            "passing": not failures,
-            "dims": res.dims,
-            "coupling_residual": res.coupling_residual,
-            "summands": [s.report.json_object() for s in res.summands],
-        }, sort_keys=True)
+        return json.dumps({**report.json_object(), "dims": res.dims}, sort_keys=True)
 
-    def emit(out_dir, fmt):
-        return emit_result(res, payload(), out_dir, fmt, "decompose")
-
-    return _verdict(args, failures, [line], payload, emit)
+    return _verdict(args, failures, [line], payload,
+                    lambda out_dir, fmt: emit_result(res, payload(), out_dir, fmt, "decompose"))
 
 
 def _cmd_schedule(args) -> int:

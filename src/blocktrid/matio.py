@@ -408,18 +408,18 @@ def emit_result(result, report_text: str, out_dir: str, fmt: str, prefix: str) -
     return paths
 
 
-def emit_form(form, out_dir: str, fmt: str = "mm", prefix: Optional[str] = None,
-              svg: bool = False) -> List[str]:
+def emit_form(form, report_text: str, out_dir: str, fmt: str = "mm",
+              prefix: Optional[str] = None, svg: bool = False) -> List[str]:
     """Write a sparsified form to disk: matrix, unitary, report, optional SVG.
 
-    The matrix and the basis change go out in ``fmt``; the verification
-    report is JSON.  The SVG uses the report's threshold.  Returns the
-    written paths.
+    The matrix and the basis change go out in ``fmt``; the report file holds
+    ``report_text``, the form's ``report.to_json()`` as already encoded.  The
+    SVG uses the report's threshold.  Returns the written paths.
     """
     from .render import render_svg
 
     prefix = prefix or form.form_kind
-    paths = emit_result(form, form.report.to_json(), out_dir, fmt, prefix)
+    paths = emit_result(form, report_text, out_dir, fmt, prefix)
     if svg:
         svg_path = os.path.join(out_dir, f"{prefix}_pattern.svg")
         with open(svg_path, "w") as handle:

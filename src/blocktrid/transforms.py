@@ -9,7 +9,7 @@ are never assumed: the report re-checks them on the finished matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,13 @@ from .schedules import (
     schedule_for_dim,
 )
 from .verify import (
-    COUPLING_LIMIT,
     DEFAULT_THRESHOLD,
-    Check,
     PatternSpec,
     VerificationReport,
     basis_checks,
     block_band,
     check_pattern,
+    direct_sum_pattern,
     family_stride,
     full_report,
     hessenberg_pattern,
@@ -84,8 +83,8 @@ class SparsifiedForm:
         return self.report is not None and self.report.passing
 
 
-def _finish(threshold: float, **fields) -> SparsifiedForm:
-    form = SparsifiedForm(**fields)
+def _finish(threshold: float, form_class=SparsifiedForm, **fields) -> SparsifiedForm:
+    form = form_class(**fields)
     form.report = full_report(form, threshold)
     return form
 
@@ -361,27 +360,22 @@ def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:
     return res.basis
 
 
-@dataclass
-class DecompositionResult:
-    """Direct-sum split into jointly-cyclic summands.  ``failures`` holds the
-    coupling record if it fails, then each summand's failed records."""
+class Summand(NamedTuple):
+    """One diagonal block of a decomposition: its size, its joint cyclic
+    pattern, and ``extras`` with its ``offset`` and ``closure_dim``."""
 
-    input: np.ndarray
-    basis_change: np.ndarray
-    matrix: np.ndarray
-    summands: List[SparsifiedForm]
+    dim: int
+    pattern: PatternSpec
+    extras: Dict[str, int]
+
+
+@dataclass(kw_only=True)
+class DecompositionResult(SparsifiedForm):
+    """Direct-sum split into jointly-cyclic summands: one form, reported
+    against the ``direct_sum_pattern`` of ``dims``."""
+
+    summands: List[Summand]
     dims: List[int]
-    coupling_residual: float
-
-    @property
-    def failures(self) -> List[Check]:
-        coupling = Check("coupling_residual", None, self.coupling_residual, COUPLING_LIMIT)
-        return [c for c in (coupling,) if c.failed] + [
-            c for s in self.summands for c in s.report.failures]
-
-    @property
-    def passing(self) -> bool:
-        return not self.failures
 
 
 def decompose(T, tol: float = DEPENDENCE_TOL,
@@ -395,35 +389,21 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
     block in the two-sided cyclic staircase form.
     """
     T = as_operator(T)
-    res = run_program([T], direct_sum_program(), tol=tol)
-    M = conjugate(T, res.basis)
+    res, M = _build(T, direct_sum_program(), tol)
     bounds = [0, *res.closures, T.shape[0]]
     ranges = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
-
-    summands = []
-    for start, stop in ranges:
-        R = M[start:stop, start:stop].copy()
-        size = stop - start
-        summands.append(_finish(
-            threshold,
-            input=R,
-            basis_change=np.eye(size, dtype=np.complex128),
-            matrix=R,
-            form_kind="direct_summand",
-            pattern=joint_cyclic_pattern(size),
-            schedule=schedule_for_dim(size, CYCLIC),
-            extras={"offset": start, "closure_dim": size},
-        ))
-
     dims = [stop - start for start, stop in ranges]
-    # summand number of every basis index; coupling is everything off the
-    # diagonal blocks
-    label = np.repeat(np.arange(len(dims)), dims)
-    return DecompositionResult(
+    summands = [Summand(size, joint_cyclic_pattern(size), {"offset": start, "closure_dim": size})
+                for (start, _), size in zip(ranges, dims)]
+    return _finish(
+        threshold,
+        DecompositionResult,
         input=T,
         basis_change=res.basis,
         matrix=M,
+        form_kind="decompose",
+        pattern=direct_sum_pattern(dims),
+        log=res.log,
         summands=summands,
         dims=dims,
-        coupling_residual=max_abs(M[label[:, None] != label[None, :]]),
     )

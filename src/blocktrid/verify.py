@@ -41,7 +41,6 @@ HERMITIAN_LIMIT = 1e-9
 PSD_EIG_REL = 1e-8
 TAIL_LIMIT = 1e-10
 TRIANGULAR_LIMIT = 1e-10
-COUPLING_LIMIT = 1e-9
 DEFAULT_THRESHOLD = 1e-10
 
 
@@ -110,6 +109,11 @@ def hessenberg_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     return PatternSpec("hessenberg", allowed)
 
 
+def _joint_cyclic(i, j):
+    """Column j support ends at row 2j, row i support at column 2i+1."""
+    return (i <= 2 * j) & (j <= 2 * i + 1)
+
+
 def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     """Columns 2, 4, 6, rows 3, 5, 7 on the jointly cyclic block.
 
@@ -120,10 +124,23 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     mc = cyclic_dim if cyclic_dim is not None else 10 ** 9
 
     def allowed(i, j):
-        inside = (i <= mc) & (j <= mc) & (i <= 2 * j) & (j <= 2 * i + 1)
+        inside = (i <= mc) & (j <= mc) & _joint_cyclic(i, j)
         return inside | ((i > mc) & (j > mc))
 
     return PatternSpec("joint_cyclic", allowed)
+
+
+def direct_sum_pattern(dims: Sequence[int]) -> PatternSpec:
+    """Block diagonal over ``dims``, each diagonal block joint cyclic in its
+    local indices; every entry coupling two blocks is a claimed zero."""
+    idx = BlockIndex(BlockSchedule(tuple(dims)))
+
+    def allowed(i, j):
+        bi, li = idx.locate(i)
+        bj, lj = idx.locate(j)
+        return (bi == bj) & _joint_cyclic(li, lj)
+
+    return PatternSpec("direct_sum", allowed)
 
 
 def _mirrored(spec: PatternSpec, kind: str, checks) -> PatternSpec:

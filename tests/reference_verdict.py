@@ -1,9 +1,12 @@
 """The pass/fail rule that ``VerificationReport.passing`` replaced with
 check records: ten comparisons of the report's fields against the limits,
-written out, with the limits as they stood when the rule was replaced.
-``test_verdict_reference.py`` requires the record rule to give the same
-verdict on a sweep of forms, inputs, sizes and scales.
+written out, with the limits as they stood when the rule was replaced; and
+the coupling-and-summands rule ``decompose`` had before it was reported as
+one form.  ``test_verdict_reference.py`` requires the record rule to give
+the same verdict on a sweep of forms, inputs, sizes and scales.
 """
+
+import numpy as np
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
@@ -46,7 +49,18 @@ def reference_passing(report) -> bool:
     return True
 
 
-def reference_decompose_passing(result) -> bool:
-    """``DecompositionResult.passing`` with its coupling limit written out."""
-    return (result.coupling_residual <= COUPLING_LIMIT
-            and all(reference_passing(s.report) for s in result.summands))
+def reference_decompose_passing(result, threshold: float = 1e-10) -> bool:
+    """The verdict ``decompose`` gave before it had one report, from
+    ``result.matrix`` and ``result.dims`` alone: every entry coupling two
+    summands at most the coupling limit, and no entry of a summand above
+    ``threshold`` outside its joint cyclic support (column j support ends at
+    row 2j, row i support at column 2i+1, in the summand's own indices).
+    The summands' other checks read 0 by construction and never failed."""
+    M = np.abs(result.matrix)
+    label = np.repeat(np.arange(len(result.dims)), result.dims)
+    local = np.concatenate([np.arange(1, n + 1) for n in result.dims])
+    i, j = local[:, None], local[None, :]
+    same = label[:, None] == label[None, :]
+    support = same & (i <= 2 * j) & (j <= 2 * i + 1)
+    return (M[~same].max(initial=0.0) <= COUPLING_LIMIT
+            and not np.any(M[same & ~support] > threshold))

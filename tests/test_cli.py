@@ -12,7 +12,9 @@ from blocktrid import (
     SparsifiedForm,
     block_band,
     check_pattern,
+    VerificationReport,
     emit_matrix,
+    emit_matrix_text,
     full_report,
     parse_matrix,
     parse_spec,
@@ -137,12 +139,17 @@ def test_family_selfadjoint_pair(tmp_path, capsys):
 def test_decompose_command(tmp_path, capsys):
     path = _write(tmp_path, "D.json", np.diag([1.0, 2.0, 3.0]))
     assert main(["decompose", "--input", path]) == 0
-    assert "dims [1, 1, 1]" in capsys.readouterr().out
+    assert capsys.readouterr().out == "decompose: dims [1, 1, 1], 0 violations, passing\n"
     assert main(["decompose", "--input", path, "--report", "json",
                  "--output", str(tmp_path / "dec")]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out.splitlines()[0])
-    assert payload["dims"] == [1, 1, 1]
+    # one report on decompose's own basis change and matrix, plus the dims
+    res = transforms.decompose(parse_matrix(path))
+    assert payload == {**json.loads(res.report.to_json()), "dims": [1, 1, 1]}
+    assert payload["form_kind"] == "decompose"
+    assert payload["pattern"] == {"kind": "direct_sum", "violations": []}
+    assert "coupling_residual" not in payload and "summands" not in payload
     assert (tmp_path / "dec" / "decompose_M.json").exists()
     assert (tmp_path / "dec" / "decompose_U.json").exists()
     # the report file holds the --report json payload, newline-terminated
@@ -414,11 +421,9 @@ def _failures_and_payload(command, result):
             "forms": [json.loads(form.report.to_json()) for form in result],
         }, sort_keys=True)
     if command == "decompose":
-        return result.failures, json.dumps({
-            "passing": result.passing,
+        return result.report.failures, json.dumps({
+            **json.loads(result.report.to_json()),
             "dims": result.dims,
-            "coupling_residual": result.coupling_residual,
-            "summands": [json.loads(s.report.to_json()) for s in result.summands],
         }, sort_keys=True)
     return result.report.failures, result.report.to_json()
 
@@ -479,6 +484,44 @@ def test_form_commands_match_library_reports(tmp_path, capsys, monkeypatch):
         report = call(T).report
         assert out == report.to_json() + "\n", argv
         assert code == (0 if report.passing else 2)
+
+
+@pytest.mark.parametrize("argv", [["tridiag"], ["polar", "--alt"], ["family"]], ids=" ".join)
+def test_output_files_hold_the_one_printed_encoding(tmp_path, capsys, monkeypatch, argv):
+    # under --report json --output each report is encoded once, and the files
+    # hold the same bytes as the library's own encoding
+    monkeypatch.delenv("BLOCKTRID_THRESHOLD", raising=False)
+    paths = [_random_file(tmp_path, 10, 68, "A.json"), _random_file(tmp_path, 10, 69, "B.json")]
+    ops = [parse_matrix(path) for path in paths]
+    if argv == ["family"]:
+        forms = transforms.family_staircase(ops)[1]
+        inputs = ["--input", paths[0], "--input", paths[1]]
+        prefixes = ["family_1", "family_2"]
+        printed = json.dumps({"passing": True, "forms": [
+            json.loads(form.report.to_json()) for form in forms]}, sort_keys=True)
+    else:
+        build = {tuple(case): call for case, call in _cli_parity_cases(10)}[tuple(argv)]
+        forms = [build(ops[0])]
+        inputs = ["--input", paths[0]]
+        prefixes = [forms[0].form_kind]
+        printed = forms[0].report.to_json()
+    texts = [form.report.to_json() + "\n" for form in forms]
+    encoded = []
+    original = VerificationReport.json_object
+
+    def counting(report):
+        encoded.append(report.form_kind)
+        return original(report)
+
+    monkeypatch.setattr(VerificationReport, "json_object", counting)
+    out_dir = tmp_path / "out"
+    assert main(argv + inputs + ["--report", "json", "--output", str(out_dir), "--svg"]) == 0
+    assert len(encoded) == len(forms)
+    assert capsys.readouterr().out.splitlines()[0] == printed
+    for prefix, form, text in zip(prefixes, forms, texts):
+        assert (out_dir / f"{prefix}_report.json").read_text() == text
+        for name, mat in (("M", form.matrix), ("U", form.basis_change)):
+            assert (out_dir / f"{prefix}_{name}.json").read_text() == emit_matrix_text(mat, "json")
 
 
 @pytest.mark.parametrize("command, function", [

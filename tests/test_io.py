@@ -156,7 +156,7 @@ def test_emit_form_writes_matrix_unitary_report(tmp_path):
     T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     form = staircase(T)
     out = tmp_path / "out"
-    paths = emit_form(form, str(out), "json", svg=True)
+    paths = emit_form(form, form.report.to_json(), str(out), "json", svg=True)
     names = sorted(p.split("/")[-1] for p in paths)
     assert names == [
         "staircase_M.json",

@@ -28,8 +28,15 @@ from blocktrid import (
 )
 import blocktrid.basis as basis
 import blocktrid.kernel as kernel
+import blocktrid.transforms as transforms
 from blocktrid.transforms import SparsifiedForm
-from blocktrid.verify import SPAN_LIMIT, family_stride, full_report, polar_blocks
+from blocktrid.verify import (
+    SPAN_LIMIT,
+    UNITARITY_LIMIT,
+    family_stride,
+    full_report,
+    polar_blocks,
+)
 from blocktrid.words import staircase_program
 
 S2 = math.sqrt(2.0)
@@ -522,7 +529,6 @@ def test_decompose_diagonal():
     T = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.complex128)
     res = decompose(T)
     assert res.dims == [1, 1, 1, 1, 1]
-    assert res.coupling_residual <= 1e-12
     assert res.passing
     np.testing.assert_allclose(res.matrix, T, atol=1e-12)
 
@@ -538,11 +544,12 @@ def test_decompose_block_preserving_conjugation():
     T[3:, 3:] = Q5 @ R2 @ Q5.conj().T
     res = decompose(T)
     assert res.dims == [3, 5]
-    assert res.coupling_residual <= 1e-9
     assert res.passing
-    for summand in res.summands:
-        assert summand.form_kind == "direct_summand"
-        assert summand.report.pattern_violations == []
+    assert res.report.pattern_kind == "direct_sum"
+    assert [(s.dim, s.pattern.kind, s.extras) for s in res.summands] == [
+        (3, "joint_cyclic", {"offset": 0, "closure_dim": 3}),
+        (5, "joint_cyclic", {"offset": 3, "closure_dim": 5}),
+    ]
 
 
 def test_decompose_dense_conjugation_sums_to_dim():
@@ -553,7 +560,6 @@ def test_decompose_dense_conjugation_sums_to_dim():
     Q = _rand_unitary(rng, 8)
     res = decompose(Q @ R @ Q.conj().T)
     assert sum(res.dims) == 8
-    assert res.coupling_residual <= 1e-9
     assert res.passing
     assert unitarity_residual(res.basis_change) <= 1e-10
 
@@ -581,24 +587,43 @@ def test_staircase_support_matches_coarse_claim():
     assert check_pattern(form.matrix, staircase_coarse(), 1e-10) == []
 
 
-def test_decompose_coupling_matches_block_maximum():
+def test_decompose_names_its_largest_coupling_entry():
+    # coupling entries are claimed zeros of the direct-sum pattern, checked
+    # against the entry threshold like every other claimed zero
     rng = np.random.default_rng(5)
     d = 64
     u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    res = decompose(np.outer(u, w.conj()))
+    T = np.outer(u, w.conj())
+    res = decompose(T)
     assert len(res.dims) > 1
-    offsets = np.cumsum([0] + res.dims)
-    blocks = list(zip(offsets[:-1], offsets[1:]))
-    brute = max(
-        max_abs(res.matrix[a0:a1, b0:b1])
-        for a, (a0, a1) in enumerate(blocks)
-        for b, (b0, b1) in enumerate(blocks)
-        if a != b
-    )
-    # roundoff-level coupling, so the comparison is not between two zeros
-    assert 0.0 < brute <= 1e-9
-    assert res.coupling_residual == brute
+    label = np.repeat(np.arange(len(res.dims)), res.dims)
+    off = np.where(label[:, None] != label[None, :], np.abs(res.matrix), 0.0)
+    i, j = np.unravel_index(np.argmax(off), off.shape)
+    top = off[i, j]
+    # roundoff-level coupling, so the entry named is not a zero
+    assert 0.0 < top <= 1e-9
+    entry = (i + 1, j + 1, top)
+    assert entry not in decompose(T, threshold=top).report.pattern_violations
+    below = decompose(T, threshold=np.nextafter(top, 0.0)).report
+    assert entry in below.pattern_violations
+    assert ("pattern_violations", (i + 1, j + 1), top, np.nextafter(top, 0.0)) in below.failures
+
+
+def test_decompose_checks_its_own_basis_change(monkeypatch):
+    build = basis.run_program
+
+    def tampered(*args, **kwargs):
+        res = build(*args, **kwargs)
+        res.basis[:, 0] *= 1 + 1e-9
+        return res
+
+    monkeypatch.setattr(transforms, "run_program", tampered)
+    res = decompose(_rand(np.random.default_rng(36), 8))
+    assert not res.passing
+    first = res.report.failures[0]
+    assert first.check == "unitarity_residual"
+    assert first.value > first.limit == UNITARITY_LIMIT
 
 
 def test_reconstruction_residual_is_backward_error():

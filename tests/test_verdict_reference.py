@@ -6,9 +6,10 @@ Every form runs on six kinds of input (Gaussian, normal, rank-one, the
 nilpotent shift, identity, zero) at d in {5, 9, 16, 33}, each scaled by
 1e-12, 1e-6, 1, 1e6 and 1e12, where a check on an absolute limit passes
 vacuously or fails on roundoff; both rules must give the same verdict on
-every report, on every family member and decompose summand, and on
-decompose's own verdict.  Each of those reports must encode to the
-reference bytes and keep its fields as they were.  The triangular builds of the scaled shift that
+every report, family members and decompose's one report included, and
+decompose's verdict must equal the coupling-and-summands rule it replaced.
+Each of those reports must encode to the reference bytes and keep its
+fields as they were.  The triangular builds of the scaled shift that
 overflow are left to ``test_tri_sparsify_of_a_scaled_shift_overflows``.
 """
 
@@ -84,8 +85,7 @@ def test_record_verdict_matches_reference(kind, d):
         for name, report in _reports(T, skip_tri):
             _assert_matches_references(report, (scale, name))
         res = bt.decompose(T)
-        for k, summand in enumerate(res.summands):
-            _assert_matches_references(summand.report, (scale, k))
+        _assert_matches_references(res.report, (scale, "decompose"))
         assert res.passing == reference_decompose_passing(res), scale
 
 
