@@ -308,23 +308,19 @@ def conjugate_unchecked(T, U) -> np.ndarray:
 
 
 def span_residual(n, U, m):
-    """Distance from e_n to the span of the first m basis columns of U,
-    for 1 <= n <= d and 0 <= m <= the number of columns.
+    """‖U[n, m+1:]‖, the tail of row n of a square U (1 <= n <= d, 0 <= m <= d):
+    for a unitary U, the distance from e_n to the span of its first m columns.
 
-    ``n`` and ``m`` may be equal-length integer arrays; every distance then
-    comes from one projection pass, applied twice, and an ndarray is returned.
-    The first pass's coefficients ``U* e_n`` are row n of U, conjugated.
+    If ‖U*U - I‖₂ <= ε <= 1/3, that distance is at most (1 + ε)·tail + 2ε,
+    the bound :func:`blocktrid.verify.basis_checks` reports.  ``n`` and ``m``
+    may be equal-length integer arrays; an ndarray of tails is then returned.
     """
-    U = np.asarray(U, dtype=np.complex128)
+    U = as_operator(U, "basis change")
     d = U.shape[0]
     ns, ms = np.broadcast_arrays(np.atleast_1d(n), np.atleast_1d(m))
     if np.any((ns < 1) | (ns > d)):
         raise ValueError(f"basis index {n} out of range for dimension {d}")
-    if np.any((ms < 0) | (ms > U.shape[1])):
-        raise ValueError(f"span size {m} out of range for {U.shape[1]} columns")
-    R = np.eye(d, dtype=np.complex128)[:, ns - 1]
-    keep = np.arange(U.shape[1])[:, None] < ms
-    R -= U @ (keep * U[ns - 1].conj().T)
-    R -= U @ (keep * (U.conj().T @ R))
-    dist = np.linalg.norm(R, axis=0)
+    if np.any((ms < 0) | (ms > d)):
+        raise ValueError(f"span size {m} out of range for {d} columns")
+    dist = np.linalg.norm(U[ns - 1] * (np.arange(d) >= ms[:, None]), axis=1)
     return float(dist[0]) if np.ndim(n) == np.ndim(m) == 0 else dist

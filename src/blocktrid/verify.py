@@ -366,7 +366,9 @@ def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
     """The checks that depend on the basis change alone.
 
     Returns ``max|U*U - I|`` and, for every (n, m) in ``span_bounds``, the
-    triple (n, m, distance from e_n to the span of U's first m columns).
+    triple (n, m, r): r bounds the distance from e_n to the span of U's first
+    m columns from above.  ε = d·max|U*U - I| bounds ‖U*U - I‖₂, and for
+    ε <= 1/3, r = (1 + ε)·‖U[n, m+1:]‖ + 2ε; for a larger ε, r = 1.
     """
     from .basis import span_residual
     from .kernel import unitarity_residual
@@ -375,8 +377,9 @@ def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
     spans = []
     if span_bounds:
         ns, ms = np.array(span_bounds).T
-        dists = span_residual(ns, U, ms).tolist()
-        spans = [(n, m, r) for (n, m), r in zip(span_bounds, dists)]
+        eps = len(U) * unitarity
+        dists = np.where(eps <= 1 / 3, (1 + eps) * span_residual(ns, U, ms) + 2 * eps, 1.0)
+        spans = [(n, m, r) for (n, m), r in zip(span_bounds, dists.tolist())]
     return unitarity, spans
 
 
@@ -425,7 +428,5 @@ def matrix_report(form, threshold: float, unitarity: float,
         np.sum(M2 * M.T) - np.sum(T2 * T.T),
     ]
     report.trace_drifts = [float(abs(x)) for x in drifts]
-    report.frobenius_drift = float(
-        abs(np.linalg.norm(M, "fro") - np.linalg.norm(T, "fro"))
-    )
+    report.frobenius_drift = float(abs(np.linalg.norm(M, "fro") - report.input_norm_fro))
     return report

@@ -24,6 +24,7 @@ from blocktrid.words import (
     staircase_program,
     tri_word_program,
 )
+from reference_span import lstsq_distance
 
 FIXTURE_T5 = np.array(
     [
@@ -359,21 +360,28 @@ def test_span_residual_rejects_span_sizes_outside_the_columns(m):
     assert span_residual(3, np.eye(3), 3) == 0.0
 
 
-def test_span_residual_first_pass_reads_rows_of_u():
-    # U* e_n is row n of U conjugated: the distances repeat the two-pass
-    # formula with U* e_n taken as a product, bit for bit, for a unitary U
-    # and for a matrix that is not
+def test_span_residual_reads_the_tail_of_row_n():
+    # the distance is the norm of U[n, m+1:] for every (n, m); on a built
+    # basis, unitary to roundoff, it is the least-squares distance
     rng = np.random.default_rng(63)
     d = 24
     ns = np.arange(1, d + 1)
     ms = np.minimum(3 * ns, d) - (ns % 4)
-    for U in (run_program([random_matrix(rng, d)], staircase_program()).basis,
-              random_matrix(rng, d)):
-        R = np.eye(d, dtype=np.complex128)[:, ns - 1]
-        keep = np.arange(d)[:, None] < ms
-        for _ in range(2):
-            R -= U @ (keep * (U.conj().T @ R))
-        assert np.array_equal(span_residual(ns, U, ms), np.linalg.norm(R, axis=0))
+    U = run_program([random_matrix(rng, d)], staircase_program()).basis
+    for V in (U, random_matrix(rng, d)):
+        tails = [np.linalg.norm(V[n - 1, m:]) for n, m in zip(ns, ms)]
+        assert_allclose(span_residual(ns, V, ms), tails, rtol=4 * np.finfo(float).eps)
+    for n, m, r in zip(ns.tolist(), ms.tolist(), span_residual(ns, U, ms)):
+        assert abs(r - lstsq_distance(U, n, m)) <= 1e-14
+
+
+def test_span_residual_rejects_a_non_square_basis():
+    # e_1 alone in C^4: row 2 of it is zero, yet e_2 is at distance 1 from
+    # its span; the tail reads a distance only when the whole row is there
+    e1 = unit_vector(4, 0)[:, None]
+    assert lstsq_distance(e1, 2, 1) == 1.0
+    with pytest.raises(ValueError, match="square"):
+        span_residual(2, e1, 1)
 
 
 def _three_summands(rng):

@@ -9,6 +9,7 @@ from blocktrid import (
     BlockSchedule,
     GENERAL,
     InvalidScheduleError,
+    PatternSpec,
     block_band,
     block_slices,
     canonical_covering,
@@ -21,11 +22,14 @@ from blocktrid import (
     pattern_text,
     polar_blocks,
     schedule_for_dim,
+    staircase,
     staircase_coarse,
     staircase_refined,
     tri_blocks,
     tri_sparsify,
 )
+from blocktrid.verify import SPAN_LIMIT
+from reference_span import lstsq_distance
 
 S2 = math.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
@@ -246,6 +250,29 @@ def test_report_flags_similarity_drift():
     assert report.reconstruction_residual == 1.0
     assert report.trace_drifts[0] == 3.0
     assert not report.passing
+
+
+def test_report_names_a_span_claim_that_a_column_swap_breaks():
+    # swapping columns 3 and 7 of a staircase basis moves part of e_2 out of
+    # the first six columns; M and the pattern are permuted with U, so every
+    # check but the span claim still holds
+    rng = np.random.default_rng(37)
+    T = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    form = staircase(T)
+    perm = np.array([0, 1, 6, 3, 4, 5, 2, 7, 8])
+    U = form.basis_change[:, perm]
+
+    def allowed(i, j):
+        return form.pattern.allowed(perm[i - 1] + 1, perm[j - 1] + 1)
+
+    tampered = _Form(form.matrix[np.ix_(perm, perm)], "staircase",
+                     PatternSpec(form.pattern.kind, allowed),
+                     span_bounds=form.span_bounds, input_matrix=T, basis=U)
+    report = full_report(tampered)
+    assert form.passing
+    assert [(c.check, c.at) for c in report.failures] == [("span_residuals", (2, 6))]
+    assert all(r >= lstsq_distance(U, n, m) for n, m, r in report.span_residuals)
+    assert report.failures[0].value > 0.1 > SPAN_LIMIT
 
 
 def test_polar_report_blocks():
