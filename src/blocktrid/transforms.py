@@ -13,7 +13,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import BuildLog, conjugate, conjugate_unchecked, run_program
+from .basis import BuildLog, conjugate, run_program
 from .kernel import (
     DEPENDENCE_TOL,
     adjoint,
@@ -339,8 +339,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
         form = SparsifiedForm(
             input=S,
             basis_change=U,
-            # the first member's conjugate checks that U is unitary
-            matrix=conjugate_unchecked(S, U) if forms else conjugate(S, U),
+            matrix=conjugate(S, U),
             form_kind="family",
             pattern=family_stride(stride),
             span_bounds=bounds,

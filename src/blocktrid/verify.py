@@ -420,11 +420,11 @@ def matrix_report(form, threshold: float, unitarity: float,
         **pattern_fields(M, form.pattern, threshold),
     )
 
-    # tr(A^2) = sum(A * A^T) and tr(A^3) = sum(A^2 * A^T): one product each
+    # tr(A^2) = tr(A @ A) and tr(A^3) = sum((A @ A) * A^T): one product per matrix
     T2, M2 = T @ T, M @ M
     drifts = [
         np.trace(M) - np.trace(T),
-        np.sum(M * M.T) - np.sum(T * T.T),
+        np.trace(M2) - np.trace(T2),
         np.sum(M2 * M.T) - np.sum(T2 * T.T),
     ]
     report.trace_drifts = [float(abs(x)) for x in drifts]

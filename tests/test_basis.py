@@ -12,6 +12,8 @@ from blocktrid.basis import (
     span_residual,
 )
 from blocktrid.kernel import adjoint, max_abs, unit_vector, unitarity_residual
+from blocktrid.transforms import staircase
+from blocktrid.verify import UNITARITY_LIMIT, full_report
 from blocktrid.words import (
     WordProgram,
     apply_op,
@@ -25,6 +27,7 @@ from blocktrid.words import (
     tri_word_program,
 )
 from reference_span import lstsq_distance
+from tamper import scaled_column
 
 FIXTURE_T5 = np.array(
     [
@@ -205,11 +208,22 @@ def test_conjugate_five_by_five_fixture():
     assert max_abs(conjugate(FIXTURE_T5, FIXTURE_U5) - FIXTURE_M5) < 1e-12
 
 
-def test_conjugate_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        conjugate(np.eye(2), np.array([[1, 0], [0, 2]], dtype=complex))
+def test_conjugate_is_the_plain_product_and_the_report_checks_u():
+    T, U = np.eye(2), np.diag([1, 2]).astype(complex)
+    assert np.array_equal(conjugate(T, U), U.conj().T @ T @ U)
     with pytest.raises(ValueError):
         conjugate(np.eye(2), np.eye(3))
+    # column 1 scaled by 1+1e-6 (over the 1e-8 that conjugate once rejected)
+    # or by 1+1e-9 (under it): the staircase report fails on U first
+    T = random_matrix(np.random.default_rng(65), 16)
+    for factor in (1 + 1e-6, 1 + 1e-9):
+        with scaled_column(0, factor):
+            form = staircase(T)
+        assert np.array_equal(form.matrix,
+                              form.basis_change.conj().T @ T @ form.basis_change)
+        first = full_report(form).failures[0]
+        assert first.check == "unitarity_residual"
+        assert first.value > first.limit == UNITARITY_LIMIT
 
 
 def test_krylov_closure_and_padding():
@@ -352,9 +366,9 @@ def test_span_residual_arrays_match_scalar_calls():
 @pytest.mark.parametrize("m", [-1, 4, 7])
 def test_span_residual_rejects_span_sizes_outside_the_columns(m):
     # the first m columns exist only for 0 <= m <= the number of columns
-    with pytest.raises(ValueError, match="span size"):
+    with pytest.raises(ValueError, match=rf"^span bound \(1, {m}\) out of range"):
         span_residual(1, np.eye(3), m)
-    with pytest.raises(ValueError, match="span size"):
+    with pytest.raises(ValueError, match=rf"^span bound \(2, {m}\) out of range"):
         span_residual(np.array([1, 2]), np.eye(3), np.array([2, m]))
     assert span_residual(1, np.eye(3), 0) == 1.0
     assert span_residual(3, np.eye(3), 3) == 0.0

@@ -25,6 +25,7 @@ from blocktrid import (
     unit_vector,
 )
 from blocktrid.cli import main
+from tamper import scaled_column
 
 
 def _write(tmp_path, name, M):
@@ -426,6 +427,15 @@ def _failures_and_payload(command, result):
             "dims": result.dims,
         }, sort_keys=True)
     return result.report.failures, result.report.to_json()
+
+
+def test_a_form_command_on_a_non_unitary_build_names_unitarity(tmp_path, capsys):
+    # conjugate does not raise on such a U: the report fails, first on it
+    path = _random_file(tmp_path, 16, 66)
+    with scaled_column(0, 1 + 1e-6):
+        assert main(["staircase", "--input", path]) == 2
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("  first failed check: unitarity_residual at None: ")
 
 
 @pytest.mark.parametrize("command", list(VERDICT_COMMANDS))

@@ -480,10 +480,42 @@ def test_family_checks_its_basis_once(monkeypatch, N, selfadjoint):
     unitarity = _count_calls(monkeypatch, kernel, "unitarity_residual")
     spans = _count_calls(monkeypatch, basis, "span_residual")
     _, forms = family_staircase(ops, selfadjoint=selfadjoint)
-    # the first member's conjugate and report; nothing for the others
-    assert len(unitarity) == 2
+    # the first member's report; nothing for the others
+    assert len(unitarity) == 1
     assert len(spans) == 1
     assert all(form.passing for form in forms)
+
+
+@pytest.mark.parametrize("name", [
+    "staircase", "block_tridiagonalize", "polar_sparsify", "polar_sparsify alt",
+    "polar_sparsify_tridiagonal", "tri_sparsify", "krylov_hessenberg",
+    "joint_cyclic_staircase", "decompose", "family_staircase",
+])
+def test_each_form_forms_one_gram(monkeypatch, name):
+    # max|U*U - I| is computed once per call, by the report; conjugate is
+    # the plain product, on the path of every form that builds a basis
+    T = _rand(np.random.default_rng(34), 20)
+    e1 = np.eye(20)[0]
+    band = block_tridiagonalize(T)
+    build = {
+        "staircase": lambda: staircase(T),
+        "block_tridiagonalize": lambda: block_tridiagonalize(T),
+        "polar_sparsify": lambda: polar_sparsify(T),
+        "polar_sparsify alt": lambda: polar_sparsify(T, alt=True),
+        "polar_sparsify_tridiagonal": lambda: polar_sparsify_tridiagonal(
+            band.matrix, band.schedule),
+        "tri_sparsify": lambda: tri_sparsify(T),
+        "krylov_hessenberg": lambda: krylov_hessenberg(T, e1),
+        "joint_cyclic_staircase": lambda: joint_cyclic_staircase(T, e1),
+        "decompose": lambda: decompose(T),
+        "family_staircase": lambda: family_staircase([T, T.conj().T])[1][0],
+    }[name]
+    unitarity = _count_calls(monkeypatch, kernel, "unitarity_residual")
+    products = _count_calls(monkeypatch, basis, "conjugate")
+    assert build().passing
+    assert len(unitarity) == 1
+    assert len(products) == (0 if name == "polar_sparsify_tridiagonal" else
+                             2 if name == "family_staircase" else 1)
 
 
 def test_family_members_own_their_span_residuals():

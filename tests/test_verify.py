@@ -28,7 +28,7 @@ from blocktrid import (
     tri_blocks,
     tri_sparsify,
 )
-from blocktrid.verify import SPAN_LIMIT
+from blocktrid.verify import DEFAULT_THRESHOLD, SPAN_LIMIT, basis_checks, matrix_report
 from reference_span import lstsq_distance
 
 S2 = math.sqrt(2.0)
@@ -273,6 +273,37 @@ def test_report_names_a_span_claim_that_a_column_swap_breaks():
     assert [(c.check, c.at) for c in report.failures] == [("span_residuals", (2, 6))]
     assert all(r >= lstsq_distance(U, n, m) for n, m, r in report.span_residuals)
     assert report.failures[0].value > 0.1 > SPAN_LIMIT
+
+
+def test_span_bound_errors_name_the_first_pair_out_of_range():
+    with pytest.raises(ValueError,
+                       match=r"^span bound \(2, 7\) out of range for dimension 6$"):
+        basis_checks(np.eye(6), [(1, 1), (2, 7)])
+    with pytest.raises(ValueError,
+                       match=r"^span bound \(0, 3\) out of range for dimension 6$"):
+        basis_checks(np.eye(6), [(1, 1), (0, 3), (7, 2)])
+
+
+@pytest.mark.parametrize("delta", [0.3 - 0.2j, 1e-4j, -2.5])
+def test_trace_drifts_read_a_perturbed_corner(delta):
+    # M[0, 0] + δ moves tr(M^p) by the p-th expansion of the corner alone:
+    # δ, 2δM₁₁ + δ², 3δ(M²)₁₁ + 3δ²M₁₁ + δ³; the built form's own drifts
+    # are roundoff
+    rng = np.random.default_rng(38)
+    T = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    form = staircase(T)
+    M = form.matrix
+    m11, m2_11 = M[0, 0], (M @ M)[0, 0]
+    perturbed = M.copy()
+    perturbed[0, 0] += delta
+    form.matrix = perturbed
+    report = matrix_report(form, DEFAULT_THRESHOLD, form.report.unitarity_residual,
+                           form.report.span_residuals)
+    expected = [delta, 2 * delta * m11 + delta ** 2,
+                3 * delta * m2_11 + 3 * delta ** 2 * m11 + delta ** 3]
+    scale = np.linalg.norm(T, "fro")
+    for p, (drift, value) in enumerate(zip(report.trace_drifts, expected), start=1):
+        assert abs(drift - abs(value)) <= 8 * EPS * scale ** p, p
 
 
 def test_polar_report_blocks():
