@@ -3,15 +3,16 @@
 The orthonormal-style executor offers the stream to Gram-Schmidt in blocks
 and stops once the basis is complete.  A block is the longest run of
 upcoming instructions whose source vectors exist when it starts, at most one
-per free basis slot: its candidates are formed with one matrix product per
-operator and decided in stream order by one ``mgs_append`` call, so the
-accept and reject decisions are those of offering one vector at a time.  A
-reference to a basis vector that does not exist when a block starts means
-the span built so far is closed under the program's words.  A program
-seeded by e_1 then offers the next standard seed and retries the reference,
-so one build can run through a whole direct sum of reducing subspaces; a
-program started from a vector v instead pads with standard basis vectors to
-finish the square unitary, or stops.
+per free basis slot: its candidates, one matrix product per operator (or, for
+one offer, a matrix-vector product, the seed or v), are decided in stream
+order by one ``mgs_append`` call, so the accept and reject decisions are
+those of offering one vector at a time.  A reference to a basis vector that
+does not exist when a block starts means the span built so far is closed
+under the program's words.  A program seeded by e_1 then offers the next
+standard seed and retries the reference, so one build can run through a
+whole direct sum of reducing subspaces; a program started from a vector v
+instead pads with standard basis vectors to finish the square unitary, or
+stops.
 
 The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
@@ -30,9 +31,9 @@ position.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import count
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,14 +56,13 @@ class InstructionCapError(RuntimeError):
     """The executor ran past its instruction budget without completing."""
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """Outcome of one offered vector, or of a skipped run of positions.
 
     position_end equals position for ordinary entries; a larger value records
     a contiguous run rejected in bulk (residual_norm is None there, since
     nothing was computed).  survivor_index is the 1-based basis slot filled
-    by an accepted vector.
+    by an accepted vector.  An immutable tuple of these fields.
     """
 
     position: int
@@ -80,20 +80,15 @@ class BuildLog:
     def add(self, position, instruction, accepted, residual_norm, survivor_index,
             position_end=None):
         self.entries.append(LogEntry(
-            position=position,
-            position_end=position if position_end is None else position_end,
-            instruction=instruction,
-            accepted=accepted,
-            residual_norm=residual_norm,
-            survivor_index=survivor_index,
-        ))
+            position, position if position_end is None else position_end,
+            instruction, accepted, residual_norm, survivor_index))
 
     @property
     def accepted_count(self) -> int:
         return sum(1 for e in self.entries if e.accepted)
 
     def to_json(self) -> str:
-        return json.dumps([asdict(e) for e in self.entries], sort_keys=True)
+        return json.dumps([e._asdict() for e in self.entries], sort_keys=True)
 
 
 @dataclass
@@ -215,22 +210,32 @@ def run_program(
         if not block:
             break
 
-        candidates = np.zeros((len(block), dim), dtype=np.complex128)
-        groups = {}  # block rows by (op_index, adjoint)
-        for row, instr in enumerate(block):
+        if len(block) == 1:
+            # the one candidate directly, as a (1, dim) row
+            instr = block[0]
             if instr.kind == "apply":
-                groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
+                candidates = (mats[instr.op_index, instr.adjoint] @ B[instr.src - 1])[None]
             elif instr.kind == "seed":
-                candidates[row, instr.seed_index - 1] = 1.0
+                candidates = unit_vector(dim, instr.seed_index - 1)[None]
             else:
-                candidates[row] = v
-        for key, rows in groups.items():
-            if len(rows) == 1:
-                candidates[rows[0]] = mats[key] @ B[block[rows[0]].src - 1]
-            else:
-                # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
-                srcs = [block[row].src - 1 for row in rows]
-                candidates[rows] = B.take(srcs, axis=0) @ mats[key].T
+                candidates = v[None]
+        else:
+            candidates = np.zeros((len(block), dim), dtype=np.complex128)
+            groups = {}  # block rows by (op_index, adjoint)
+            for row, instr in enumerate(block):
+                if instr.kind == "apply":
+                    groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
+                elif instr.kind == "seed":
+                    candidates[row, instr.seed_index - 1] = 1.0
+                else:
+                    candidates[row] = v
+            for key, rows in groups.items():
+                if len(rows) == 1:
+                    candidates[rows[0]] = mats[key] @ B[block[rows[0]].src - 1]
+                else:
+                    # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
+                    srcs = [block[row].src - 1 for row in rows]
+                    candidates[rows] = B.take(srcs, axis=0) @ mats[key].T
         # the offers of a block sit at consecutive positions
         first = position - len(block) + 1
         outcomes = mgs_append(B[:k], candidates, tol)

@@ -8,8 +8,7 @@ value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,13 +67,15 @@ def max_abs(A) -> float:
 def unitarity_residual(U) -> float:
     """``max |U*U - I|`` for a square matrix."""
     U = as_operator(U, "basis change")
-    d = U.shape[0]
-    return max_abs(U.conj().T @ U - np.eye(d))
+    G = U.conj().T @ U
+    # the identity comes off the diagonal in place: the same values as G - I
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    return max_abs(G)
 
 
-@dataclass(frozen=True)
-class GsOutcome:
-    """Result of offering one candidate vector to a growing orthonormal basis."""
+class GsOutcome(NamedTuple):
+    """Result of offering one candidate vector to a growing orthonormal basis,
+    an immutable tuple; ``vector`` is None for a rejected candidate."""
 
     accepted: bool
     vector: Optional[np.ndarray]
@@ -98,7 +99,7 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
 
     Returns
     -------
-    GsOutcome, or a list of m of them for a block
+    GsOutcome, or a list of m of them for a (m, d) block, m = 1 included
         Accepted with the normalized residual vector, or rejected when the
         residual norm falls at or below ``tol * max(1, ||v_i||)``.
 

@@ -15,6 +15,7 @@ is deleted from the sequence and every later reference shifts down, which
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -29,14 +30,13 @@ FAMILY_SA = "family_sa"
 FAMILY_GEN = "family_gen"
 
 
-@dataclass(frozen=True)
-class WordInstruction:
+class WordInstruction(NamedTuple):
     """One step of a word program.
 
     kind is ``seed`` (offer the standard basis vector e_seed_index),
     ``seed_vec`` (offer the caller-supplied starting vector), or ``apply``
     (offer operator op_index, or its adjoint, applied to the src-th vector of
-    the relevant sequence).  All indices are 1-based.
+    the relevant sequence).  All indices are 1-based; an immutable tuple.
     """
 
     kind: str
@@ -173,7 +173,12 @@ def tri_word_raw(n: int) -> RawWord:
     sizes n_k = 2*3^{k-2}): the first n_k positions apply T to g_{s_{k-1}+r},
     the next n_{k+1}-1-n_k apply T* to g_{r+1-k}, and the stage closes by
     seeding e_k at position 3^k.
+
+    ``n`` is read through ``operator.index``: a non-integer raises TypeError,
+    and every field is a plain int.  The stage is read off the bit length of
+    n - 1, so a position costs O(1) integer operations at any stage.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("positions are 1-based")
     if n == 1:
@@ -182,18 +187,22 @@ def tri_word_raw(n: int) -> RawWord:
         return RawWord(apply_op(1, adjoint=False), 1, 2, 1)
     if n == 3:
         return RawWord(apply_op(1, adjoint=True), 1, 3, 1)
-    k = 2
-    while 3 ** k < n:
-        k += 1
-    s_prev2 = 3 ** (k - 2)
+    # stage k has s_prev = 3^{k-1} <= n - 1 < 3^k; with b the bit length of
+    # n - 1, floor((b - 1) log_3 2) is k - 1 up to one step
+    k = 1 + int(((n - 1).bit_length() - 1) * 0.6309297535714574)
     s_prev = 3 ** (k - 1)
+    if s_prev > n - 1:
+        k, s_prev = k - 1, s_prev // 3
+    elif 3 * s_prev <= n - 1:
+        k, s_prev = k + 1, 3 * s_prev
+    s_prev2 = s_prev // 3
     n_k = s_prev - s_prev2
     r = n - s_prev
     if r <= n_k:
         return RawWord(apply_op(s_prev2 + r, adjoint=False), s_prev2 + r, s_prev + n_k, k)
-    if n < 3 ** k:
-        return RawWord(apply_op(r + 1 - k, adjoint=True), r + 1 - k, 3 ** k - 1, k)
-    return RawWord(seed(k), None, 3 ** k, k)
+    if n < 3 * s_prev:
+        return RawWord(apply_op(r + 1 - k, adjoint=True), r + 1 - k, 3 * s_prev - 1, k)
+    return RawWord(seed(k), None, 3 * s_prev, k)
 
 
 def tri_word_sequence(n_instructions: int) -> List[WordInstruction]:

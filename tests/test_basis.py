@@ -7,14 +7,16 @@ from numpy.testing import assert_allclose
 
 from blocktrid.basis import (
     InstructionCapError,
+    LogEntry,
     conjugate,
     run_program,
     span_residual,
 )
-from blocktrid.kernel import adjoint, max_abs, unit_vector, unitarity_residual
+from blocktrid.kernel import GsOutcome, adjoint, max_abs, unit_vector, unitarity_residual
 from blocktrid.transforms import staircase
 from blocktrid.verify import UNITARITY_LIMIT, full_report
 from blocktrid.words import (
+    WordInstruction,
     WordProgram,
     apply_op,
     direct_sum_program,
@@ -331,6 +333,50 @@ def test_log_serializes_to_json():
     assert payload[0]["position"] == 1
     assert payload[0]["accepted"] is True
     assert res.log.to_json() == res.log.to_json()
+    # every value of this log is exact, so its encoding is pinned byte for byte
+    assert res.log.to_json() == LOG_3X3_ZERO_TRIANGULAR
+
+
+LOG_3X3_ZERO_TRIANGULAR = (
+    '[{"accepted": true, "instruction": "seed 1", "position": 1, "position_end": 1, '
+    '"residual_norm": 1.0, "survivor_index": 1}, '
+    '{"accepted": false, "instruction": "apply 1 0 1", "position": 2, "position_end": 2, '
+    '"residual_norm": 0.0, "survivor_index": null}, '
+    '{"accepted": false, "instruction": "apply 1 1 1", "position": 3, "position_end": 3, '
+    '"residual_norm": 0.0, "survivor_index": null}, '
+    '{"accepted": false, "instruction": "apply 1 0 2", "position": 4, "position_end": 5, '
+    '"residual_norm": null, "survivor_index": null}, '
+    '{"accepted": false, "instruction": "apply 1 1 2", "position": 6, "position_end": 8, '
+    '"residual_norm": null, "survivor_index": null}, '
+    '{"accepted": true, "instruction": "seed 2", "position": 9, "position_end": 9, '
+    '"residual_norm": 1.0, "survivor_index": 2}, '
+    '{"accepted": false, "instruction": "apply 1 0 4", "position": 10, "position_end": 15, '
+    '"residual_norm": 0.0, "survivor_index": null}, '
+    '{"accepted": false, "instruction": "apply 1 1 5", "position": 16, "position_end": 20, '
+    '"residual_norm": 0.0, "survivor_index": null}, '
+    '{"accepted": false, "instruction": "apply 1 1 10", "position": 21, "position_end": 26, '
+    '"residual_norm": null, "survivor_index": null}, '
+    '{"accepted": true, "instruction": "seed 3", "position": 27, "position_end": 27, '
+    '"residual_norm": 1.0, "survivor_index": 3}]'
+)
+
+
+@pytest.mark.parametrize("record, fields, defaults, sample", [
+    (WordInstruction, ("kind", "seed_index", "op_index", "adjoint", "src"),
+     {"seed_index": None, "op_index": 1, "adjoint": False, "src": None},
+     WordInstruction("seed", seed_index=1)),
+    (GsOutcome, ("accepted", "vector", "residual_norm"), {},
+     GsOutcome(False, None, 0.0)),
+    (LogEntry, ("position", "position_end", "instruction", "accepted", "residual_norm",
+                "survivor_index"), {},
+     LogEntry(1, 1, "seed 1", True, 1.0, 1)),
+])
+def test_build_records_are_immutable_named_tuples(record, fields, defaults, sample):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert tuple(sample) == sample
+    with pytest.raises(AttributeError):
+        setattr(sample, fields[0], getattr(sample, fields[0]))
 
 
 def test_span_residual_full_basis_is_zero():

@@ -47,6 +47,18 @@ def test_adjoint_and_helpers():
     assert unitarity_residual(2 * np.eye(2)) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("d", [1, 7, 64])
+def test_unitarity_residual_equals_the_product_minus_the_identity(d):
+    rng = np.random.default_rng(d)
+    Q, _ = np.linalg.qr(random_matrix(rng, d))
+    tampered = Q.copy()
+    tampered[:, d // 2] *= 1 + 1e-9
+    tampered[0, -1] += 3e-7j
+    for U in (Q, tampered):
+        assert unitarity_residual(U) == max_abs(U.conj().T @ U - np.eye(d))
+    assert unitarity_residual(tampered) > unitarity_residual(Q)
+
+
 def test_mgs_append_builds_orthonormal_basis():
     rng = np.random.default_rng(11)
     for trial in range(50):

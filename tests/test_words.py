@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from blocktrid.words import (
@@ -110,6 +111,17 @@ def test_tri_t_range_positions_10_to_15():
     tokens = [tri_word_raw(n).token for n in range(10, 16)]
     assert tokens == [4, 5, 6, 7, 8, 9]
     assert all(not tri_word_raw(n).instruction.adjoint for n in range(10, 16))
+
+
+def test_tri_positions_must_be_integers():
+    with pytest.raises(TypeError):
+        tri_word_raw(2.5)
+    word = tri_word_raw(np.int64(10))
+    assert word == tri_word_raw(10)
+    values = [word.token, word.run_end, word.stage, word.instruction.op_index,
+              word.instruction.src]
+    assert values == [4, 15, 3, 1, 4]
+    assert all(type(x) is int for x in values)
 
 
 def test_joint_cyclic_program():
