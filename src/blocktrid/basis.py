@@ -3,16 +3,22 @@
 The orthonormal-style executor offers the stream to Gram-Schmidt in blocks
 and stops once the basis is complete.  A block is the longest run of
 upcoming instructions whose source vectors exist when it starts, at most one
-per free basis slot: its candidates, one matrix product per operator (or, for
-one offer, a matrix-vector product, the seed or v), are decided in stream
-order by one ``mgs_append`` call, so the accept and reject decisions are
-those of offering one vector at a time.  A reference to a basis vector that
-does not exist when a block starts means the span built so far is closed
-under the program's words.  A program seeded by e_1 then offers the next
-standard seed and retries the reference, so one build can run through a
-whole direct sum of reducing subspaces; a program started from a vector v
-instead pads with standard basis vectors to finish the square unitary, or
-stops.
+per free basis slot.  A block of four or more offers forms its candidates in
+one matrix product per operator, and one ``mgs_append`` call decides them in
+stream order, so the accept and reject decisions are those of offering one
+vector at a time.  A block of at most three offers, as most blocks of a
+degenerate input are, is offered one vector at a time: for a few rows a
+matrix product, which packs the whole basis, costs more than the
+matrix-vector products it replaces.  Each of its candidates (a
+matrix-vector product, a seed or a copy of v) goes through ``offer_row``
+against every row accepted so far, with the arithmetic of the one-offer
+reference: an offer costs four matrix-vector products and copies neither
+the basis nor the candidate.  A reference to a basis vector that does not
+exist when a block starts means the span built so far is closed under the
+program's words.  A program seeded by e_1 then offers the next standard
+seed and retries the reference, so one build can run through a whole
+direct sum of reducing subspaces; a program started from a vector v instead
+pads with standard basis vectors to finish the square unitary, or stops.
 
 The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
@@ -25,7 +31,8 @@ Anything but an acceptance rejects positions n..last by one skip rule,
 ``last = min(n + (q - token), run_end)`` with q the first accepted position
 at or after the token, or ``run_end`` when there is none: up to q every
 token of the run resolves to the same survivor, and a seed's run is its own
-position.
+position.  It keeps each raw candidate and offers a copy through
+``offer_row``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ import numpy as np
 from .kernel import (
     DEPENDENCE_TOL,
     as_operator,
+    check_tolerance,
     mgs_append,
+    offer_row,
     unit_vector,
 )
 from .words import (
@@ -123,8 +132,10 @@ def run_program(
     ``seed_vector`` v (required, finite and nonzero); at its closure, seeds
     e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is false, in
     which case the returned basis holds the closure only.  Any other program
-    rejects a ``seed_vector``.
+    rejects a ``seed_vector``.  A ``tol`` outside [0, 1) raises
+    ``ValueError`` before any offer.  Neither the operators nor v are written.
     """
+    check_tolerance(tol)
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
     if len(ops) != program.n_ops:
         raise ValueError(f"this program applies {program.n_ops} operator(s), "
@@ -159,6 +170,16 @@ def run_program(
 
     # orthonormal basis vectors as rows; B[:k] is the basis built so far
     B = np.zeros((dim, dim), dtype=np.complex128)
+
+    def candidate(instr):
+        """A fresh candidate row, which offer_row may overwrite: a
+        matrix-vector product, a standard seed or a copy of the caller's v."""
+        if instr.kind == "apply":
+            return mats[instr.op_index, instr.adjoint] @ B[instr.src - 1]
+        if instr.kind == "seed":
+            return unit_vector(dim, instr.seed_index - 1)
+        return v.copy()
+
     k = 0
     log = BuildLog()
     closures: List[int] = []
@@ -210,15 +231,11 @@ def run_program(
         if not block:
             break
 
-        if len(block) == 1:
-            # the one candidate directly, as a (1, dim) row
-            instr = block[0]
-            if instr.kind == "apply":
-                candidates = (mats[instr.op_index, instr.adjoint] @ B[instr.src - 1])[None]
-            elif instr.kind == "seed":
-                candidates = unit_vector(dim, instr.seed_index - 1)[None]
-            else:
-                candidates = v[None]
+        if len(block) <= 3:
+            # offered one at a time, lazily: each candidate is formed and
+            # decided after the loop below has stored the rows accepted
+            # before it, as a one-offer-at-a-time build would
+            outcomes = (offer_row(B[:k], candidate(instr), tol) for instr in block)
         else:
             candidates = np.zeros((len(block), dim), dtype=np.complex128)
             groups = {}  # block rows by (op_index, adjoint)
@@ -236,9 +253,9 @@ def run_program(
                     # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
                     srcs = [block[row].src - 1 for row in rows]
                     candidates[rows] = B.take(srcs, axis=0) @ mats[key].T
+            outcomes = mgs_append(B[:k], candidates, tol)
         # the offers of a block sit at consecutive positions
         first = position - len(block) + 1
-        outcomes = mgs_append(B[:k], candidates, tol)
         for pos, (instr, out) in enumerate(zip(block, outcomes), first):
             if out.accepted:
                 B[k] = out.vector
@@ -275,7 +292,8 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
             if sigma <= survivors.survivors and key not in offered:
                 offered.add(key)
                 candidate = (Tadj if instr.adjoint else T) @ raw[sigma - 1]
-        out = None if candidate is None else mgs_append(B[:k], candidate, tol)
+        # raw keeps the candidate; a copy of it is offered and overwritten
+        out = None if candidate is None else offer_row(B[:k], candidate.copy(), tol)
         if out is not None and out.accepted:
             raw.append(candidate)
             B[k] = out.vector

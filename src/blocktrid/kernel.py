@@ -82,6 +82,34 @@ class GsOutcome(NamedTuple):
     residual_norm: float
 
 
+def check_tolerance(tol) -> None:
+    """Raise ``ValueError`` unless the dependence tolerance lies in [0, 1).
+
+    A negative or NaN tolerance accepts zero residuals, and one of 1 or more
+    rejects every unit seed, so no basis could be completed.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"dependence tolerance must lie in [0, 1), got {tol!r}")
+
+
+def offer_row(Q, w, tol: float) -> GsOutcome:
+    """Offer the fresh candidate vector ``w`` to the orthonormal rows ``Q``.
+
+    Two classical passes ``w -= conj(Q @ conj(w)) @ Q``, each two
+    matrix-vector products, round exactly as the one-offer reference does.
+    ``w`` is projected and, if accepted, normalized in place: the caller
+    hands over a vector it does not read again.  ``tol`` is not checked here.
+    """
+    limit = tol * max(1.0, _norm(w))
+    for _ in range(2):
+        # dot skips matmul's dispatch; the second product stays a matmul,
+        # whose rounding against a one-row basis a dot would not repeat
+        c = Q.dot(w.conj())
+        np.conjugate(c, out=c)
+        w -= c @ Q
+    return _accept(w, _norm(w), limit)
+
+
 def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[GsOutcome]]:
     """Orthogonalize candidates against ``basis`` with classical Gram-Schmidt applied twice.
 
@@ -94,8 +122,7 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         One candidate vector, or a block of m candidate rows in offer order.
     tol : float
         Dependence threshold, relative to ``max(1, ||v_i||)`` for the raw
-        candidate ``v_i``; it must lie in [0, 1), since a larger one rejects
-        every unit seed and no basis can be completed.
+        candidate ``v_i``; it must lie in [0, 1) (:func:`check_tolerance`).
 
     Returns
     -------
@@ -103,22 +130,24 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         Accepted with the normalized residual vector, or rejected when the
         residual norm falls at or below ``tol * max(1, ||v_i||)``.
 
-    Two passes project the whole basis out of every row at once; the second
-    keeps accepted vectors orthogonal to working accuracy even when the
-    first cancels most of a row ("twice is enough").  Rows are then accepted
-    or rejected in offer order, each against the rows of the block accepted
-    before it: the block is halved recursively, and the rows accepted from a
-    first half are projected out of the second half in one pass before that
-    half is decided.  Passes over more than a few rows are matrix products.
-    A row that follows an accepted row of its block and keeps less than 0.1
-    of its raw norm gets one more pass against the basis and every row
-    accepted before it, since the rounding left by the passes it cancelled
-    in is then large next to its residual.  A single candidate, and the
-    first row of a block, take the two basis passes alone, so a one-row
-    block is decided exactly as the vector would be.
+    ``basis`` and ``v`` are never written: the candidates are copied.  Two
+    passes project the basis out of each candidate; the second keeps
+    accepted vectors orthogonal to working accuracy even when the first
+    cancels most of it ("twice is enough").  A vector, and a block of at
+    most three rows, go through :func:`offer_row` one row at a time, each
+    against the basis and the rows of the block accepted before it: the
+    arithmetic of offering one vector at a time, and cheaper than packing
+    the basis for a matrix product.  A larger block is projected in matrix
+    products, then its rows are accepted or rejected in offer order, each
+    against the rows of the block accepted before it: the block is halved
+    recursively, and the rows accepted from a first half are projected out
+    of the second half in one pass before that half is decided.  A row that
+    follows an accepted row of its block and keeps less than 0.1 of its raw
+    norm gets one more pass against the basis and every row accepted before
+    it, since the rounding left by the passes it cancelled in is then large
+    next to its residual.
     """
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"dependence tolerance must lie in [0, 1), got {tol!r}")
+    check_tolerance(tol)
     W = np.array(v, dtype=np.complex128)
     if W.ndim not in (1, 2):
         raise ValueError(f"candidates must be a vector or a block of rows, got shape {W.shape}")
@@ -128,19 +157,16 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         Q = Q.reshape(0, d)
     if Q.ndim != 2 or Q.shape[1] != d:
         raise ValueError("candidate vector dimension does not match the basis")
-    rows = list(W) if W.ndim == 2 else [W]
-    norms = [_norm(w) for w in rows]
-    limits = [tol * max(1.0, norm) for norm in norms]
-    # a matrix product packs all of Q on every call, which for a few rows
-    # costs more than the matrix-vector products it replaces
-    for _ in range(2):
-        for part in (rows if len(rows) <= 3 else (W,)):
-            _project(Q, part)
-    if len(rows) == 1:
-        # nothing accepted before it in the block
-        outcome = _accept(rows[0], _norm(rows[0]), limits[0])
-        return [outcome] if W.ndim == 2 else outcome
-    return _decide_in_order(Q, W, rows, norms, limits)
+    if W.ndim == 1:
+        return offer_row(Q, W, tol)
+    if len(W) > 3:
+        return _decide_in_order(Q, W, tol)
+    outcomes = []
+    for w in W:
+        outcomes.append(offer_row(Q, w, tol))
+        if outcomes[-1].accepted:
+            Q = np.vstack([Q, w])
+    return outcomes
 
 
 def _norm(w) -> float:
@@ -164,15 +190,19 @@ def _accept(w, r: float, limit: float) -> GsOutcome:
     return GsOutcome(True, w, r)
 
 
-def _decide_in_order(Q, block, rows, norms, limits):
-    """Accept or reject the rows of ``block``, already projected against Q,
-    in order; accepted rows are normalized in place.
+def _decide_in_order(Q, block, tol):
+    """Project a block of four or more rows against Q, then accept or reject
+    its rows in order; accepted rows are normalized in place.
 
-    ``rows`` views the rows of ``block``; ``norms`` and ``limits`` hold their
-    raw norms and dependence limits.  Rows [lo, hi) are halved recursively:
-    once the first half [lo, mid) is decided, the rows accepted from it are
-    projected out of the second half [mid, hi) before that half is decided.
+    Rows [lo, hi) are halved recursively: once the first half [lo, mid) is
+    decided, the rows accepted from it are projected out of the second half
+    [mid, hi) before that half is decided.
     """
+    rows = list(block)
+    norms = [_norm(w) for w in rows]
+    limits = [tol * max(1.0, norm) for norm in norms]
+    for _ in range(2):
+        _project(Q, block)
     kept = []     # accepted rows, in order
     outcomes = []
 

@@ -1,10 +1,12 @@
 import json
+import math
 from itertools import chain, repeat
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blocktrid import basis
 from blocktrid.basis import (
     InstructionCapError,
     LogEntry,
@@ -300,6 +302,51 @@ def test_run_program_rejects_inputs_it_would_ignore(n_ops, program, seed_vector,
     ops = [random_matrix(rng, 4) for _ in range(n_ops)]
     with pytest.raises(ValueError, match=message):
         run_program(ops, program, seed_vector=seed_vector)
+
+
+def every_program(T, S, v):
+    """(name, operators, word program, keyword arguments) for each program on T."""
+    H, K = T + T.conj().T, S + S.conj().T
+    return [
+        ("staircase", [T], staircase_program(), {}),
+        ("direct_sum", [T], direct_sum_program(), {}),
+        ("joint_cyclic", [T], joint_cyclic_program(), {"seed_vector": v}),
+        ("closure", [T], joint_cyclic_program(), {"seed_vector": v, "pad_with_seeds": False}),
+        ("krylov", [T], krylov_program(), {"seed_vector": v}),
+        ("family_sa", [H, K], family_program(2, selfadjoint=True), {}),
+        ("family_gen", [T, S], family_program(2, selfadjoint=False), {}),
+        ("triangular", [T], tri_word_program(), {}),
+    ]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "identity", "jordan", "rank_one"])
+def test_run_program_never_writes_its_inputs(family):
+    # the seed vector is offered as a copy: a complex128 vector is the
+    # caller's own array inside run_program
+    rng = np.random.default_rng(62)
+    d = 9
+    T = {"gaussian": random_matrix(rng, d), "identity": np.eye(d, dtype=complex),
+         "jordan": np.eye(d, k=1, dtype=complex),
+         "rank_one": np.outer(random_matrix(rng, d)[0], random_matrix(rng, d)[1])}[family]
+    S, v = random_matrix(rng, d), random_matrix(rng, d)[0]
+    for name, ops, program, kwargs in every_program(T, S, v):
+        inputs = ops + ([kwargs["seed_vector"]] if "seed_vector" in kwargs else [])
+        before = [a.tobytes() for a in inputs]
+        run_program(ops, program, **kwargs)
+        assert [a.tobytes() for a in inputs] == before, name
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, 1.0, math.inf])
+def test_run_program_checks_the_tolerance_before_any_offer(tol, monkeypatch):
+    offers = []
+    monkeypatch.setattr(basis, "offer_row", lambda *args: offers.append(args))
+    monkeypatch.setattr(basis, "mgs_append", lambda *args: offers.append(args))
+    rng = np.random.default_rng(63)
+    T, S = random_matrix(rng, 6), random_matrix(rng, 6)
+    for _, ops, program, kwargs in every_program(T, S, T[0]):
+        with pytest.raises(ValueError, match=r"dependence tolerance must lie in \[0, 1\)"):
+            run_program(ops, program, tol, **kwargs)
+    assert offers == []
 
 
 def test_instruction_cap_stops_a_stream_that_never_seeds_again():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blocktrid import basis
 from blocktrid.basis import run_program
 from blocktrid.kernel import DEPENDENCE_TOL, unitarity_residual
 from blocktrid.words import (
@@ -147,6 +148,39 @@ def test_blocked_executor_agrees_up_to_boundary_flips(family, program, d, seed):
     T = make_input(family, d, rng)
     S, v = gaussian(rng, d), gaussian(rng, d)[0]
     run_both(program, T, S, v)
+
+
+class LargeBlock(Exception):
+    """A block of four or more offers reached ``mgs_append``."""
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_builds_of_small_blocks_repeat_the_reference_bit_for_bit(family, monkeypatch):
+    # blocks of at most three offers are decided one offer at a time, so a
+    # build that never reaches mgs_append (no block of four or more) must
+    # write the reference's log, closures and basis bit for bit
+    def refuse(*args):
+        raise LargeBlock
+
+    monkeypatch.setattr(basis, "mgs_append", refuse)
+    exact = 0
+    for d in DIMS:
+        rng = np.random.default_rng(100 * d + FAMILIES.index(family))
+        T = make_input(family, d, rng)
+        S, v = gaussian(rng, d), gaussian(rng, d)[0]
+        for program in PROGRAMS:
+            ops, prog, kwargs = build_args(program, T, S, v)
+            try:
+                blocked = run_program(ops, prog, DEPENDENCE_TOL, **kwargs)
+            except LargeBlock:
+                continue
+            reference = reference_run(ops, prog, DEPENDENCE_TOL, **kwargs)
+            assert blocked.log.entries == reference.log.entries
+            assert blocked.closures == reference.closures
+            assert blocked.basis.tobytes() == reference.basis.tobytes()
+            exact += 1
+    # every Krylov build, and every build at d <= 2, holds small blocks only
+    assert exact >= len(DIMS) + 2 * (len(PROGRAMS) - 1)
 
 
 @pytest.mark.parametrize("family", ["graded", "coupled", "normal"])

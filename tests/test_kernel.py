@@ -207,6 +207,37 @@ def test_mgs_append_one_row_block_is_the_single_offer_bit_for_bit():
             assert vector is None or np.array_equal(out.vector, vector)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_mgs_append_small_block_is_offered_one_row_at_a_time_bit_for_bit(m):
+    # up to three rows go through offer_row one at a time, each against the
+    # basis and the rows accepted before it
+    rng = np.random.default_rng(18 + m)
+    for trial in range(10):
+        d = int(rng.integers(m + 2, 40))
+        k = int(rng.integers(0, d - m))
+        Q = np.linalg.qr(random_matrix(rng, d))[0].T[:k].copy()
+        V = _mixed_block(rng, Q, d, m)
+        block = mgs_append(Q, V)
+        single = _offer_one_at_a_time(Q, V)
+        assert [o.accepted for o in block] == [o.accepted for o in single]
+        assert [o.residual_norm for o in block] == [o.residual_norm for o in single]
+        for a, b in zip(block, single):
+            assert a.vector is None or a.vector.tobytes() == b.vector.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (4, 7)])
+def test_mgs_append_never_writes_its_inputs(shape):
+    rng = np.random.default_rng(19)
+    Q = np.linalg.qr(random_matrix(rng, 7))[0].T[:3].copy()
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if v.ndim == 2 and len(v) > 2:
+        v[-1] = 0.0  # a rejected row among accepted ones
+    before = (Q.tobytes(), v.tobytes())
+    outs = mgs_append(Q, v)
+    assert (Q.tobytes(), v.tobytes()) == before
+    assert any(o.accepted for o in (outs if len(shape) == 2 else [outs]))
+
+
 def test_mgs_append_block_stays_orthogonal_through_cancellation():
     # each near copy keeps about 1e-8 of its norm after the in-block pass;
     # the extra pass keeps it orthogonal to the basis and to its original
