@@ -41,6 +41,6 @@ print()
 alt = polar_sparsify(T, alt=True)
 print(f"alt variant pattern {alt.pattern.kind}, passing: {alt.passing}")
 
-# both carry the same spectral data as T
-print(f"trace drift {alt.report.trace_drifts[0]:.1e}, "
-      f"Frobenius drift {alt.report.frobenius_drift:.1e}")
+# U M U* gives T back from an orthonormal U, so M is unitarily similar to T
+print(f"reconstruction residual {alt.report.reconstruction_residual:.1e}, "
+      f"unitarity residual {alt.report.unitarity_residual:.1e}")

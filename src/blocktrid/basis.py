@@ -332,10 +332,14 @@ def span_residual(n, U, m):
     If ‖U*U - I‖₂ <= ε <= 1/3, that distance is at most (1 + ε)·tail + 2ε,
     the bound :func:`blocktrid.verify.basis_checks` reports.  ``n`` and ``m``
     may be equal-length integer arrays; an ndarray of tails is then returned.
+    Any other type, or a bound out of range, raises ``ValueError``.
     """
     U = as_operator(U, "basis change")
     d = U.shape[0]
     ns, ms = np.broadcast_arrays(np.atleast_1d(n), np.atleast_1d(m))
+    if not (np.issubdtype(ns.dtype, np.integer) and np.issubdtype(ms.dtype, np.integer)):
+        raise ValueError(f"span bound ({n}, {m}) out of range for dimension {d}: "
+                         f"not integers")
     bad = np.flatnonzero((ns < 1) | (ns > d) | (ms < 0) | (ms > d))
     if bad.size:
         raise ValueError(f"span bound ({ns[bad[0]]}, {ms[bad[0]]}) out of range "

@@ -276,16 +276,25 @@ def polar_unitary(X) -> Tuple[np.ndarray, np.ndarray]:
     return Uf, P
 
 
+def require_selfadjoint(S: np.ndarray, name: str = "matrix") -> None:
+    """Raise ``ValueError`` unless ``max |S - S*| <= 1e-8 * max |S|``.
+
+    The limit scales with ``S``, so ``cS`` is accepted exactly when ``S``
+    is, up to rounding, whatever the size of c != 0.
+    """
+    gap = max_abs(S - S.conj().T)
+    if gap > 1e-8 * max_abs(S):
+        raise ValueError(f"{name} is not selfadjoint (|S - S*| = {gap:.3e})")
+
+
 def hermitian_eigvals(A) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
     Raises
     ------
     ValueError
-        If ``max |A - A*|`` exceeds ``1e-8 * (1 + max |A|)``.
+        If ``A`` is not selfadjoint by :func:`require_selfadjoint`.
     """
     A = as_operator(A)
-    herm_gap = max_abs(A - A.conj().T)
-    if herm_gap > 1e-8 * (1.0 + max_abs(A)):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {herm_gap:.3e})")
+    require_selfadjoint(A)
     return np.linalg.eigvalsh(0.5 * (A + A.conj().T))

@@ -18,7 +18,7 @@ from .kernel import (
     DEPENDENCE_TOL,
     adjoint,
     as_operator,
-    max_abs,
+    require_selfadjoint,
     svd,
 )
 from .schedules import (
@@ -315,19 +315,16 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
 
     Returns (U, forms), one form per operator, each claiming the stride-s
     staircase pattern with s = N+1 for a selfadjoint family and s = 2N+1 in
-    general.  The selfadjoint flag is verified entrywise.  The shared basis
-    is checked once: every member's report carries the same unitarity and
-    span residuals.
+    general.  The selfadjoint flag is verified entrywise, relative to each
+    operator's largest entry (:func:`~blocktrid.kernel.require_selfadjoint`).
+    The shared basis is checked once: every member's report carries the same
+    unitarity and span residuals.
     """
     ops = [as_operator(S, f"operator {k + 1}") for k, S in enumerate(operators)]
     program = family_program(len(ops), selfadjoint)
     if selfadjoint:
         for k, S in enumerate(ops):
-            drift = max_abs(S - S.conj().T)
-            if drift > 1e-8:
-                raise ValueError(
-                    f"operator {k + 1} is not selfadjoint (|S - S*| = {drift:.3e})"
-                )
+            require_selfadjoint(S, f"operator {k + 1}")
     stride = program.stride
     res = run_program(ops, program, tol=tol)
     U = res.basis

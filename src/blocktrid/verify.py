@@ -5,12 +5,12 @@ to be nonzero; it takes ints or broadcast integer arrays, so one call on open
 grids gives the whole support mask.  Checking is entrywise: anything above the
 magnitude threshold sitting at a disallowed position is a violation.  The
 report bundles every residual family relevant to a form (unitarity,
-reconstruction, pattern, spanning, block positivity, block triangularity,
-similarity invariants) as :class:`Check` records with their limits, and passes
-when ``failures``, the records over their limits, is empty; ``blocktrid
-verify`` reads a pattern's support and block records the same way.  The checks
-of the basis change alone (unitarity, spans) are computed apart from those of
-the matrix, so forms sharing one basis change can share them.
+reconstruction, pattern, spanning, block positivity, block triangularity) as
+:class:`Check` records with their limits, and passes when ``failures``, the
+records over their limits, is empty; ``blocktrid verify`` reads a pattern's
+support and block records the same way.  The checks of the basis change alone
+(unitarity, spans) are computed apart from those of the matrix, so forms
+sharing one basis change can share them.
 
 Block patterns locate indices with the schedule's single partition locator,
 :class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims more of a
@@ -35,8 +35,6 @@ from .schedules import BlockIndex, BlockSchedule, InvalidScheduleError, covering
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
 SPAN_LIMIT = 1e-8
-TRACE_REL = 1e-6
-FROBENIUS_REL = 1e-8
 HERMITIAN_LIMIT = 1e-9
 PSD_EIG_REL = 1e-8
 TAIL_LIMIT = 1e-10
@@ -321,15 +319,12 @@ class VerificationReport:
     psd_min_eigs: List[Tuple[int, float]] = field(default_factory=list)
     tail_residuals: List[Tuple[int, float]] = field(default_factory=list)
     triangular_residuals: List[Tuple[str, int, float]] = field(default_factory=list)
-    trace_drifts: List[float] = field(default_factory=list)
-    frobenius_drift: float = 0.0
     closure_dim: Optional[int] = None
     block_scales: List[Tuple[int, float]] = field(default_factory=list)
 
     @property
     def failures(self) -> List[Check]:
         """The records over their limits, read from the fields as they are."""
-        base = self.input_norm_fro
         return [c for c in (
             Check("unitarity_residual", None, self.unitarity_residual, UNITARITY_LIMIT),
             Check("reconstruction_residual", None, self.reconstruction_residual,
@@ -337,9 +332,6 @@ class VerificationReport:
             *(Check("span_residuals", (n, m), r, SPAN_LIMIT)
               for n, m, r in self.span_residuals),
             *pattern_checks(vars(self)),
-            *(Check("trace_drifts", p, drift, TRACE_REL * max(1.0, base) ** p)
-              for p, drift in enumerate(self.trace_drifts, start=1)),
-            Check("frobenius_drift", None, self.frobenius_drift, FROBENIUS_REL * (1 + base)),
         ) if c.failed]
 
     @property
@@ -406,7 +398,7 @@ def matrix_report(form, threshold: float, unitarity: float,
     U = form.basis_change
     M = form.matrix
 
-    report = VerificationReport(
+    return VerificationReport(
         form_kind=form.form_kind,
         input_norm_max=max_abs(T),
         input_norm_fro=float(np.linalg.norm(T, "fro")),
@@ -419,14 +411,3 @@ def matrix_report(form, threshold: float, unitarity: float,
         closure_dim=form.extras.get("closure_dim"),
         **pattern_fields(M, form.pattern, threshold),
     )
-
-    # tr(A^2) = tr(A @ A) and tr(A^3) = sum((A @ A) * A^T): one product per matrix
-    T2, M2 = T @ T, M @ M
-    drifts = [
-        np.trace(M) - np.trace(T),
-        np.trace(M2) - np.trace(T2),
-        np.sum(M2 * M.T) - np.sum(T2 * T.T),
-    ]
-    report.trace_drifts = [float(abs(x)) for x in drifts]
-    report.frobenius_drift = float(abs(np.linalg.norm(M, "fro") - report.input_norm_fro))
-    return report

@@ -467,6 +467,17 @@ def test_span_residual_rejects_span_sizes_outside_the_columns(m):
     assert span_residual(3, np.eye(3), 3) == 0.0
 
 
+@pytest.mark.parametrize("n, m", [
+    (2.0, 1), (2, 1.5), (2, 1.0), (True, 1),
+    (np.array([1, 2]), np.array([2, 1.5])), (np.array([1.0, 2.0]), np.array([2, 1])),
+])
+def test_span_residual_rejects_bounds_that_are_not_integers(n, m):
+    # a float bound is no row or column count, even with an integral value
+    with pytest.raises(ValueError, match=r"^span bound .* out of range for dimension 3: "
+                                         r"not integers$"):
+        span_residual(n, np.eye(3), m)
+
+
 def test_span_residual_reads_the_tail_of_row_n():
     # the distance is the norm of U[n, m+1:] for every (n, m); on a built
     # basis, unitary to roundoff, it is the least-squares distance

@@ -379,6 +379,19 @@ def test_hermitian_eigvals_rejects_nonhermitian():
         hermitian_eigvals([[0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_hermitian_eigvals_judges_selfadjointness_relative_to_scale(scale):
+    # Q diag(λ) Q* is Hermitian only to roundoff, a gap that grows with the
+    # scale; a Gaussian is far from Hermitian at every scale, however tiny
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(random_matrix(rng, 16))
+    H = scale * (Q @ np.diag(rng.standard_normal(16)) @ Q.conj().T)
+    assert 0 < max_abs(H - H.conj().T) <= 1e-14 * scale
+    assert_allclose(hermitian_eigvals(H), np.linalg.eigvalsh(H), rtol=0, atol=1e-12 * scale)
+    with pytest.raises(ValueError, match="not selfadjoint"):
+        hermitian_eigvals(scale * random_matrix(rng, 16))
+
+
 def test_trace_is_preserved_by_eigvals():
     rng = np.random.default_rng(33)
     for trial in range(30):

@@ -409,6 +409,22 @@ def test_family_selfadjoint_flag_checked():
         family_staircase([_rand(rng, 6)], selfadjoint=True)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_family_selfadjoint_flag_is_relative_to_scale(scale):
+    # the flag accepts Q diag(λ) Q*, Hermitian to roundoff, at every scale,
+    # and rejects a Gaussian at every scale, however tiny
+    rng = np.random.default_rng(0)
+    Q = _rand_unitary(rng, 16)
+    H = scale * (Q @ np.diag(rng.standard_normal(16)) @ Q.conj().T)
+    assert max_abs(H - H.conj().T) > 0
+    # accepted: built with the selfadjoint stride N + 1 (whether the form
+    # passes at a large scale is up to the absolute entry threshold)
+    _, forms = family_staircase([H], selfadjoint=True)
+    assert forms[0].extras["stride"] == 2
+    with pytest.raises(ValueError, match=r"^operator 2 is not selfadjoint"):
+        family_staircase([H, scale * _rand(rng, 16)], selfadjoint=True)
+
+
 def test_family_general_pair():
     rng = np.random.default_rng(28)
     ops = [_rand(rng, 10), _rand(rng, 10)]
