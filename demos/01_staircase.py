@@ -39,6 +39,8 @@ print()
 # the verification report re-checks every claim on the finished matrix
 rep = form.report
 print(f"pattern {rep.pattern_kind}: {len(rep.pattern_violations)} violations")
+# the two similarity values are upper bounds on Frobenius norms, sketched
+# from eight seeded probes; rep.certificate states the failure probability
 print(f"unitarity residual      {rep.unitarity_residual:.2e}")
 print(f"reconstruction residual {rep.reconstruction_residual:.2e}")
 

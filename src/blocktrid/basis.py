@@ -315,8 +315,8 @@ def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
 def conjugate(T, U) -> np.ndarray:
     """U* T U, the plain product of two square matrices of one shape.
 
-    U is not checked for unitarity here: every form's report measures
-    max|U*U - I| once, as its ``unitarity_residual`` check.
+    U is not checked for unitarity here: every form's report bounds
+    ‖U*U - I‖_F once, as its ``unitarity_residual`` check.
     """
     T = as_operator(T)
     U = as_operator(U, "basis change")

@@ -3,11 +3,23 @@
 All routines work on ``numpy`` arrays with dtype complex128 and are pure
 functions of their inputs.  Gram-Schmidt is implemented here; the singular
 value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
+
+The two similarity checks, :func:`unitarity_residual` and
+:func:`reconstruction_residual`, are sketched: each applies its residual
+matrix E to k = ``PROBES`` complex Gaussian probes X and reports
+``MARGIN * ||E X||_F / sqrt(k)``, a certified upper bound on ``||E||_F`` in
+O(k d^2).  For E with singular values s_i, ``||E X||_F^2 = sum s_i^2 g_i``
+with g_i independent Gamma(k, 1), so the bound falls below ``||E||_F`` of a
+rank-one E with probability ``P(Gamma(k, 1) < k / MARGIN^2)``,
+``FAILURE_PROBABILITY``.  The probes are drawn from a seed fixed by the
+bytes of the matrix they probe, so equal inputs give equal bounds.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import zlib
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -15,6 +27,23 @@ import numpy as np
 #: Default relative tolerance deciding when a candidate vector is linearly
 #: dependent on the basis built so far.
 DEPENDENCE_TOL = 1e-10
+
+#: Probes per sketched residual, and the factor by which the reported bound
+#: exceeds the probes' estimate of the residual's Frobenius norm.
+PROBES = 8
+MARGIN = 10.0
+
+#: The chance that a sketched bound falls below the Frobenius norm of a
+#: rank-one residual, P(Gamma(PROBES, 1) < PROBES / MARGIN^2) =
+#: P(Gamma(8, 1) < 0.08) = 3.8755e-14, rounded up.
+FAILURE_PROBABILITY = 3.9e-14
+
+# One bit generator serves every draw: its whole state is set from the seed
+# under the lock before each draw, so no draw depends on an earlier one.  A
+# freshly seeded Generator costs more than the products it serves at d = 32.
+_PROBE_BITS = np.random.PCG64(0)
+_PROBE_RNG = np.random.Generator(_PROBE_BITS)
+_PROBE_LOCK = threading.Lock()
 
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
@@ -64,13 +93,49 @@ def max_abs(A) -> float:
     return float(np.max(np.abs(A)))
 
 
+def probes(A) -> np.ndarray:
+    """``len(A)`` x ``PROBES`` standard complex Gaussian probes (E|x|^2 = 1),
+    drawn from a seed fixed by the CRC-32 of A's entries in row-major order."""
+    seed = zlib.crc32(np.ascontiguousarray(A))
+    with _PROBE_LOCK:
+        _PROBE_BITS.state = {"bit_generator": "PCG64", "state": {"state": seed, "inc": 1},
+                             "has_uint32": 0, "uinteger": 0}
+        X = _PROBE_RNG.standard_normal((len(A), 2 * PROBES))
+    return X.view(np.complex128) * math.sqrt(0.5)
+
+
+def _certified_norm(R) -> float:
+    """``MARGIN * ||R||_F / sqrt(k)`` for R = E X, the image of k probes X:
+    an upper bound on ``||E||_F`` (see the module docstring); 0 for R = 0."""
+    scale = max_abs(R)
+    if not 0.0 < scale < math.inf:
+        return scale
+    # scaled first, so that squaring no entry overflows or underflows
+    return MARGIN * scale * float(np.linalg.norm(R / scale)) / math.sqrt(R.shape[1])
+
+
+def _adjoint_times(U, Z) -> np.ndarray:
+    """U* Z as conj(U^T conj(Z)), without a d x d copy of U."""
+    return np.conj(U.T @ np.conj(Z))
+
+
 def unitarity_residual(U) -> float:
-    """``max |U*U - I|`` for a square matrix."""
+    """A certified upper bound on ``||U*U - I||_F`` for a square matrix, and so
+    on ``||U*U - I||_2`` and ``max |U*U - I|``: ``MARGIN * ||U*(UX) - X||_F /
+    sqrt(k)`` for the probes X of U.  An exactly unitary U, such as a
+    permutation, reads 0."""
     U = as_operator(U, "basis change")
-    G = U.conj().T @ U
-    # the identity comes off the diagonal in place: the same values as G - I
-    G.flat[:: G.shape[0] + 1] -= 1.0
-    return max_abs(G)
+    X = probes(U)
+    return _certified_norm(_adjoint_times(U, U @ X) - X)
+
+
+def reconstruction_residual(T, U, M) -> float:
+    """A certified upper bound on ``||U M U* - T||_F``: ``MARGIN *
+    ||U(M(U*Y)) - TY||_F / sqrt(k)`` for the probes Y of T.  It does not
+    repeat the products that built ``M = U* T U``, so it cannot cancel to
+    zero by construction."""
+    Y = probes(T)
+    return _certified_norm(U @ (M @ _adjoint_times(U, Y)) - T @ Y)
 
 
 class GsOutcome(NamedTuple):
@@ -99,8 +164,13 @@ def offer_row(Q, w, tol: float) -> GsOutcome:
     matrix-vector products, round exactly as the one-offer reference does.
     ``w`` is projected and, if accepted, normalized in place: the caller
     hands over a vector it does not read again.  ``tol`` is not checked here.
+    A candidate of norm exactly 0 is rejected before any product: projecting
+    it would leave it 0.
     """
-    limit = tol * max(1.0, _norm(w))
+    norm = _norm(w)
+    if norm == 0.0:
+        return GsOutcome(False, None, 0.0)
+    limit = tol * max(1.0, norm)
     for _ in range(2):
         # dot skips matmul's dispatch; the second product stays a matmul,
         # whose rounding against a one-row basis a dot would not repeat

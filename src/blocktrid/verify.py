@@ -12,6 +12,11 @@ support and block records the same way.  The checks of the basis change alone
 (unitarity, spans) are computed apart from those of the matrix, so forms
 sharing one basis change can share them.
 
+Unitarity and reconstruction are certified upper bounds on Frobenius norms,
+sketched from seeded probes in O(d^2) (:mod:`blocktrid.kernel`); the report
+states the sketch in its ``certificate`` entry.  The entry and block checks
+read ``M`` exactly.
+
 Block patterns locate indices with the schedule's single partition locator,
 :class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims more of a
 block than its support (positive blocks, triangular corners) carries the
@@ -29,7 +34,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import hermitian_eigvals, max_abs
+from .kernel import (FAILURE_PROBABILITY, MARGIN, PROBES, hermitian_eigvals, max_abs,
+                     reconstruction_residual)
 from .schedules import BlockIndex, BlockSchedule, InvalidScheduleError, covering_index
 
 UNITARITY_LIMIT = 1e-10
@@ -40,6 +46,9 @@ PSD_EIG_REL = 1e-8
 TAIL_LIMIT = 1e-10
 TRIANGULAR_LIMIT = 1e-10
 DEFAULT_THRESHOLD = 1e-10
+
+#: What the sketched unitarity and reconstruction bounds rest on.
+CERTIFICATE = {"probes": PROBES, "margin": MARGIN, "failure_probability": FAILURE_PROBABILITY}
 
 
 class Check(NamedTuple):
@@ -321,6 +330,7 @@ class VerificationReport:
     triangular_residuals: List[Tuple[str, int, float]] = field(default_factory=list)
     closure_dim: Optional[int] = None
     block_scales: List[Tuple[int, float]] = field(default_factory=list)
+    certificate: Dict[str, object] = field(default_factory=lambda: dict(CERTIFICATE))
 
     @property
     def failures(self) -> List[Check]:
@@ -357,22 +367,22 @@ def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
                  ) -> Tuple[float, List[Tuple[int, int, float]]]:
     """The checks that depend on the basis change alone.
 
-    Returns ``max|U*U - I|`` and, for every (n, m) in ``span_bounds``, the
-    triple (n, m, r): r bounds the distance from e_n to the span of U's first
-    m columns from above.  ε = d·max|U*U - I| bounds ‖U*U - I‖₂, and for
-    ε <= 1/3, r = (1 + ε)·‖U[n, m+1:]‖ + 2ε; for a larger ε, r = 1.
+    Returns the unitarity bound ε >= ‖U*U - I‖_F >= ‖U*U - I‖₂ of
+    :func:`~blocktrid.kernel.unitarity_residual` and, for every (n, m) in
+    ``span_bounds``, the triple (n, m, r): r bounds the distance from e_n to
+    the span of U's first m columns from above.  For ε <= 1/3,
+    r = (1 + ε)·‖U[n, m+1:]‖ + 2ε; for a larger ε, r = 1.
     """
     from .basis import span_residual
     from .kernel import unitarity_residual
 
-    unitarity = unitarity_residual(U)
+    eps = unitarity_residual(U)
     spans = []
     if span_bounds:
         ns, ms = np.array(span_bounds).T
-        eps = len(U) * unitarity
         dists = np.where(eps <= 1 / 3, (1 + eps) * span_residual(ns, U, ms) + 2 * eps, 1.0)
         spans = [(n, m, r) for (n, m), r in zip(span_bounds, dists.tolist())]
-    return unitarity, spans
+    return eps, spans
 
 
 def full_report(form, threshold: float = DEFAULT_THRESHOLD) -> VerificationReport:
@@ -403,9 +413,7 @@ def matrix_report(form, threshold: float, unitarity: float,
         input_norm_max=max_abs(T),
         input_norm_fro=float(np.linalg.norm(T, "fro")),
         unitarity_residual=unitarity,
-        # backward error max|U M U* - T|: it does not repeat the products
-        # that built M = U* T U, so it cannot cancel to zero by construction
-        reconstruction_residual=max_abs(U @ M @ U.conj().T - T),
+        reconstruction_residual=reconstruction_residual(T, U, M),
         pattern_kind=form.pattern.kind,
         span_residuals=span_residuals,
         closure_dim=form.extras.get("closure_dim"),

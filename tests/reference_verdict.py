@@ -10,9 +10,15 @@ carries, since its unitarity and reconstruction checks already check
 similarity: :func:`similarity_drifts` computes them from the form's input and
 matrix as the report did, so the sweep also shows that dropping them changes
 no verdict.
+
+The unitarity, reconstruction and span comparisons read exact values, which
+:func:`exact_similarity` computes from the form's own arrays with full d^3
+products: the report's sketched bounds must give the verdict these give.
 """
 
 import numpy as np
+
+from reference_similarity import reconstruction_max, unitarity_fro, unitarity_max
 
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
@@ -39,17 +45,33 @@ def similarity_drifts(T, M):
     return [float(abs(x)) for x in drifts], float(abs(frobenius))
 
 
+def exact_similarity(form):
+    """(max|U*U - I|, max|U M U* - T|, span values) of ``form``'s own arrays.
+
+    Each span value bounds the distance from e_n to the span of U's first m
+    columns as the report's does, with the exact ε = ‖U*U - I‖_F, which bounds
+    ‖U*U - I‖₂: (1 + ε)·‖U[n, m+1:]‖ + 2ε for ε <= 1/3, and 1 otherwise.
+    """
+    T, U, M = form.input, form.basis_change, form.matrix
+    eps = unitarity_fro(U)
+    spans = [(1 + eps) * float(np.linalg.norm(U[n - 1, m:])) + 2 * eps if eps <= 1 / 3 else 1.0
+             for n, m in form.span_bounds]
+    return unitarity_max(U), reconstruction_max(T, U, M), spans
+
+
 def reference_passing(form) -> bool:
-    """``form.report.passing`` as ten hand-written comparisons, the drifts
-    among them computed from ``form.input`` and ``form.matrix``."""
+    """``form.report.passing`` as ten hand-written comparisons, the
+    similarity residuals, span values and drifts among them computed from
+    ``form.input``, ``form.basis_change`` and ``form.matrix``."""
     report = form.report
-    if report.unitarity_residual > UNITARITY_LIMIT:
+    unitarity, reconstruction, spans = exact_similarity(form)
+    if unitarity > UNITARITY_LIMIT:
         return False
-    if report.reconstruction_residual > RECONSTRUCTION_REL * (1 + report.input_norm_max):
+    if reconstruction > RECONSTRUCTION_REL * (1 + report.input_norm_max):
         return False
     if report.pattern_violations:
         return False
-    if any(r > SPAN_LIMIT for _, _, r in report.span_residuals):
+    if any(r > SPAN_LIMIT for r in spans):
         return False
     if any(r > HERMITIAN_LIMIT for _, r in report.hermitian_residuals):
         return False

@@ -17,6 +17,7 @@ from blocktrid.kernel import (
     unitarity_residual,
 )
 from reference_executor import reference_offer
+from reference_similarity import unitarity_fro, unitarity_max
 
 
 def random_matrix(rng, d):
@@ -44,19 +45,24 @@ def test_adjoint_and_helpers():
     with pytest.raises(ValueError):
         unit_vector(4, 4)
     assert unitarity_residual(np.eye(3)) == 0.0
-    assert unitarity_residual(2 * np.eye(2)) == pytest.approx(3.0)
+    # U*U - I = 3I: the bound holds the exact Frobenius norm 3·sqrt(2)
+    assert unitarity_fro(2 * np.eye(2)) == pytest.approx(3 * math.sqrt(2))
+    assert unitarity_residual(2 * np.eye(2)) >= unitarity_fro(2 * np.eye(2))
 
 
 @pytest.mark.parametrize("d", [1, 7, 64])
 def test_unitarity_residual_equals_the_product_minus_the_identity(d):
+    # the certificate's contract: the bound is at least the exact Frobenius
+    # norm of U*U - I, which is at least its largest entry
     rng = np.random.default_rng(d)
     Q, _ = np.linalg.qr(random_matrix(rng, d))
     tampered = Q.copy()
     tampered[:, d // 2] *= 1 + 1e-9
     tampered[0, -1] += 3e-7j
     for U in (Q, tampered):
-        assert unitarity_residual(U) == max_abs(U.conj().T @ U - np.eye(d))
+        assert unitarity_residual(U) >= unitarity_fro(U) >= unitarity_max(U)
     assert unitarity_residual(tampered) > unitarity_residual(Q)
+    assert unitarity_residual(np.eye(d)[::-1]) == 0.0
 
 
 def test_mgs_append_builds_orthonormal_basis():
@@ -69,7 +75,7 @@ def test_mgs_append_builds_orthonormal_basis():
             assert out.accepted
             basis.append(out.vector)
         Q = np.column_stack(basis)
-        assert unitarity_residual(Q) < 1e-13
+        assert unitarity_max(Q) < 1e-13
 
 
 def test_mgs_append_rejects_dependent_vectors():
@@ -121,7 +127,7 @@ def test_mgs_append_row_array_matches_list():
             assert abs(as_array.residual_norm - as_list.residual_norm) <= 1e-14
         assert np.allclose(as_array.vector, as_list.vector, rtol=0, atol=1e-14)
         B[k] = as_array.vector
-    assert unitarity_residual(B.T) < 1e-13
+    assert unitarity_max(B.T) < 1e-13
 
 
 def test_mgs_append_dimension_mismatch():
@@ -273,7 +279,7 @@ def test_svd_frozen_examples():
     # column [3,4]: singular values 5, 0
     W, s, V = svd([[3, 0], [4, 0]])
     assert_allclose(s, [5.0, 0.0], atol=1e-14)
-    assert unitarity_residual(W) < 1e-14
+    assert unitarity_max(W) < 1e-14
     # Jordan block: squared singular values are (3 +- sqrt(5))/2
     W, s, V = svd([[1, 1], [0, 1]])
     assert_allclose(s, [1.6180339887498949, 0.6180339887498949], atol=1e-14)
@@ -302,8 +308,8 @@ def test_svd_reconstruction_and_unitarity():
         W, s, V = svd(A)
         m, n = A.shape
         assert W.shape == (m, m) and V.shape == (n, n) and s.shape == (min(m, n),)
-        assert unitarity_residual(W) < 1e-12
-        assert unitarity_residual(V) < 1e-12
+        assert unitarity_max(W) < 1e-12
+        assert unitarity_max(V) < 1e-12
         assert np.all(s >= 0)
         assert np.all(np.diff(s) <= 1e-12)
         S = np.zeros((m, n))
@@ -339,7 +345,7 @@ def test_svd_gram_eigenvalue_oracle():
 def test_polar_unitary_frozen_example():
     Uf, P = polar_unitary([[3, 0], [4, 0]])
     assert_allclose(P, [[5.0, 0.0], [0.0, 0.0]], atol=1e-13)
-    assert unitarity_residual(Uf) < 1e-13
+    assert unitarity_max(Uf) < 1e-13
     assert_allclose(Uf @ P, [[3.0, 0.0], [4.0, 0.0]], atol=1e-13)
 
 
@@ -351,7 +357,7 @@ def test_polar_unitary_properties():
         if trial % 4 == 0:
             X[:, : d // 2] = 0
         Uf, P = polar_unitary(X)
-        assert unitarity_residual(Uf) < 1e-12
+        assert unitarity_max(Uf) < 1e-12
         assert max_abs(P - P.conj().T) == 0.0
         assert np.min(hermitian_eigvals(P)) > -1e-10 * max(1.0, max_abs(P))
         assert max_abs(Uf @ P - X) < 1e-11 * (1 + max_abs(X))

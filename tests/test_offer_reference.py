@@ -9,7 +9,7 @@ the residual norm and the accepted vector must agree bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktrid.kernel import DEPENDENCE_TOL, offer_row
@@ -31,6 +31,9 @@ def gaussian(rng, *shape):
     tol=st.sampled_from([0.0, DEPENDENCE_TOL, 0.5]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# a zero candidate is rejected before any product, with residual 0.0
+@example(d=6, k_share=0.5, kind="zero", scale=1.0, tol=DEPENDENCE_TOL, seed=0)
+@example(d=6, k_share=0.0, kind="zero", scale=1.0, tol=0.0, seed=0)
 def test_offer_row_is_the_reference_offer_bit_for_bit(d, k_share, kind, scale, tol, seed):
     rng = np.random.default_rng(seed)
     k = round(k_share * d)

@@ -10,7 +10,10 @@ every report, family members and decompose's one report included, and
 decompose's verdict must equal the coupling-and-summands rule it replaced.
 The written-out rule still compares the trace and Frobenius drifts, computed
 from each form, so equal verdicts also show that on this sweep no form
-fails a drift and passes the report.
+fails a drift and passes the report.  It reads exact unitarity and
+reconstruction residuals and span values, so equal verdicts also show that
+the report's sketched bounds, each at least its exact Frobenius norm on
+every report here, decide as the exact values do.
 Each of those reports must encode to the reference bytes and keep its
 fields as they were.  The triangular builds of the scaled shift that
 overflow are left to ``test_tri_sparsify_of_a_scaled_shift_overflows``.
@@ -23,6 +26,7 @@ import pytest
 
 import blocktrid as bt
 from reference_report_json import reference_report_json
+from reference_similarity import reconstruction_fro, unitarity_fro
 from reference_verdict import reference_decompose_passing, reference_passing
 
 KINDS = ("gaussian", "normal", "rank_one", "nilpotent", "identity", "zero")
@@ -76,6 +80,9 @@ def _assert_matches_references(form, where):
     report = form.report
     fields = copy.deepcopy(vars(report))
     assert report.passing == reference_passing(form), where
+    U, M, T = form.basis_change, form.matrix, form.input
+    assert report.unitarity_residual >= unitarity_fro(U), where
+    assert report.reconstruction_residual >= reconstruction_fro(T, U, M), where
     assert report.to_json() == reference_report_json(report), where
     assert vars(report) == fields, where
 

@@ -29,6 +29,7 @@ from blocktrid import (
     tri_sparsify,
 )
 from blocktrid.verify import DEFAULT_THRESHOLD, SPAN_LIMIT, basis_checks, matrix_report
+from reference_similarity import reconstruction_fro, reconstruction_max
 from reference_span import lstsq_distance
 
 S2 = math.sqrt(2.0)
@@ -247,7 +248,10 @@ def test_report_flags_similarity_drift():
     form = _Form(np.eye(3), "staircase", staircase_refined(),
                  input_matrix=2.0 * np.eye(3))
     report = full_report(form)
-    assert report.reconstruction_residual == 1.0
+    # U M U* - T = -I: max-abs 1, Frobenius norm sqrt(3), and the bound above both
+    assert reconstruction_max(form.input, form.basis_change, form.matrix) == 1.0
+    assert reconstruction_fro(form.input, form.basis_change, form.matrix) == math.sqrt(3)
+    assert report.reconstruction_residual >= math.sqrt(3)
     assert [c.check for c in report.failures] == ["reconstruction_residual"]
 
 
@@ -286,8 +290,9 @@ def test_span_bound_errors_name_the_first_pair_out_of_range():
 @pytest.mark.parametrize("delta", [0.3 - 0.2j, 1e-4j, -2.5])
 def test_reconstruction_reads_a_perturbed_corner(delta):
     # M[0, 0] + δ adds δ·u u* to U M U*, u the first column of U, so the
-    # residual moves to |δ|·max_i |U[i, 0]|² up to the built form's roundoff;
-    # the corner lies on the pattern, so that is the only claim it breaks
+    # exact residual moves to |δ|·max_i |U[i, 0]|² up to the built form's
+    # roundoff, and the reported bound lies above its Frobenius norm; the
+    # corner lies on the pattern, so that is the only claim it breaks
     rng = np.random.default_rng(38)
     T = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     form = staircase(T)
@@ -297,7 +302,10 @@ def test_reconstruction_reads_a_perturbed_corner(delta):
     report = matrix_report(form, DEFAULT_THRESHOLD, form.report.unitarity_residual,
                            form.report.span_residuals)
     expected = abs(delta) * np.max(np.abs(form.basis_change[:, 0])) ** 2
-    assert abs(report.reconstruction_residual - expected) <= 8 * EPS * np.linalg.norm(T, "fro")
+    exact = reconstruction_max(T, form.basis_change, perturbed)
+    assert abs(exact - expected) <= 8 * EPS * np.linalg.norm(T, "fro")
+    assert report.reconstruction_residual >= reconstruction_fro(T, form.basis_change,
+                                                                perturbed) >= exact
     first = report.failures[0]
     assert (first.check, first.value) == ("reconstruction_residual",
                                           report.reconstruction_residual)
@@ -307,8 +315,9 @@ def test_report_keys_are_pinned():
     # a field dropped from the report, or one added to it, shows up here
     report = staircase(np.eye(3)).report
     assert sorted(report.json_object()) == [
-        "block_scales", "closure_dim", "failures", "form_kind", "hermitian_residuals",
-        "input_norm_fro", "input_norm_max", "passing", "pattern", "psd_min_eigs",
+        "block_scales", "certificate", "closure_dim", "failures", "form_kind",
+        "hermitian_residuals", "input_norm_fro", "input_norm_max", "passing", "pattern",
+        "psd_min_eigs",
         "reconstruction_residual", "span_residuals", "tail_residuals", "threshold",
         "triangular_residuals", "unitarity_residual",
     ]
