@@ -369,7 +369,7 @@ def _cmd_render(args) -> int:
         os.makedirs(args.output, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.input))[0]
         path = os.path.join(args.output, f"{stem}_pattern.svg")
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {path}")
     else:

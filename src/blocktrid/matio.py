@@ -1,16 +1,25 @@
 """Matrix file formats: Matrix Market, CSV with complex tokens, JSON.
 
-All emitters print floats with 17 significant digits, which round-trips
-IEEE doubles exactly; parse -> emit -> parse is value-identical.
+The Matrix Market and CSV emitters print floats with 17 significant
+digits and the JSON emitter prints each float's ``repr``; both round-trip
+IEEE doubles exactly, so parse -> emit -> parse is value-identical.
 
 Each format is read and written on one whole-array path.  A parser splits
-the text with C-level string methods, converts every number token in one
-pass of Python's ``float`` (so the accepted number syntax is exactly
-``float()``'s) and checks token counts, row widths, indices and
-finiteness as array operations.  Only when that pass finds an entry
-malformed does a per-line pass run, to raise the ``MatrixParseError`` of
-the first offending line.  An emitter fills one printf-style template
-with the flattened real and imaginary parts.
+the text with C-level string methods, converts every number in one pass
+of Python's ``float`` or ``complex`` (so the accepted number syntax is
+exactly ``float()``'s) and checks token counts, row widths, indices and
+finiteness as array operations.
+
+CSV has two routes.  The whole file goes through ``complex()``, one call
+per entry, after ``i``/``I`` become ``j``/``J``; ``complex()`` converts
+each part as ``float()`` does.  A file that route cannot take (a ``j``,
+``J`` or parenthesis in its text, rows of unequal width, a token
+``complex()`` refuses or a non-finite value) is read entry by entry, which
+returns the matrix or raises the ``MatrixParseError`` of the first bad
+line.  For Matrix Market and JSON, a per-line pass runs only when the
+whole-array pass finds an entry malformed, to raise the error of the first
+offending line.  An emitter fills one printf-style template with the
+flattened real and imaginary parts.  Files are read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -18,9 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from itertools import chain, compress, repeat
-from operator import methodcaller
 from typing import Iterable, List, Optional, TextIO, Union
 
 import numpy as np
@@ -38,14 +45,6 @@ _EXTENSIONS = {
 
 _MM_HEADER = "%%MatrixMarket matrix array complex general"
 
-#: An imaginary CSV token ``[re]im(i|I)``.  ``im`` starts at the first sign
-#: that neither opens the token nor follows an exponent marker, and ``re``
-#: holds at least one character besides its sign.  A token whose parts both
-#: parse has at most one such sign, so this split is the one
-#: ``_parse_complex_token`` makes at the last such sign.
-_IMAGINARY = re.compile(
-    r"(?:(?P<re>[+-]?[^+-]+(?:[eE][+-][^+-]*)*)(?<=[^eE])(?=[+-]))?(?P<im>.*)[iI]"
-)
 #: A bare or signed ``i`` has unit imaginary part.
 _UNIT = {"": "1", "+": "+1", "-": "-1"}
 
@@ -76,7 +75,7 @@ def format_for_path(path: str) -> str:
 def _read_text(source: Union[str, TextIO]) -> str:
     if hasattr(source, "read"):
         return source.read()
-    with open(source, "r") as handle:
+    with open(source, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -242,52 +241,44 @@ def _parse_complex_token(token: str, line: int) -> complex:
     return complex(_parse_float(text, line), 0.0)
 
 
-def _csv_entry_error(lines: List[str]):
-    """Raise the error of the first malformed row, scanning entry by entry."""
-    width = None
+def _read_csv_entries(lines: List[str]) -> np.ndarray:
+    """Read CSV rows entry by entry; raise the error of the first bad row."""
+    rows, width = [], None
     for idx, line in enumerate(lines):
         if not line.strip():
             continue
-        tokens = line.split(",")
-        for tok in tokens:
-            _parse_complex_token(tok, idx + 1)
+        values = [_parse_complex_token(tok, idx + 1) for tok in line.split(",")]
         if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+            width = len(values)
+        elif len(values) != width:
             raise MatrixParseError(
-                f"row has {len(tokens)} entries, expected {width}", idx + 1
+                f"row has {len(values)} entries, expected {width}", idx + 1
             )
-    _no_error_found()
+        rows.append(values)
+    return np.array(rows, dtype=np.complex128)
 
 
 def _parse_csv(text: str) -> np.ndarray:
-    # Spaces go everywhere and other whitespace around each token, as
-    # ``token.strip().replace(" ", "")`` does; neither splits lines or tokens.
+    # Spaces go everywhere, and complex() strips other whitespace around
+    # each token, as ``token.strip().replace(" ", "")`` does; neither splits
+    # lines or tokens.
     lines = text.replace(" ", "").splitlines()
     rows = list(compress(lines, map(str.strip, lines)))
     if not rows:
         raise MatrixParseError("empty file", 1)
-    widths = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
-    tokens = list(map(str.strip, chain.from_iterable(map(str.split, rows, repeat(",")))))
-    imaginary = np.fromiter(map(str.endswith, tokens, repeat(("i", "I"))),
-                            bool, len(tokens))
-    n_imaginary = int(imaginary.sum())
-    values = np.zeros((len(tokens), 2))
+    commas = set(map(str.count, rows, repeat(",")))
+    body = ",".join(rows)
     try:
-        if (widths != widths[0]).any():
+        # complex() would accept "j" and parentheses, which the grammar does not
+        if len(commas) != 1 or any(map(body.__contains__, "jJ()")):
             raise _Malformed
-        values[~imaginary, 0] = _floats(compress(tokens, (~imaginary).tolist()),
-                                        len(tokens) - n_imaginary)
-        # (re, im) string pairs, flattened; "0" for a missing re, which
-        # is never a key of _UNIT
-        parts = list(chain.from_iterable(map(
-            methodcaller("groups", "0"),
-            map(_IMAGINARY.fullmatch, compress(tokens, imaginary.tolist())))))
-        values[imaginary] = _floats(map(_UNIT.get, parts, parts),
-                                    2 * n_imaginary).reshape(n_imaginary, 2)
-    except _Malformed:
-        _csv_entry_error(text.splitlines())
-    return _require_square(values.view(np.complex128).reshape(len(rows), widths[0]))
+        tokens = body.replace("i", "j").replace("I", "J").split(",")
+        values = np.fromiter(map(complex, tokens), np.complex128, len(tokens))
+        if not np.isfinite(values).all():
+            raise _Malformed
+    except (ValueError, _Malformed):
+        values = _read_csv_entries(text.splitlines())
+    return _require_square(values.reshape(len(rows), -1))
 
 
 def _json_entry_error(data: list, cols: int):
@@ -375,12 +366,13 @@ def emit_matrix_text(M, fmt: str) -> str:
         row = ", ".join(["%.17g%+.17gi"] * cols)
         return ("\n".join([row] * rows) + "\n") % tuple(pairs.ravel().tolist())
     if fmt == "json":
-        payload = {
-            "rows": rows,
-            "cols": cols,
-            "data": np.stack([M.real, M.imag], axis=-1).tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
+        pairs = np.ascontiguousarray(M).view(np.float64)
+        # %r is the repr json.dumps prints for a finite float
+        row = "[" + ", ".join(["[%r, %r]"] * cols) + "]"
+        data = ("[" + ", ".join([row] * rows) + "]") % tuple(pairs.ravel().tolist())
+        if not np.isfinite(pairs).all():
+            data = data.replace("nan", "NaN").replace("inf", "Infinity")
+        return f'{{"cols": {cols}, "data": {data}, "rows": {rows}}}'
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -388,7 +380,7 @@ def emit_matrix(M, path: str, fmt: Optional[str] = None) -> str:
     if fmt is None:
         fmt = format_for_path(path)
     text = emit_matrix_text(M, fmt)
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return path
 
@@ -403,7 +395,7 @@ def emit_result(result, report_text: str, out_dir: str, fmt: str, prefix: str) -
     paths = [emit_matrix(mat, os.path.join(out_dir, f"{prefix}_{name}{ext}"), fmt)
              for name, mat in (("M", result.matrix), ("U", result.basis_change))]
     paths.append(os.path.join(out_dir, f"{prefix}_report.json"))
-    with open(paths[-1], "w") as handle:
+    with open(paths[-1], "w", encoding="utf-8") as handle:
         handle.write(report_text + "\n")
     return paths
 
@@ -422,7 +414,7 @@ def emit_form(form, report_text: str, out_dir: str, fmt: str = "mm",
     paths = emit_result(form, report_text, out_dir, fmt, prefix)
     if svg:
         svg_path = os.path.join(out_dir, f"{prefix}_pattern.svg")
-        with open(svg_path, "w") as handle:
+        with open(svg_path, "w", encoding="utf-8") as handle:
             handle.write(render_svg(form.matrix, form.schedule, form.report.threshold))
         paths.append(svg_path)
     return paths

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from blocktrid import (
     unit_vector,
 )
 from blocktrid.cli import main
+from blocktrid.matio import FORMAT_EXTENSIONS
 from tamper import scaled_column
 
 
@@ -673,3 +678,29 @@ def test_verify_agrees_with_the_report_on_block_claims(tmp_path, capsys, pattern
     payload = json.loads(capsys.readouterr().out)
     assert payload["failures"] == json.loads(json.dumps(failures))
     assert payload["passing"] is not tampered
+
+
+def test_files_round_trip_as_utf8_with_encoding_warnings_as_errors(tmp_path):
+    """Every file the CLI opens names its encoding: with a default-encoding
+    ``open()`` made an error, each step of a files round trip exits 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "blocktrid.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
+
+    T = np.random.default_rng(54).standard_normal((6, 6)) * (1 + 1j)
+    for fmt, ext in FORMAT_EXTENSIONS.items():
+        path = _write(tmp_path, f"T{ext}", T)
+        out = tmp_path / f"out_{fmt}"
+        run("tridiag", "--input", path, "--output", str(out), "--svg")
+        run("verify", "--input", str(out / f"block_tridiagonal_M{ext}"),
+            "--pattern", "band", "--schedule", "canonical")
+        run("render", "--input", path, "--output", str(out))
+    # Arabic-Indic digits, which the reader takes as float() does
+    (tmp_path / "uni.csv").write_text("\u0661, \u0662i\n\u0662, \u0661\n", encoding="utf-8")
+    run("verify", "--input", str(tmp_path / "uni.csv"), "--pattern", "staircase")

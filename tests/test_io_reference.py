@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
+from blocktrid import matio
 from blocktrid import (
     BlockSchedule,
     GENERAL,
@@ -154,6 +155,92 @@ def test_csv_token_variants_match_reference(token):
         assert str(got.value) == str(exc)
         return
     assert _same_bits(parse_matrix(io.StringIO(text), "csv"), expected)
+
+
+def _per_entry_reads(monkeypatch):
+    """Record each call of the per-entry CSV reader in the returned list."""
+    calls = []
+    read = matio._read_csv_entries
+    monkeypatch.setattr(matio, "_read_csv_entries",
+                        lambda lines: calls.append(lines) or read(lines))
+    return calls
+
+
+@pytest.mark.parametrize("token", ["1\t+2i", "0.5\t-1e-3i"])
+def test_csv_tokens_complex_refuses_are_read_entry_by_entry(monkeypatch, token):
+    calls = _per_entry_reads(monkeypatch)
+    text = f"{token}, 1\n2, {token}\n"
+    assert _same_bits(parse_matrix(io.StringIO(text), "csv"), ref.parse_text(text, "csv"))
+    assert calls
+
+
+@pytest.mark.parametrize("token,message", [
+    ("1+2j", None),
+    ("(1+2i)", None),
+    ("nani", "line 2: non-finite imaginary part 'nan'"),
+    ("infi", "line 2: non-finite imaginary part 'inf'"),
+    ("Infinity", "line 2: non-finite number 'Infinity'"),
+])
+def test_csv_tokens_the_grammar_rejects_raise_from_the_per_entry_reader(
+        monkeypatch, token, message):
+    """``complex()`` accepts the first two and reads ``nani`` as a NaN; the
+    reference rejects the first two and reads the other three as non-finite
+    values, which the package rejects."""
+    calls = _per_entry_reads(monkeypatch)
+    text = f"1, 2\n3, {token}\n"
+    if message is None:
+        with pytest.raises(MatrixParseError) as expected:
+            ref.parse_text(text, "csv")
+        message = str(expected.value)
+    with pytest.raises(MatrixParseError) as got:
+        parse_matrix(io.StringIO(text), "csv")
+    assert calls
+    assert str(got.value) == message
+    assert got.value.line == 2
+
+
+@pytest.mark.parametrize("token", ["1_0+2_0i", "\u0663i", "-i", "1-I", "-0-0i", "1e+5-2i",
+                                   " 1 + 2 i "])
+def test_csv_tokens_both_routes_read_go_through_complex(monkeypatch, token):
+    calls = _per_entry_reads(monkeypatch)
+    text = f"{token}, 1\n2, {token}\n"
+    assert _same_bits(parse_matrix(io.StringIO(text), "csv"), ref.parse_text(text, "csv"))
+    assert not calls
+
+
+def test_one_tab_token_sends_a_d20_file_entry_by_entry(monkeypatch):
+    calls = _per_entry_reads(monkeypatch)
+    M = _frozen_matrix()
+    lines = emit_matrix_text(M, "csv").splitlines()
+    tokens = lines[7].split(", ")
+    tokens[3] = "%.17g\t%+.17gi" % (M[7, 3].real, M[7, 3].imag)
+    lines[7] = ", ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    parsed = parse_matrix(io.StringIO(text), "csv")
+    assert calls
+    assert _same_bits(parsed, ref.parse_text(text, "csv"))
+    assert _same_bits(parsed, M)
+
+
+def test_emitted_csv_never_reaches_the_per_entry_reader(monkeypatch):
+    def refuse(lines):
+        raise AssertionError("an emitted CSV went entry by entry")
+
+    monkeypatch.setattr(matio, "_read_csv_entries", refuse)
+    specials = np.add.outer(SPECIALS, 1j * SPECIALS)
+    for M in (_frozen_matrix(), specials, specials.T):
+        assert _same_bits(parse_matrix(io.StringIO(emit_matrix_text(M, "csv")), "csv"), M)
+
+
+@pytest.mark.parametrize("M", [
+    np.zeros((0, 0)),
+    np.zeros((2, 0)),
+    np.array([[complex(np.nan, np.inf), complex(-np.inf, -0.0)],
+              [complex(5e-324, np.nan), complex(-0.0, -np.inf)]]),
+    np.array([[complex(np.inf, 1.5)]]),
+], ids=["0x0", "2x0", "non-finite", "inf"])
+def test_json_emit_spells_every_entry_as_json_dumps(M):
+    assert emit_matrix_text(M, "json") == ref.emit_matrix_text(M, "json")
 
 
 #: Messages of the errors that used to be silent, or not ``MatrixParseError``.
