@@ -11,7 +11,7 @@ the run log records.
 
 import numpy as np
 
-from blocktrid import tri_sparsify, tri_word_sequence
+from blocktrid import block_band, check_pattern, tri_sparsify, tri_word_sequence
 
 
 def shorthand(instr):
@@ -32,8 +32,15 @@ T = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
 form = tri_sparsify(T)
 print(f"9x9 random: schedule {form.schedule.describe()}, "
       f"{len(form.report.pattern_violations)} violations")
-for kind, k, res in form.report.triangular_residuals:
-    print(f"  {kind} corner at block {k}: residual {res:.1e}")
+# each corner entry is a claimed zero of the pattern, checked once against
+# the threshold; at a threshold near underflow the pattern check lists every
+# one, and those inside the band are the corners
+band = block_band(form.schedule, 9)
+corners = [hit for hit in check_pattern(form.matrix, form.pattern, 1e-300)
+           if band.allowed(*hit[:2])]
+i, j, worst = max(corners, key=lambda hit: hit[2])
+print(f"  {len(corners)} corner entries, the worst |M({i},{j})| = {worst:.1e}, "
+      f"threshold {form.report.threshold:g}")
 print()
 
 # a rank-deficient input forces deletions; the log shows skipped ranges

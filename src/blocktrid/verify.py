@@ -2,10 +2,11 @@
 
 A pattern is a 1-based predicate allowed(i, j) naming the positions permitted
 to be nonzero; it takes ints or broadcast integer arrays, so one call on open
-grids gives the whole support mask.  Checking is entrywise: anything above the
-magnitude threshold sitting at a disallowed position is a violation.  The
-report bundles every residual family relevant to a form (unitarity,
-reconstruction, pattern, spanning, block positivity, block triangularity) as
+grids gives the whole support mask.  Every claimed zero, a triangular corner
+or a positive block's tail among them, is one entry outside the support and is
+checked once: it is a violation unless its magnitude is at most the threshold,
+so a NaN is one.  The report bundles every residual family relevant to a form
+(unitarity, reconstruction, pattern, spanning, block positivity) as
 :class:`Check` records with their limits, and passes when ``failures``, the
 records over their limits, is empty; ``blocktrid verify`` reads a pattern's
 support and block records the same way.  The checks of the basis change alone
@@ -18,18 +19,18 @@ states the sketch in its ``certificate`` entry.  The entry and block checks
 read ``M`` exactly.
 
 Block patterns locate indices with the schedule's single partition locator,
-:class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims more of a
-block than its support (positive blocks, triangular corners) carries the
-checks of that claim, and every report runs them.  Every mirrored (``alt``)
-pattern is its primary pattern transposed, and its block checks are the
-primary checks run on ``M*``.
+:class:`~blocktrid.schedules.BlockIndex`.  A pattern that claims what no entry
+check sees (the Hermitian positive semidefinite squares of the positive-block
+forms) carries the checks of that claim, and every report runs them.  Every
+mirrored (``alt``) pattern is its primary pattern transposed, and its block
+checks are the primary checks run on ``M*``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,8 +44,6 @@ RECONSTRUCTION_REL = 1e-8
 SPAN_LIMIT = 1e-8
 HERMITIAN_LIMIT = 1e-9
 PSD_EIG_REL = 1e-8
-TAIL_LIMIT = 1e-10
-TRIANGULAR_LIMIT = 1e-10
 DEFAULT_THRESHOLD = 1e-10
 
 #: What the sketched unitarity and reconstruction bounds rest on.
@@ -150,11 +149,12 @@ def direct_sum_pattern(dims: Sequence[int]) -> PatternSpec:
     return PatternSpec("direct_sum", allowed)
 
 
-def _mirrored(spec: PatternSpec, kind: str, checks) -> PatternSpec:
+def _mirrored(spec: PatternSpec, kind: str) -> PatternSpec:
     """``spec`` transposed: the support of a primary form of ``T*``,
-    conjugate-transposed, whose block checks are ``checks`` run on ``M*``."""
+    conjugate-transposed, whose block checks are ``spec``'s run on ``M*``."""
+    checks = spec.block_checks
     return PatternSpec(kind, lambda i, j: spec.allowed(j, i), spec.schedule,
-                       lambda M: checks(M.conj().T))
+                       None if checks is None else lambda M: checks(M.conj().T))
 
 
 def block_band(schedule: BlockSchedule, dim: int) -> PatternSpec:
@@ -181,7 +181,7 @@ def polar_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> Patter
 
     spec = PatternSpec("polar_blocks", allowed, schedule,
                        lambda M: _polar_block_checks(M, idx))
-    return _mirrored(spec, "polar_alt_blocks", spec.block_checks) if alt else spec
+    return _mirrored(spec, "polar_alt_blocks") if alt else spec
 
 
 def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternSpec:
@@ -204,53 +204,24 @@ def tri_blocks(schedule: BlockSchedule, dim: int, alt: bool = False) -> PatternS
         above_ok = (lj <= nk) | ((lj <= 2 * nk) & (li >= lj - nk))
         return (bi == bj) | ((bj == bi + 1) & above_ok) | ((bi == bj + 1) & below_ok)
 
-    support = PatternSpec("tri_blocks", allowed, schedule)
-    spec = replace(support,
-                   block_checks=lambda M: _tri_block_checks(M, support, idx, "B", "A"))
-    if not alt:
-        return spec
-    # M*'s blocks below the diagonal are M's above it, hence the swapped labels
-    return _mirrored(spec, "tri_alt_blocks",
-                     lambda M: _tri_block_checks(M, support, idx, "A", "B"))
+    spec = PatternSpec("tri_blocks", allowed, schedule)
+    return _mirrored(spec, "tri_alt_blocks") if alt else spec
 
 
 def _polar_block_checks(M, idx: BlockIndex) -> Dict[str, list]:
-    """Hermitian/PSD/tail numbers for the square parts of the cut blocks
-    right of the diagonal."""
-    herm, eigs, tails, scales = [], [], [], []
+    """Hermitian and PSD numbers for the square parts of the cut blocks
+    right of the diagonal; their tails are claimed zeros of the support."""
+    herm, eigs, scales = [], [], []
     for k in range(len(idx.slices) - 1):
         r0, r1 = idx.slices[k]
-        c0, c1 = idx.slices[k + 1]
-        blk = M[r0:r1, c0:c1]
-        nk = r1 - r0
-        square = blk[:, :nk]
-        tail = blk[:, nk:]
+        c0, _ = idx.slices[k + 1]
+        square = M[r0:r1, c0:c0 + r1 - r0]
         herm.append((k + 1, max_abs(square - square.conj().T)))
         sym = 0.5 * (square + square.conj().T)
         ev = hermitian_eigvals(sym)
         eigs.append((k + 1, float(ev[0]) if ev.size else 0.0))
-        tails.append((k + 1, max_abs(tail)))
         scales.append((k + 1, max_abs(square)))
-    return {"hermitian_residuals": herm, "psd_min_eigs": eigs,
-            "tail_residuals": tails, "block_scales": scales}
-
-
-def _tri_block_checks(M, spec: PatternSpec, idx: BlockIndex,
-                      below: str, above: str) -> Dict[str, list]:
-    """Largest magnitude off the triangular support ``spec``, per
-    off-diagonal block of ``idx``.
-
-    Each pair lists the block below the diagonal, labelled ``below``, before
-    the one above it, labelled ``above``.
-    """
-    off = np.where(_support_mask(spec, M.shape), 0.0, np.abs(M))
-    out = []
-    for k in range(len(idx.slices) - 1):
-        r0, r1 = idx.slices[k]
-        c0, c1 = idx.slices[k + 1]
-        out += [(below, k + 1, max_abs(off[c0:c1, r0:r1])),
-                (above, k + 1, max_abs(off[r0:r1, c0:c1]))]
-    return {"triangular_residuals": out}
+    return {"hermitian_residuals": herm, "psd_min_eigs": eigs, "block_scales": scales}
 
 
 def _support_mask(spec: PatternSpec, shape: Tuple[int, int]) -> np.ndarray:
@@ -266,14 +237,15 @@ def require_finite(threshold: float) -> None:
 
 
 def check_pattern(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD):
-    """All (i, j, magnitude) with |M(i,j)| > threshold outside the support.
+    """All (i, j, magnitude) outside the support whose magnitude is not at
+    most ``threshold``, a NaN included.
 
     Violations come in row-major order.
     """
     require_finite(threshold)
     M = np.asarray(M)
     mags = np.abs(M)
-    rows, cols = np.nonzero((mags > threshold) & ~_support_mask(spec, M.shape))
+    rows, cols = np.nonzero(~((mags <= threshold) | _support_mask(spec, M.shape)))
     return list(zip((rows + 1).tolist(), (cols + 1).tolist(), mags[rows, cols].tolist()))
 
 
@@ -294,18 +266,14 @@ def pattern_checks(fields: Dict[str, object]) -> List[Check]:
         *(Check("psd_min_eigs", f"block {k}", eig,
                 -PSD_EIG_REL * max(1.0, scales.get(k, 1.0)))
           for k, eig in fields.get("psd_min_eigs", ())),
-        *(Check("tail_residuals", f"block {k}", r, TAIL_LIMIT)
-          for k, r in fields.get("tail_residuals", ())),
-        *(Check("triangular_residuals", f"block {label}{k}", r, TRIANGULAR_LIMIT)
-          for label, k, r in fields.get("triangular_residuals", ())),
     ]
 
 
 def pattern_text(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD) -> str:
-    """ASCII sketch: '*' above threshold, '.' allowed-but-zero, 'X' violation."""
+    """ASCII sketch: '*' above threshold or NaN, '.' allowed-but-zero, 'X' violation."""
     require_finite(threshold)
     M = np.asarray(M)
-    hot = np.abs(M) > threshold
+    hot = ~(np.abs(M) <= threshold)
     ok = _support_mask(spec, M.shape)
     cells = np.where(hot, np.where(ok, "*", "X"), np.where(ok, ".", " "))
     return "\n".join("".join(row) for row in cells)
@@ -326,8 +294,6 @@ class VerificationReport:
     span_residuals: List[Tuple[int, int, float]] = field(default_factory=list)
     hermitian_residuals: List[Tuple[int, float]] = field(default_factory=list)
     psd_min_eigs: List[Tuple[int, float]] = field(default_factory=list)
-    tail_residuals: List[Tuple[int, float]] = field(default_factory=list)
-    triangular_residuals: List[Tuple[str, int, float]] = field(default_factory=list)
     closure_dim: Optional[int] = None
     block_scales: List[Tuple[int, float]] = field(default_factory=list)
     certificate: Dict[str, object] = field(default_factory=lambda: dict(CERTIFICATE))

@@ -9,7 +9,13 @@ Two of the ten comparisons read similarity drifts that the report no longer
 carries, since its unitarity and reconstruction checks already check
 similarity: :func:`similarity_drifts` computes them from the form's input and
 matrix as the report did, so the sweep also shows that dropping them changes
-no verdict.
+no verdict.  Two more read the largest tail entry of a positive-block form
+and the largest triangular-corner entry of a triangular form, against
+absolute limits; the report checks those entries once, as entries outside its
+pattern at the threshold.  :func:`tail_max` and :func:`corner_max` compute
+them from the form's matrix, entry by entry, so the sweep also shows that at
+the default threshold, which equals both limits, dropping them changes no
+verdict.
 
 The unitarity, reconstruction and span comparisons read exact values, which
 :func:`exact_similarity` computes from the form's own arrays with full d^3
@@ -18,6 +24,7 @@ products: the report's sketched bounds must give the verdict these give.
 
 import numpy as np
 
+from blocktrid import block_slices
 from reference_similarity import reconstruction_max, unitarity_fro, unitarity_max
 
 UNITARITY_LIMIT = 1e-10
@@ -45,6 +52,66 @@ def similarity_drifts(T, M):
     return [float(abs(x)) for x in drifts], float(abs(frobenius))
 
 
+def tail_positions(schedule, d, alt=False):
+    """0-based (i, j) of every tail entry of the positive-block pattern: in
+    each block right of the diagonal, the columns past its leading square
+    (for ``alt``, the transposed positions below the diagonal)."""
+    slices = block_slices(schedule, d)
+    out = []
+    for k in range(len(slices) - 1):
+        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
+        for i in range(r0, r1):
+            for j in range(c0 + (r1 - r0), c1):
+                out.append((i, j))
+    return [(j, i) for i, j in out] if alt else out
+
+
+def corner_positions(schedule, d, alt=False):
+    """0-based (i, j) of every entry the triangular pattern claims zero
+    inside a block beside the diagonal: below the diagonal, the entries under
+    the diagonal of the stacked square and all below it (B' upper triangular
+    over zeros); above it, every entry past the leading square A' but the
+    lower triangle of the next square A''.  ``alt`` transposes them."""
+    slices = block_slices(schedule, d)
+    out = []
+    for k in range(len(slices) - 1):
+        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
+        nk = r1 - r0
+        for li in range(r1 - r0):
+            for lj in range(c1 - c0):
+                if lj >= nk and (lj >= 2 * nk or li < lj - nk):
+                    out.append((r0 + li, c0 + lj))
+        for li in range(c1 - c0):
+            for lj in range(r1 - r0):
+                if li > lj:
+                    out.append((c0 + li, r0 + lj))
+    return [(j, i) for i, j in out] if alt else out
+
+
+def _largest(form, prefix, positions):
+    """max |M| over ``positions`` of ``form``'s pattern if its kind starts with
+    ``prefix``, else 0."""
+    kind = form.pattern.kind
+    if not kind.startswith(prefix):
+        return 0.0
+    M = form.matrix
+    where = positions(form.pattern.schedule, M.shape[0], alt="_alt_" in kind)
+    return max((abs(M[i, j]) for i, j in where), default=0.0)
+
+
+def tail_max(form) -> float:
+    """Largest |M| over the tails of a positive-block ``form``, 0 for another
+    form: the largest value the report compared with ``TAIL_LIMIT``."""
+    return _largest(form, "polar", tail_positions)
+
+
+def corner_max(form) -> float:
+    """Largest |M| over the triangular corners of a triangular ``form``, 0
+    for another form: the largest value the report compared with
+    ``TRIANGULAR_LIMIT``."""
+    return _largest(form, "tri", corner_positions)
+
+
 def exact_similarity(form):
     """(max|U*U - I|, max|U M U* - T|, span values) of ``form``'s own arrays.
 
@@ -61,8 +128,8 @@ def exact_similarity(form):
 
 def reference_passing(form) -> bool:
     """``form.report.passing`` as ten hand-written comparisons, the
-    similarity residuals, span values and drifts among them computed from
-    ``form.input``, ``form.basis_change`` and ``form.matrix``."""
+    similarity residuals, span values, tails, corners and drifts among them
+    computed from ``form.input``, ``form.basis_change`` and ``form.matrix``."""
     report = form.report
     unitarity, reconstruction, spans = exact_similarity(form)
     if unitarity > UNITARITY_LIMIT:
@@ -79,9 +146,9 @@ def reference_passing(form) -> bool:
     for k, eig in report.psd_min_eigs:
         if eig < -PSD_EIG_REL * max(1.0, scales.get(k, 1.0)):
             return False
-    if any(r > TAIL_LIMIT for _, r in report.tail_residuals):
+    if tail_max(form) > TAIL_LIMIT:
         return False
-    if any(r > TRIANGULAR_LIMIT for _, _, r in report.triangular_residuals):
+    if corner_max(form) > TRIANGULAR_LIMIT:
         return False
     base = report.input_norm_fro
     trace_drifts, frobenius_drift = similarity_drifts(form.input, form.matrix)

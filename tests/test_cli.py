@@ -30,6 +30,7 @@ from blocktrid import (
 )
 from blocktrid.cli import main
 from blocktrid.matio import FORMAT_EXTENSIONS
+from reference_verdict import corner_max, tail_max
 from tamper import scaled_column
 
 
@@ -634,14 +635,14 @@ def test_verify_and_render_accept_an_empty_file(tmp_path, capsys):
 
 
 #: pattern name -> (form, pattern function, threshold, entry to break, broken
-#: value, the check that sees it).  Each broken entry lies inside the
-#: support, or below the threshold, so only the pattern's block checks can
-#: catch it.
+#: value, the check that sees it).  A positive block's square lies inside the
+#: support, so only the pattern's PSD check can catch a broken one; a
+#: triangular corner is a claimed zero, caught as one entry at the threshold.
 BLOCK_CLAIMS = {
     "polar": ("polar_sparsify", polar_blocks, 1e-10, (0, 1), -5.0, "psd_min_eigs"),
     "polar-alt": ("polar_sparsify", polar_blocks, 1e-10, (1, 0), -5.0, "psd_min_eigs"),
-    "tri": ("tri_sparsify", tri_blocks, 1e-6, (2, 0), 1e-8, "triangular_residuals"),
-    "tri-alt": ("tri_sparsify", tri_blocks, 1e-6, (0, 2), 1e-8, "triangular_residuals"),
+    "tri": ("tri_sparsify", tri_blocks, 1e-6, (2, 0), 1e-3, "pattern_violations"),
+    "tri-alt": ("tri_sparsify", tri_blocks, 1e-6, (0, 2), 1e-3, "pattern_violations"),
 }
 
 
@@ -664,6 +665,9 @@ def test_verify_agrees_with_the_report_on_block_claims(tmp_path, capsys, pattern
                           form_kind="file", pattern=spec)
     failures = full_report(form, thr).failures
     assert [c.check for c in failures] == ([check] if tampered else [])
+    if not tampered:
+        # the built form's tails and corners are within 1e-10, not only 1e-6
+        assert max(tail_max(form), corner_max(form)) <= 1e-10
 
     argv = ["verify", "--input", path, "--pattern", pattern, "--schedule", "canonical",
             "--threshold", repr(thr)]

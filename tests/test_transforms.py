@@ -39,6 +39,7 @@ from blocktrid.verify import (
 )
 from blocktrid.words import staircase_program
 from reference_similarity import reconstruction_fro, reconstruction_max
+from reference_verdict import corner_max, tail_max
 
 S2 = math.sqrt(2.0)
 
@@ -225,7 +226,7 @@ def test_polar_random_suite():
         form = polar_sparsify(T, alt=trial == 13)
         assert form.passing, form.report.to_json()
         assert all(r <= 1e-9 for _, r in form.report.hermitian_residuals)
-        assert all(r <= 1e-10 for _, r in form.report.tail_residuals)
+        assert tail_max(form) <= 1e-10
         scales = dict(form.report.block_scales)
         for k, eig in form.report.psd_min_eigs:
             assert eig >= -1e-8 * max(1.0, scales[k])
@@ -287,7 +288,7 @@ def test_tri_random_suite():
         form = tri_sparsify(T)
         assert form.schedule.sizes == (1, 2, 6, 18)
         assert form.passing, form.report.to_json()
-        assert all(r <= 1e-10 for _, _, r in form.report.triangular_residuals)
+        assert corner_max(form) <= 1e-10
         # spot check: the 2x2 below-diagonal square of block pair (2,3)
         assert abs(form.matrix[4, 1]) <= 1e-10
 

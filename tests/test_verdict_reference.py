@@ -8,9 +8,10 @@ nilpotent shift, identity, zero) at d in {5, 9, 16, 33}, each scaled by
 vacuously or fails on roundoff; both rules must give the same verdict on
 every report, family members and decompose's one report included, and
 decompose's verdict must equal the coupling-and-summands rule it replaced.
-The written-out rule still compares the trace and Frobenius drifts, computed
-from each form, so equal verdicts also show that on this sweep no form
-fails a drift and passes the report.  It reads exact unitarity and
+The written-out rule still compares the trace and Frobenius drifts and the
+largest tail and triangular-corner entries with their old absolute limits,
+computed from each form, so equal verdicts also show that on this sweep no
+form fails one of those and passes the report.  It reads exact unitarity and
 reconstruction residuals and span values, so equal verdicts also show that
 the report's sketched bounds, each at least its exact Frobenius norm on
 every report here, decide as the exact values do.

@@ -21,6 +21,7 @@ from blocktrid import (
     joint_cyclic_pattern,
     pattern_text,
     polar_blocks,
+    polar_sparsify,
     schedule_for_dim,
     staircase,
     staircase_coarse,
@@ -28,9 +29,11 @@ from blocktrid import (
     tri_blocks,
     tri_sparsify,
 )
-from blocktrid.verify import DEFAULT_THRESHOLD, SPAN_LIMIT, basis_checks, matrix_report
+from blocktrid.verify import (DEFAULT_THRESHOLD, SPAN_LIMIT, Check, basis_checks,
+                              matrix_report, pattern_checks, pattern_fields)
 from reference_similarity import reconstruction_fro, reconstruction_max
 from reference_span import lstsq_distance
+from reference_verdict import corner_max, corner_positions, reference_passing, tail_max
 
 S2 = math.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
@@ -140,6 +143,20 @@ def test_pattern_text_sketch():
     M[2, 0] = 1.0
     sketch = pattern_text(M, staircase_refined())
     assert sketch == "*..\n...\nX.."
+
+
+def test_a_nan_entry_is_a_violation():
+    # a NaN is not at most the threshold, so it is drawn and reported like
+    # any entry above it, inside the support and outside
+    M = np.zeros((5, 5), dtype=np.complex128)
+    M[0, 0] = M[3, 0] = np.nan
+    spec = staircase_refined()
+    [(i, j, mag)] = check_pattern(M, spec)
+    assert (i, j) == (4, 1) and math.isnan(mag)
+    assert [c.check for c in pattern_checks(pattern_fields(M, spec, 1e-10))
+            if c.failed] == ["pattern_violations"]
+    blank = pattern_text(np.zeros((5, 5)), spec)
+    assert pattern_text(M, spec) == "*" + blank[1:18] + "X" + blank[19:]
 
 
 def test_family_stride_pattern():
@@ -317,9 +334,8 @@ def test_report_keys_are_pinned():
     assert sorted(report.json_object()) == [
         "block_scales", "certificate", "closure_dim", "failures", "form_kind",
         "hermitian_residuals", "input_norm_fro", "input_norm_max", "passing", "pattern",
-        "psd_min_eigs",
-        "reconstruction_residual", "span_residuals", "tail_residuals", "threshold",
-        "triangular_residuals", "unitarity_residual",
+        "psd_min_eigs", "reconstruction_residual", "span_residuals", "threshold",
+        "unitarity_residual",
     ]
 
 
@@ -330,7 +346,7 @@ def test_polar_report_blocks():
     report = full_report(form)
     assert report.hermitian_residuals == [(1, 0.0)]
     assert report.psd_min_eigs == [(1, 5.0)]
-    assert report.tail_residuals == [(1, 0.0)]
+    assert tail_max(form) == 0.0
     assert report.passing
 
     bad = M.copy()
@@ -341,10 +357,10 @@ def test_polar_report_blocks():
 
     tail = M.copy()
     tail[0, 2] = 0.5
-    rep3 = full_report(_Form(tail, "polar", polar_blocks(sched, 3), schedule=sched))
-    assert rep3.tail_residuals == [(1, 0.5)]
-    assert rep3.pattern_violations == [(1, 3, 0.5)]
-    assert not rep3.passing
+    form3 = _Form(tail, "polar", polar_blocks(sched, 3), schedule=sched)
+    assert tail_max(form3) == 0.5
+    # the tail entry is a claimed zero, checked once, at the threshold
+    assert full_report(form3).failures == [Check("pattern_violations", (1, 3), 0.5, 1e-10)]
 
 
 def test_polar_report_hermitian_drift():
@@ -363,24 +379,29 @@ def test_polar_alt_report_blocks():
     form = _Form(M, "polar_alt", polar_blocks(sched, 3, alt=True), schedule=sched)
     report = full_report(form)
     assert report.psd_min_eigs == [(1, 5.0)]
-    assert report.tail_residuals == [(1, 0.0)]
+    assert tail_max(form) == 0.0
     assert report.passing
+
+    tail = M.copy()
+    tail[2, 0] = 0.5
+    form2 = _Form(tail, "polar_alt", polar_blocks(sched, 3, alt=True), schedule=sched)
+    assert tail_max(form2) == 0.5
+    assert full_report(form2).failures == [Check("pattern_violations", (3, 1), 0.5, 1e-10)]
 
 
 def test_tri_report_blocks():
     sched = BlockSchedule((1, 2), GENERAL)
     ones = np.ones((3, 3), dtype=np.complex128)
     form = _Form(ones, "triangular", tri_blocks(sched, 3), schedule=sched)
-    report = full_report(form)
-    assert ("B", 1, 1.0) in report.triangular_residuals
-    assert ("A", 1, 0.0) in report.triangular_residuals
-    assert not report.passing
+    assert corner_max(form) == 1.0
+    # the one corner entry below the diagonal is one claimed zero, one record
+    assert full_report(form).failures == [Check("pattern_violations", (3, 1), 1.0, 1e-10)]
 
     ok = ones.copy()
     ok[2, 0] = 0.0
-    rep2 = full_report(_Form(ok, "triangular", tri_blocks(sched, 3), schedule=sched))
-    assert all(r == 0.0 for _, _, r in rep2.triangular_residuals)
-    assert rep2.passing
+    form2 = _Form(ok, "triangular", tri_blocks(sched, 3), schedule=sched)
+    assert corner_max(form2) == 0.0
+    assert full_report(form2).passing
 
 
 def test_psd_limit_scales_with_block():
@@ -530,43 +551,50 @@ def test_block_patterns_match_per_entry_reference():
             assert np.array_equal(mask, expected), (name, sched.sizes, dim)
 
 
-def _forbidden_corner_max(M, schedule, alt):
-    """Per-entry reference for the triangular residuals, in report order."""
-    slices = block_slices(schedule, M.shape[0])
-    out = []
-    for k in range(len(slices) - 1):
-        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
-        nk = schedule.sizes[k]
-        above, below = M[r0:r1, c0:c1], M[c0:c1, r0:r1]
-        if alt:
-            a_bad = lambda li, lj: lj >= nk or li < lj
-            b_bad = lambda li, lj: li >= nk and (li >= 2 * nk or lj < li - nk)
-        else:
-            a_bad = lambda li, lj: lj >= nk and (lj >= 2 * nk or li < lj - nk)
-            b_bad = lambda li, lj: li > lj
-        worst = {}
-        for label, blk, bad in (("A", above, a_bad), ("B", below, b_bad)):
-            worst[label] = max((abs(blk[li, lj]) for li in range(blk.shape[0])
-                                for lj in range(blk.shape[1]) if bad(li, lj)),
-                               default=0.0)
-        order = ("A", "B") if alt else ("B", "A")
-        out += [(label, k + 1, worst[label]) for label in order]
-    return out
-
-
 @pytest.mark.parametrize("alt", [False, True])
-def test_triangular_residual_order_and_values(alt):
+def test_triangular_corners_are_pattern_violations(alt):
+    # every corner entry above the threshold, and nothing else inside the
+    # band, is a violation, read per entry from the written-out corners
     rng = np.random.default_rng(21)
     d = 20
     T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     form = tri_sparsify(T, alt=alt)
-    blocks = len(block_slices(form.schedule, d)) - 1
-    order = ("A", "B") if alt else ("B", "A")
-    labels = [(label, k) for k in range(1, blocks + 1) for label in order]
+    band = block_band(form.schedule, d)
+    corners = corner_positions(form.schedule, d, alt)
     # the finished form (roundoff-sized corners) and a dense stand-in
     for M in (form.matrix, T):
         report = full_report(_Form(M, form.form_kind, form.pattern, schedule=form.schedule))
-        assert [(label, k) for label, k, _ in report.triangular_residuals] == labels
-        expected = [r for _, _, r in _forbidden_corner_max(M, form.schedule, alt)]
-        got = [r for _, _, r in report.triangular_residuals]
-        assert_allclose(got, expected, rtol=4 * EPS, atol=0)
+        in_band = [v for v in report.pattern_violations if band.allowed(v[0], v[1])]
+        expected = sorted((i + 1, j + 1, abs(M[i, j])) for i, j in corners
+                          if abs(M[i, j]) > DEFAULT_THRESHOLD)
+        assert [v[:2] for v in in_band] == [e[:2] for e in expected]
+        assert_allclose([v[2] for v in in_band], [e[2] for e in expected], rtol=4 * EPS, atol=0)
+    assert 0.0 < corner_max(form) <= 1e-10
+
+
+@pytest.mark.parametrize("build, alt", [(polar_sparsify, False), (tri_sparsify, False),
+                                        (tri_sparsify, True)])
+def test_roundoff_tails_and_corners_are_judged_at_the_threshold(build, alt):
+    # 1e6 times a Gaussian: the tails and corners hold roundoff above 1e-10
+    # but far below the threshold 1e-6 * c, at which every claimed zero is
+    # now judged; under the absolute limits of 1e-10 these forms failed
+    c = 1e6
+    rng = np.random.default_rng(0)
+    T = c * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    form = build(T, alt=alt, threshold=1e-6 * c)
+    assert form.passing, form.report.failures
+    assert 1e-10 < max(tail_max(form), corner_max(form)) <= 1e-6 * c
+    assert not reference_passing(form)
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_a_corner_entry_above_the_threshold_fails_on_its_entry(alt):
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    form = tri_sparsify(T, alt=alt)
+    i, j = corner_positions(form.schedule, 16, alt)[0]
+    M = form.matrix.copy()
+    M[i, j] = 1e-3
+    stand_in = _Form(M, form.form_kind, form.pattern, schedule=form.schedule)
+    assert full_report(stand_in).failures == [
+        Check("pattern_violations", (i + 1, j + 1), 1e-3, DEFAULT_THRESHOLD)]
