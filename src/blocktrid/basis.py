@@ -12,13 +12,14 @@ matrix product, which packs the whole basis, costs more than the
 matrix-vector products it replaces.  Each of its candidates (a
 matrix-vector product, a seed or a copy of v) goes through ``offer_row``
 against every row accepted so far, with the arithmetic of the one-offer
-reference: an offer costs four matrix-vector products and copies neither
-the basis nor the candidate.  A reference to a basis vector that does not
-exist when a block starts means the span built so far is closed under the
-program's words.  A program seeded by e_1 then offers the next standard
-seed and retries the reference, so one build can run through a whole
-direct sum of reducing subspaces; a program started from a vector v instead
-pads with standard basis vectors to finish the square unitary, or stops.
+reference: an offer costs two matrix-vector products, or four when its
+first pass cancelled, and copies neither the basis nor the candidate.  A
+reference to a basis vector that does not exist when a block starts means
+the span built so far is closed under the program's words.  A program
+seeded by e_1 then offers the next standard seed and retries the reference,
+so one build can run through a whole direct sum of reducing subspaces; a
+program started from a vector v instead pads with standard basis vectors
+to finish the square unitary, or stops.
 
 The raw-style executor stores surviving generated vectors, resolves original
 position references through the deletion rule, and skips runs of guaranteed
@@ -70,8 +71,11 @@ class LogEntry(NamedTuple):
 
     position_end equals position for ordinary entries; a larger value records
     a contiguous run rejected in bulk (residual_norm is None there, since
-    nothing was computed).  survivor_index is the 1-based basis slot filled
-    by an accepted vector.  An immutable tuple of these fields.
+    nothing was computed).  residual_norm is otherwise the residual norm at
+    which the offer was decided (``GsOutcome.residual_norm``): after one
+    pass or two, or the candidate's own norm when that alone rejects it.
+    survivor_index is the 1-based basis slot filled by an accepted vector.
+    An immutable tuple of these fields.
     """
 
     position: int

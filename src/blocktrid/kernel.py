@@ -1,8 +1,10 @@
 """Dense complex kernels shared by every sparsification pipeline.
 
 All routines work on ``numpy`` arrays with dtype complex128 and are pure
-functions of their inputs.  Gram-Schmidt is implemented here; the singular
-value decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
+functions of their inputs.  Gram-Schmidt is implemented here: classical
+passes, with a second pass for a single offer only when the first cancelled
+(:data:`ONE_PASS_SHARE`).  The singular value decomposition and the
+Hermitian eigenvalues come from ``numpy.linalg``.
 
 The two similarity checks, :func:`unitarity_residual` and
 :func:`reconstruction_residual`, are sketched: each applies its residual
@@ -27,6 +29,14 @@ import numpy as np
 #: Default relative tolerance deciding when a candidate vector is linearly
 #: dependent on the basis built so far.
 DEPENDENCE_TOL = 1e-10
+
+#: A single offer whose first classical pass keeps at least this share of the
+#: candidate's norm is decided by that pass: the residual is then orthogonal
+#: to the basis to working accuracy, and a second pass would change it only
+#: by rounding.  Below it, the pass cancelled, and a second pass restores
+#: orthogonality ("twice is enough": the Daniel-Gragg-Kaufman-Stewart and
+#: Kahan-Parlett test, analysed by Giraud, Langou & Rozložník, 2005).
+ONE_PASS_SHARE = 1 / math.sqrt(2)
 
 #: Probes per sketched residual, and the factor by which the reported bound
 #: exceeds the probes' estimate of the residual's Frobenius norm.
@@ -140,7 +150,9 @@ def reconstruction_residual(T, U, M) -> float:
 
 class GsOutcome(NamedTuple):
     """Result of offering one candidate vector to a growing orthonormal basis,
-    an immutable tuple; ``vector`` is None for a rejected candidate."""
+    an immutable tuple; ``vector`` is None for a rejected candidate, and
+    ``residual_norm`` is the residual norm at which the offer was decided:
+    the candidate's own norm, or its norm after the last pass it took."""
 
     accepted: bool
     vector: Optional[np.ndarray]
@@ -160,28 +172,35 @@ def check_tolerance(tol) -> None:
 def offer_row(Q, w, tol: float) -> GsOutcome:
     """Offer the fresh candidate vector ``w`` to the orthonormal rows ``Q``.
 
-    Two classical passes ``w -= conj(Q @ conj(w)) @ Q``, each two
-    matrix-vector products, round exactly as the one-offer reference does.
-    ``w`` is projected and, if accepted, normalized in place: the caller
-    hands over a vector it does not read again.  ``tol`` is not checked here.
-    A candidate of norm exactly 0 is rejected before any product: projecting
-    it would leave it 0.
+    Each classical pass ``w -= conj(Q @ conj(w)) @ Q`` is two matrix-vector
+    products, rounded exactly as the one-offer reference does.  The offer is
+    decided at the first point its norms decide it, with ``limit = tol *
+    max(1, ||w||)``: a candidate of norm at most ``limit`` is rejected before
+    any product; after the first pass, a residual r1 at most ``limit`` is
+    rejected and one of at least ``ONE_PASS_SHARE * ||w||`` is accepted;
+    only a residual between the two, one that cancelled, gets the second
+    pass, whose residual decides it.  ``w`` is projected and, if accepted,
+    normalized in place: the caller hands over a vector it does not read
+    again.  ``tol`` is not checked here.
     """
     norm = _norm(w)
-    if norm == 0.0:
-        return GsOutcome(False, None, 0.0)
     limit = tol * max(1.0, norm)
+    if norm <= limit:
+        return GsOutcome(False, None, norm)
     for _ in range(2):
         # dot skips matmul's dispatch; the second product stays a matmul,
         # whose rounding against a one-row basis a dot would not repeat
         c = Q.dot(w.conj())
         np.conjugate(c, out=c)
         w -= c @ Q
-    return _accept(w, _norm(w), limit)
+        r = _norm(w)
+        if r <= limit or r >= ONE_PASS_SHARE * norm:
+            break
+    return _accept(w, r, limit)
 
 
 def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[GsOutcome]]:
-    """Orthogonalize candidates against ``basis`` with classical Gram-Schmidt applied twice.
+    """Orthogonalize candidates against ``basis`` with classical Gram-Schmidt.
 
     Parameters
     ----------
@@ -198,24 +217,26 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     -------
     GsOutcome, or a list of m of them for a (m, d) block, m = 1 included
         Accepted with the normalized residual vector, or rejected when the
-        residual norm falls at or below ``tol * max(1, ||v_i||)``.
+        residual norm at which the offer is decided falls at or below
+        ``tol * max(1, ||v_i||)``.
 
-    ``basis`` and ``v`` are never written: the candidates are copied.  Two
-    passes project the basis out of each candidate; the second keeps
-    accepted vectors orthogonal to working accuracy even when the first
-    cancels most of it ("twice is enough").  A vector, and a block of at
-    most three rows, go through :func:`offer_row` one row at a time, each
-    against the basis and the rows of the block accepted before it: the
-    arithmetic of offering one vector at a time, and cheaper than packing
-    the basis for a matrix product.  A larger block is projected in matrix
-    products, then its rows are accepted or rejected in offer order, each
-    against the rows of the block accepted before it: the block is halved
-    recursively, and the rows accepted from a first half are projected out
-    of the second half in one pass before that half is decided.  A row that
-    follows an accepted row of its block and keeps less than 0.1 of its raw
-    norm gets one more pass against the basis and every row accepted before
-    it, since the rounding left by the passes it cancelled in is then large
-    next to its residual.
+    ``basis`` and ``v`` are never written: the candidates are copied.  A
+    second pass keeps accepted vectors orthogonal to working accuracy when
+    the first cancels most of a candidate ("twice is enough").  A vector,
+    and a block of at most three rows, go through :func:`offer_row` one row
+    at a time, each against the basis and the rows of the block accepted
+    before it: the arithmetic of offering one vector at a time, cheaper than
+    packing the basis for a matrix product, and a second pass only for a row
+    whose first pass kept less than ``ONE_PASS_SHARE`` of its norm.  A
+    larger block is projected in two passes of matrix products, then its
+    rows are accepted or rejected in offer order, each against the rows of
+    the block accepted before it: the block is halved recursively, and the
+    rows accepted from a first half are projected out of the second half in
+    one pass before that half is decided.  A row that follows an accepted
+    row of its block and keeps less than 0.1 of its raw norm gets one more
+    pass against the basis and every row accepted before it, since the
+    rounding left by the passes it cancelled in is then large next to its
+    residual.
     """
     check_tolerance(tol)
     W = np.array(v, dtype=np.complex128)

@@ -1,14 +1,16 @@
 """Static SVG rendering of sparsity patterns.
 
-One filled cell per entry above the magnitude threshold, with block
-boundary gridlines when a schedule is supplied; the schedule must span
+One filled cell per entry whose magnitude is not at most the threshold, a
+NaN among them, as ``check_pattern`` and ``pattern_text`` read entries; with
+block boundary gridlines when a schedule is supplied; the schedule must span
 the matrix.  Output is a plain string, deterministic for identical inputs.
 
 The cells come from one ``np.nonzero`` of the thresholded magnitudes, with
-their opacities computed as one array expression (from the halved entries
-when a magnitude overflows to infinity), and every group of
-elements is written by filling one printf-style template per element in a
-single formatting call.
+their opacities computed as one array expression relative to the largest
+magnitude that is not NaN (from the halved entries when a magnitude
+overflows to infinity); a NaN cell is drawn at full opacity.  Every group
+of elements is written by filling one printf-style template per element in
+a single formatting call.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ def render_svg(M, schedule=None, threshold: float = DEFAULT_THRESHOLD) -> str:
     rows, cols = M.shape
     width, height = cols * CELL, rows * CELL
     mags = np.abs(M)
-    top = float(mags.max()) if mags.size else 0.0
+    # fmax skips NaN, which has no size to scale the others by
+    top = float(np.fmax.reduce(mags, axis=None, initial=0.0))
 
-    i, j = np.nonzero(mags > threshold)
+    i, j = np.nonzero(~(mags <= threshold))
     shown = mags[i, j]
     if np.isinf(top):
         # |z| overflows only within a factor sqrt(2) of the float limit, so
         # the ratios of the halved entries' magnitudes are all finite.
         halved = np.abs(M / 2)
-        shown, top = halved[i, j], float(halved.max())
+        shown, top = halved[i, j], float(np.fmax.reduce(halved, axis=None, initial=0.0))
     opacity = 0.35 + 0.65 * (shown / top) if top > 0 else np.ones(shown.shape)
+    opacity[np.isnan(shown)] = 1.0
     cells = _lines(
         f'<rect x="%d" y="%d" width="{CELL}" height="{CELL}" fill="{FILL}" '
         'fill-opacity="%.4f"/>',

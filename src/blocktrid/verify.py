@@ -42,7 +42,7 @@ from .schedules import BlockIndex, BlockSchedule, InvalidScheduleError, covering
 UNITARITY_LIMIT = 1e-10
 RECONSTRUCTION_REL = 1e-8
 SPAN_LIMIT = 1e-8
-HERMITIAN_LIMIT = 1e-9
+HERMITIAN_REL = 1e-9
 PSD_EIG_REL = 1e-8
 DEFAULT_THRESHOLD = 1e-10
 
@@ -256,12 +256,14 @@ def pattern_fields(M, spec: PatternSpec, threshold: float) -> Dict[str, object]:
 
 
 def pattern_checks(fields: Dict[str, object]) -> List[Check]:
-    """Records of the support and block ``fields``; ``block_scales`` only scales PSD limits."""
+    """Records of the support and block ``fields``; ``block_scales`` only scales
+    the Hermitian and PSD limits, each to ``max(1, block scale)``."""
     scales = dict(fields.get("block_scales", ()))
     return [
         *(Check("pattern_violations", (i, j), mag, fields["threshold"])
           for i, j, mag in fields["pattern_violations"]),
-        *(Check("hermitian_residuals", f"block {k}", r, HERMITIAN_LIMIT)
+        *(Check("hermitian_residuals", f"block {k}", r,
+                HERMITIAN_REL * max(1.0, scales.get(k, 1.0)))
           for k, r in fields.get("hermitian_residuals", ())),
         *(Check("psd_min_eigs", f"block {k}", eig,
                 -PSD_EIG_REL * max(1.0, scales.get(k, 1.0)))

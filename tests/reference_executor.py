@@ -2,7 +2,8 @@
 
 This is the loop that ``blocktrid.basis.run_program`` replaced with blocks
 of offers: one matrix-vector product and one classical Gram-Schmidt offer
-(two passes against the whole basis) per stream position.  The differential
+(one pass against the whole basis, and a second when the first cancelled)
+per stream position.  The differential
 tests in ``test_executor_reference.py`` require the blocked executor to take
 the same accept and reject decisions at the same positions, bar offers at
 the dependence threshold, to record the same closures, and to match this
@@ -17,12 +18,37 @@ from itertools import chain, count
 import numpy as np
 
 from blocktrid.basis import BuildLog, BuildResult, InstructionCapError
-from blocktrid.kernel import DEPENDENCE_TOL, as_operator
+from blocktrid.kernel import DEPENDENCE_TOL, ONE_PASS_SHARE, as_operator
 from blocktrid.words import parse_trace, seed
 
 
 def reference_offer(Q, v, tol):
-    """(accepted, normalized residual or None, residual norm) for one offer."""
+    """(accepted, normalized residual or None, residual norm) for one offer.
+
+    The offer is decided at the first norm that decides it: the candidate's
+    own norm when it is at most the limit, else the residual of the first
+    pass when that is at most the limit or keeps at least ``ONE_PASS_SHARE``
+    of the norm, else the residual of a second pass.
+    """
+    w = np.array(v, dtype=np.complex128)
+    norm0 = float(np.linalg.norm(w))
+    limit = tol * max(1.0, norm0)
+    if norm0 <= limit:
+        return False, None, norm0
+    for _ in range(2):
+        w -= Q.T @ np.conj(Q @ np.conj(w))
+        r = float(np.linalg.norm(w))
+        if r <= limit or r >= ONE_PASS_SHARE * norm0:
+            break
+    if r <= limit:
+        return False, None, r
+    return True, w / r, r
+
+
+def two_pass_offer(Q, v, tol):
+    """``reference_offer`` with both classical passes always run and the
+    residual of the second deciding, the arithmetic before the one-pass
+    rule; the differential reference of ``test_one_pass_offer.py``."""
     w = np.array(v, dtype=np.complex128)
     norm0 = float(np.linalg.norm(w))
     for _ in range(2):

@@ -196,6 +196,23 @@ def test_render_svg_threshold():
     assert svg_tight.count("fill-opacity") == 1
 
 
+def test_render_svg_draws_a_nan_entry():
+    # a NaN is not at most the threshold, so it gets a cell, as it is a
+    # violation in check_pattern and a '*' in pattern_text; it is drawn at
+    # full opacity and does not scale the others
+    M = np.zeros((3, 3))
+    M[0, 0], M[2, 0] = 1.0, np.nan
+    assert render_svg(M).count("<rect") == 3  # the background and two cells
+    M[1, 1] = 0.5
+    svg = render_svg(M)
+    assert svg.count('fill-opacity="1.0000"') == 2
+    assert svg.count('fill-opacity="0.6750"') == 1  # 0.35 + 0.65 * 0.5
+    M[2, 0] = 1.0
+    assert svg.replace('fill-opacity="1.0000"', "") == render_svg(M).replace(
+        'fill-opacity="1.0000"', "")
+    assert render_svg(np.full((2, 2), np.nan)).count('fill-opacity="1.0000"') == 4
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
 def test_render_svg_rejects_non_finite_threshold(threshold):
     with pytest.raises(ValueError, match="finite"):

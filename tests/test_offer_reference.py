@@ -1,11 +1,12 @@
 """``offer_row`` against the reference offer, bit for bit.
 
 The executors offer each candidate of a small block through ``offer_row``,
-two passes of ``w -= conj(B @ conj(w)) @ B`` on the basis rows ``B``.
-``reference_offer`` conjugates the candidate and the coefficients too.  Both
-compute the same products in the same order, so on any orthonormal basis, at
-any scale and for zero, in-span and nearly in-span candidates, the decision,
-the residual norm and the accepted vector must agree bit for bit.
+passes of ``w -= conj(B @ conj(w)) @ B`` on the basis rows ``B``, a second
+one only when the first cancelled.  ``reference_offer`` conjugates the
+candidate and the coefficients too.  Both compute the same products in the
+same order and stop at the same pass, so on any orthonormal basis, at any
+scale and for zero, in-span and nearly in-span candidates, the decision, the
+residual norm and the accepted vector must agree bit for bit.
 """
 
 import numpy as np

@@ -587,6 +587,46 @@ def test_roundoff_tails_and_corners_are_judged_at_the_threshold(build, alt):
     assert not reference_passing(form)
 
 
+SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("c", SCALES)
+def test_scaled_polar_forms_pass_the_hermitian_check(c, alt):
+    # the roundoff in a positive block of the polar form of cT grows with c,
+    # and its limit, HERMITIAN_REL * max(1, block scale), grows with it
+    rng = np.random.default_rng(0)
+    for d in (16, 64):
+        T = c * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        report = polar_sparsify(T, alt=alt, threshold=1e-6 * c).report
+        records = [r for r in pattern_checks(vars(report))
+                   if r.check == "hermitian_residuals"]
+        assert len(records) == len(report.hermitian_residuals) > 0
+        assert not [r for r in records if r.failed]
+        if c >= 1e9:
+            # far past the old absolute limit of 1e-9
+            assert max(r.value for r in records) > 1e-9
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("c", SCALES)
+def test_a_non_hermitian_block_fails_at_every_scale(c, alt):
+    # one entry of a positive block moved by 10 times its limit
+    rng = np.random.default_rng(1)
+    T = c * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    form = polar_sparsify(T, alt=alt, threshold=1e-6 * c)
+    M = form.matrix.conj().T.copy() if alt else form.matrix.copy()
+    slices = block_slices(form.schedule, 16)
+    k = max(range(len(slices) - 1), key=lambda k: slices[k][1] - slices[k][0])
+    (r0, r1), (c0, _) = slices[k], slices[k + 1]
+    scale = np.max(np.abs(M[r0:r1, c0:c0 + r1 - r0]))
+    M[r0, c0 + 1] += 1e-8 * max(1.0, scale)
+    stand_in = _Form(M.conj().T if alt else M, form.form_kind, form.pattern,
+                     schedule=form.schedule)
+    failures = full_report(stand_in, threshold=1e-6 * c).failures
+    assert [r.at for r in failures if r.check == "hermitian_residuals"] == [f"block {k + 1}"]
+
+
 @pytest.mark.parametrize("alt", [False, True])
 def test_a_corner_entry_above_the_threshold_fails_on_its_entry(alt):
     rng = np.random.default_rng(3)
