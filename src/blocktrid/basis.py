@@ -1,6 +1,6 @@
 """Execute word programs against concrete matrices, producing basis changes.
 
-The orthonormal-style executor offers the stream to Gram-Schmidt in blocks
+The executor offers the stream to Gram-Schmidt in blocks
 and stops once the basis is complete.  A block is the longest run of
 upcoming instructions whose source vectors exist when it starts, at most one
 per free basis slot.  A block of four or more offers forms its candidates in
@@ -20,20 +20,6 @@ seeded by e_1 then offers the next standard seed and retries the reference,
 so one build can run through a whole direct sum of reducing subspaces; a
 program started from a vector v instead pads with standard basis vectors
 to finish the square unitary, or stops.
-
-The raw-style executor stores surviving generated vectors, resolves original
-position references through the deletion rule, and skips runs of guaranteed
-rejections in bulk, so degenerate inputs (zero, identity) finish in
-polynomially many offers even though their seeds sit at exponentially distant
-stream positions.  Each step forms at most one candidate at position n: the
-seed, or T or T* applied to the survivor its token resolves to, unless that
-survivor does not exist yet or was offered to the same operator already.
-Anything but an acceptance rejects positions n..last by one skip rule,
-``last = min(n + (q - token), run_end)`` with q the first accepted position
-at or after the token, or ``run_end`` when there is none: up to q every
-token of the run resolves to the same survivor, and a seed's run is its own
-position.  It keeps each raw candidate and offers a copy through
-``offer_row``.
 """
 
 from __future__ import annotations
@@ -53,13 +39,7 @@ from .kernel import (
     offer_row,
     unit_vector,
 )
-from .words import (
-    TRIANGULAR,
-    SurvivorMap,
-    WordProgram,
-    seed,
-    tri_word_raw,
-)
+from .words import WordProgram, seed
 
 
 class InstructionCapError(RuntimeError):
@@ -67,22 +47,21 @@ class InstructionCapError(RuntimeError):
 
 
 class LogEntry(NamedTuple):
-    """Outcome of one offered vector, or of a skipped run of positions.
+    """Outcome of one offered vector.
 
-    position_end equals position for ordinary entries; a larger value records
-    a contiguous run rejected in bulk (residual_norm is None there, since
-    nothing was computed).  residual_norm is otherwise the residual norm at
-    which the offer was decided (``GsOutcome.residual_norm``): after one
-    pass or two, or the candidate's own norm when that alone rejects it.
-    survivor_index is the 1-based basis slot filled by an accepted vector.
-    An immutable tuple of these fields.
+    residual_norm is the residual norm at which the offer was decided
+    (``GsOutcome.residual_norm``): after one pass or two, or the candidate's
+    own norm when that alone rejects it.  survivor_index is the 1-based basis
+    slot filled by an accepted vector.  position_end, the last position the
+    entry decides, equals position: one offer decides one position.  An
+    immutable tuple of these fields.
     """
 
     position: int
     position_end: int
     instruction: str
     accepted: bool
-    residual_norm: Optional[float]
+    residual_norm: float
     survivor_index: Optional[int]
 
 
@@ -90,11 +69,9 @@ class LogEntry(NamedTuple):
 class BuildLog:
     entries: List[LogEntry] = field(default_factory=list)
 
-    def add(self, position, instruction, accepted, residual_norm, survivor_index,
-            position_end=None):
-        self.entries.append(LogEntry(
-            position, position if position_end is None else position_end,
-            instruction, accepted, residual_norm, survivor_index))
+    def add(self, position, instruction, accepted, residual_norm, survivor_index):
+        self.entries.append(LogEntry(position, position, instruction, accepted,
+                                     residual_norm, survivor_index))
 
     @property
     def accepted_count(self) -> int:
@@ -115,7 +92,6 @@ class BuildResult:
     basis: np.ndarray
     log: BuildLog
     closures: List[int] = field(default_factory=list)
-    raw_vectors: Optional[List[np.ndarray]] = None
 
 
 def run_program(
@@ -163,14 +139,12 @@ def run_program(
             raise ValueError("seed vector must be nonzero")
     elif seed_vector is not None:
         raise ValueError("this program does not start from a seed vector; one was given")
-    if program.kind == TRIANGULAR:
-        return _run_raw_triangular(ops[0], adjs[0], dim, tol)
     # the matrix each (op_index, adjoint) of an instruction applies
     mats = {(i + 1, adjoint): mat
             for i, pair in enumerate(zip(ops, adjs)) for adjoint, mat in enumerate(pair)}
     # at most stride words per basis vector, one position per seed (dim seeds
     # and v), and the one position at which a padded stream finds its closure
-    cap = ((program.stride or 1) + 1) * dim + 2
+    cap = (program.stride + 1) * dim + 2
 
     # orthonormal basis vectors as rows; B[:k] is the basis built so far
     B = np.zeros((dim, dim), dtype=np.complex128)
@@ -267,53 +241,6 @@ def run_program(
             log.add(pos, instr.trace(), out.accepted, out.residual_norm,
                     k if out.accepted else None)
     return BuildResult(B[:k].T, log, closures)
-
-
-def _run_raw_triangular(T, Tadj, dim, tol) -> BuildResult:
-    """Triangular-stream executor: one offer, or none, decides each step."""
-    B = np.zeros((dim, dim), dtype=np.complex128)
-    k = 0
-    raw: List[np.ndarray] = []
-    survivors = SurvivorMap()
-    offered = set()
-    log = BuildLog()
-    n = 1
-    while k < dim:
-        word = tri_word_raw(n)
-        if word.stage > dim + 1:
-            raise InstructionCapError(
-                f"stage {word.stage} exceeds dimension {dim}; seeds should have "
-                "completed the basis"
-            )
-        instr, token = word.instruction, word.token
-        # the one candidate, if any; a repeated (adjoint, survivor) has none
-        candidate = None
-        if token is None:
-            candidate = unit_vector(dim, instr.seed_index - 1)
-        else:
-            sigma = survivors.resolve(token)
-            key = (instr.adjoint, sigma)
-            if sigma <= survivors.survivors and key not in offered:
-                offered.add(key)
-                candidate = (Tadj if instr.adjoint else T) @ raw[sigma - 1]
-        # raw keeps the candidate; a copy of it is offered and overwritten
-        out = None if candidate is None else offer_row(B[:k], candidate.copy(), tol)
-        if out is not None and out.accepted:
-            raw.append(candidate)
-            B[k] = out.vector
-            k += 1
-            survivors.mark_accepted(n)
-            log.add(n, instr.trace(), True, out.residual_norm, k)
-            n += 1
-            continue
-        # the skip rule: positions n..last are rejected
-        q = None if token is None else survivors.next_accepted_at_or_after(token)
-        last = word.run_end if q is None else min(n + (q - token), word.run_end)
-        survivors.mark_rejected_range(n, last)
-        residual = None if out is None else out.residual_norm
-        log.add(n, instr.trace(), False, residual, None, position_end=last)
-        n = last + 1
-    return BuildResult(B.T, log, raw_vectors=raw)
 
 
 def conjugate(T, U) -> np.ndarray:

@@ -8,6 +8,7 @@ are never assumed: the report re-checks them on the finished matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,7 +56,6 @@ from .words import (
     joint_cyclic_program,
     krylov_program,
     staircase_program,
-    tri_word_program,
 )
 
 
@@ -147,29 +147,63 @@ def block_tridiagonalize(T, schedule: Optional[BlockSchedule] = None,
                            pattern=block_band(schedule, d), schedule=schedule)
 
 
+def _band_walk(slices: List[Tuple[int, int]], factor) -> np.ndarray:
+    """Block diagonal unitary V = diag(V_1, V_2, ...) on ``slices``, walking
+    down the band: V_1 = I, and V_{k+1} = factor(k, V_k) for the 0-based
+    index k of the block whose V_k is known."""
+    d = slices[-1][1]
+    V = np.zeros((d, d), dtype=np.complex128)
+    a, b = slices[0]
+    Vk = np.eye(b - a, dtype=np.complex128)
+    V[a:b, a:b] = Vk
+    for k, (a, b) in enumerate(slices[1:]):
+        Vk = factor(k, Vk)
+        V[a:b, a:b] = Vk
+    return V
+
+
 def _polar_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
     """Block diagonal unitary turning each right-of-diagonal block into (P | 0).
 
-    Walking down the band: with U_1 = I, take the SVD Y = W S V* of the
-    n_k x n_{k+1} block Y = U_k* A_k and set U_{k+1} = V diag(W*, I); then
-    Y U_{k+1} = (W S W* | 0), whose left part is the Hermitian square root
+    With A_k the block right of diagonal block k, take the SVD
+    Y = V_k* A_k = W S X* and set V_{k+1} = X diag(W*, I); then
+    Y V_{k+1} = (W S W* | 0), whose left part is the Hermitian square root
     of YY*.
     """
-    d = Mb.shape[0]
-    V = np.zeros((d, d), dtype=np.complex128)
-    r0, r1 = slices[0]
-    Us = [np.eye(r1 - r0, dtype=np.complex128)]
-    for k in range(len(slices) - 1):
-        r0, r1 = slices[k]
-        c0, c1 = slices[k + 1]
-        Y = Us[k].conj().T @ Mb[r0:r1, c0:c1]
-        W, _, Uk1 = svd(Y)
-        nk = r1 - r0
-        Uk1[:, :nk] = Uk1[:, :nk] @ W.conj().T
-        Us.append(Uk1)
-    for (a, b), Uk in zip(slices, Us):
-        V[a:b, a:b] = Uk
-    return V
+    def factor(k, Vk):
+        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
+        W, _, X = svd(Vk.conj().T @ Mb[r0:r1, c0:c1])
+        X[:, :r1 - r0] = X[:, :r1 - r0] @ W.conj().T
+        return X
+
+    return _band_walk(slices, factor)
+
+
+def _triangular_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
+    """Block diagonal unitary cutting triangular corners into the band of Mb.
+
+    With B and A the blocks below and right of diagonal block k, take the
+    complete QR [B V_k | A* V_k] = Q R and set V_{k+1} = Q.  Then Q* B V_k,
+    the first n_k columns of R, is upper triangular over zeros, and
+    V_k* A Q, the next n_k columns conjugate-transposed, is (A' | A'' | 0)
+    with A'' lower triangular.  No rank is decided: a rank-deficient
+    [B V_k | A* V_k] only adds zeros.
+    """
+    def factor(k, Vk):
+        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
+        X = np.hstack([Mb[c0:c1, r0:r1] @ Vk, Mb[r0:r1, c0:c1].conj().T @ Vk])
+        return np.linalg.qr(X, mode="complete")[0]
+
+    return _band_walk(slices, factor)
+
+
+def _times_block_diagonal(X: np.ndarray, V: np.ndarray,
+                          slices: List[Tuple[int, int]]) -> np.ndarray:
+    """X V for V block diagonal on ``slices``, one product per block column."""
+    out = np.empty_like(X)
+    for a, b in slices:
+        out[:, a:b] = X[:, a:b] @ V[a:b, a:b]
+    return out
 
 
 def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = False,
@@ -227,39 +261,39 @@ def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
     )
 
 
-def _tri_span_bounds(d: int) -> List[Tuple[int, int]]:
-    out = []
-    n = 1
-    while True:
-        out.append((n, min(3 ** n, d)))
-        if 3 ** n >= d or n >= d:
-            break
-        n += 1
-    return out
-
-
 def tri_sparsify(T, alt: bool = False, tol: float = DEPENDENCE_TOL,
                  threshold: float = DEFAULT_THRESHOLD) -> SparsifiedForm:
     """Block tridiagonal form with triangular sub-block structure.
 
     Primary claims: each below-diagonal block is an upper triangular square
     stacked over zeros, and each above-diagonal block is (free | lower
-    triangular | zero).  ``alt`` mirrors both.  Block sizes follow the
-    doubling-by-three partition 1, 2, 6, 18, ... clipped at the dimension.
+    triangular | zero).  ``alt`` mirrors both, via the same construction on
+    the adjoint.  The form is built from the block tridiagonal one: the
+    staircase build, read on the partition 1, 2, 6, 18, ... clipped at the
+    dimension, is block tridiagonal, and a block diagonal unitary, one QR
+    per block down the band, cuts the corners.  That unitary mixes columns
+    only inside a block, so e_n, in the span of the staircase's first 3n
+    columns, stays in the span of the first columns up to the first block
+    end at or past 3n.
     """
     T = as_operator(T)
     d = T.shape[0]
     schedule = canonical_covering(d, GENERAL, 1)
-    res, M = _build(T, tri_word_program(), tol, alt)
+    slices = block_slices(schedule, d)
+    res, Mb = _build(T, staircase_program(), tol, alt)
+    V = _triangular_conjugator(Mb, slices)
+    # (V* Mb V)* = (Mb V)* V, every entry computed, one product per block
+    Madj = _times_block_diagonal(_times_block_diagonal(Mb, V, slices).conj().T, V, slices)
+    ends = [b for _, b in slices]
     return _finish(
         threshold,
         input=T,
-        basis_change=res.basis,
-        matrix=M.conj().T if alt else M,
+        basis_change=_times_block_diagonal(res.basis, V, slices),
+        matrix=Madj if alt else Madj.conj().T,
         form_kind="triangular_alt" if alt else "triangular",
         pattern=tri_blocks(schedule, d, alt),
         schedule=schedule,
-        span_bounds=_tri_span_bounds(d),
+        span_bounds=[(n, ends[bisect_left(ends, min(3 * n, d))]) for n in range(1, d + 1)],
         log=res.log,
     )
 

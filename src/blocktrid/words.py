@@ -6,23 +6,16 @@ opens with a fixed first vector (v or e_1) or with the seed e_n at the head
 of every stage n, then offers S_k f_n, and S_k* f_n when adjoints are on,
 for k = 1..N.  They apply operators to already-orthonormalized basis
 vectors, so an instruction's ``src`` names the src-th accepted vector.
-The triangular stream instead applies operators to stored generated vectors
-and is indexed by original position; when a generated vector is rejected it
-is deleted from the sequence and every later reference shifts down, which
-:class:`SurvivorMap` tracks without rewriting the stream.
 """
 
 from __future__ import annotations
 
-import bisect
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import Callable, Iterator, List, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 STAIRCASE = "staircase"
-TRIANGULAR = "triangular"
 JOINT_CYCLIC = "joint_cyclic"
 DIRECT_SUM = "direct_sum"
 KRYLOV = "krylov"
@@ -35,8 +28,8 @@ class WordInstruction(NamedTuple):
 
     kind is ``seed`` (offer the standard basis vector e_seed_index),
     ``seed_vec`` (offer the caller-supplied starting vector), or ``apply``
-    (offer operator op_index, or its adjoint, applied to the src-th vector of
-    the relevant sequence).  All indices are 1-based; an immutable tuple.
+    (offer operator op_index, or its adjoint, applied to the src-th accepted
+    basis vector).  All indices are 1-based; an immutable tuple.
     """
 
     kind: str
@@ -83,13 +76,13 @@ class WordProgram:
     """A deterministic instruction stream.
 
     ``stream`` returns a fresh iterator over the instructions; ``stride`` is
-    the number of positions per stage where the program has one; ``n_ops``,
-    the number of operators it applies, is set only by the functions below.
+    the number of positions per stage; ``n_ops``, the number of operators
+    it applies, is set only by the functions below.
     """
 
     kind: str
     stream: Callable[[], Iterator[WordInstruction]]
-    stride: Optional[int] = None
+    stride: int
     n_ops: int = field(default=1, init=False)
 
     def instructions(self) -> Iterator[WordInstruction]:
@@ -143,125 +136,3 @@ def family_program(n_ops: int, selfadjoint: bool) -> WordProgram:
     program = WordProgram(kind, partial(_stream, None, n_ops, not selfadjoint), stride=stride)
     object.__setattr__(program, "n_ops", n_ops)
     return program
-
-
-def tri_word_program() -> WordProgram:
-    """Positions in original (deletion-free) order; see :func:`tri_word_raw`."""
-    return WordProgram(TRIANGULAR, lambda: (tri_word_raw(n).instruction for n in count(1)))
-
-
-class RawWord(NamedTuple):
-    """Decoded triangular-stream instruction at one original position.
-
-    ``token`` is the original index of the referenced generated vector (None
-    for seeds); ``run_end`` is the last position of the homogeneous run this
-    position sits in (same operator, consecutive tokens), which lets the
-    executor skip deterministic rejections in bulk.
-    """
-
-    instruction: WordInstruction
-    token: Optional[int]
-    run_end: int
-    stage: int
-
-
-def tri_word_raw(n: int) -> RawWord:
-    """Instruction at original position n >= 1 of the triangular stream.
-
-    Base: position 1 seeds e_1, position 2 applies T to g_1, position 3
-    applies T* to g_1.  For stage k >= 2 (positions 3^{k-1} < n <= 3^k, block
-    sizes n_k = 2*3^{k-2}): the first n_k positions apply T to g_{s_{k-1}+r},
-    the next n_{k+1}-1-n_k apply T* to g_{r+1-k}, and the stage closes by
-    seeding e_k at position 3^k.
-
-    ``n`` is read through ``operator.index``: a non-integer raises TypeError,
-    and every field is a plain int.  The stage is read off the bit length of
-    n - 1, so a position costs O(1) integer operations at any stage.
-    """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("positions are 1-based")
-    if n == 1:
-        return RawWord(seed(1), None, 1, 1)
-    if n == 2:
-        return RawWord(apply_op(1, adjoint=False), 1, 2, 1)
-    if n == 3:
-        return RawWord(apply_op(1, adjoint=True), 1, 3, 1)
-    # stage k has s_prev = 3^{k-1} <= n - 1 < 3^k; with b the bit length of
-    # n - 1, floor((b - 1) log_3 2) is k - 1 up to one step
-    k = 1 + int(((n - 1).bit_length() - 1) * 0.6309297535714574)
-    s_prev = 3 ** (k - 1)
-    if s_prev > n - 1:
-        k, s_prev = k - 1, s_prev // 3
-    elif 3 * s_prev <= n - 1:
-        k, s_prev = k + 1, 3 * s_prev
-    s_prev2 = s_prev // 3
-    n_k = s_prev - s_prev2
-    r = n - s_prev
-    if r <= n_k:
-        return RawWord(apply_op(s_prev2 + r, adjoint=False), s_prev2 + r, s_prev + n_k, k)
-    if n < 3 * s_prev:
-        return RawWord(apply_op(r + 1 - k, adjoint=True), r + 1 - k, 3 * s_prev - 1, k)
-    return RawWord(seed(k), None, 3 * s_prev, k)
-
-
-def tri_word_sequence(n_instructions: int) -> List[WordInstruction]:
-    """First instructions of the triangular stream, deletion-free indexing."""
-    if n_instructions < 1:
-        raise ValueError("need at least one instruction")
-    return [tri_word_raw(n).instruction for n in range(1, n_instructions + 1)]
-
-
-@dataclass
-class SurvivorMap:
-    """Original-position bookkeeping for the deletion rule.
-
-    ``accepted`` holds the original positions whose vectors survived, in
-    order; ``frontier`` is the highest original position whose fate is known.
-    A reference to original position j resolves to the surviving sequence as
-    1 + (number of accepted positions before j): accepted positions map to
-    their own surviving rank, rejected ones rebind to the next survivor, and
-    a result beyond the current length denotes a vector that does not exist
-    yet, which the executor treats as zero.
-    """
-
-    accepted: List[int] = field(default_factory=list)
-    frontier: int = 0
-
-    @property
-    def survivors(self) -> int:
-        return len(self.accepted)
-
-    def resolve(self, token: int) -> int:
-        if token < 1:
-            raise ValueError("references are 1-based")
-        if token > self.frontier:
-            raise ValueError(
-                f"reference to position {token} whose fate is undecided "
-                f"(frontier {self.frontier})"
-            )
-        return 1 + bisect.bisect_left(self.accepted, token)
-
-    def next_accepted_at_or_after(self, token: int) -> Optional[int]:
-        idx = bisect.bisect_left(self.accepted, token)
-        if idx == len(self.accepted):
-            return None
-        return self.accepted[idx]
-
-    def mark_accepted(self, pos: int) -> None:
-        if pos <= self.frontier:
-            raise ValueError(f"position {pos} already decided")
-        self.accepted.append(pos)
-        self.frontier = pos
-
-    def mark_rejected(self, pos: int) -> None:
-        if pos <= self.frontier:
-            raise ValueError(f"position {pos} already decided")
-        self.frontier = pos
-
-    def mark_rejected_range(self, start: int, stop: int) -> None:
-        if start > stop:
-            raise ValueError("empty rejection range")
-        if start <= self.frontier:
-            raise ValueError(f"position {start} already decided")
-        self.frontier = stop

@@ -7,8 +7,7 @@ per stream position.  The differential
 tests in ``test_executor_reference.py`` require the blocked executor to take
 the same accept and reject decisions at the same positions, bar offers at
 the dependence threshold, to record the same closures, and to match this
-basis within ``basis_tolerance`` (bit for bit on Krylov builds).  The
-triangular stream has its own executor and is not covered here.
+basis within ``basis_tolerance`` (bit for bit on Krylov builds).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def two_pass_offer(Q, v, tol):
 
 def reference_run(operators, program, tol=DEPENDENCE_TOL, seed_vector=None,
                   pad_with_seeds=True) -> BuildResult:
-    """``run_program`` for every program but the triangular one, one offer at a time."""
+    """``run_program`` for every program, one offer at a time."""
     ops = [as_operator(op) for op in operators]
     dim = ops[0].shape[0]
     adjs = [op.conj().T.copy() for op in ops]

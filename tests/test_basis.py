@@ -28,7 +28,6 @@ from blocktrid.words import (
     krylov_program,
     family_program,
     staircase_program,
-    tri_word_program,
 )
 from reference_similarity import unitarity_max
 from reference_span import lstsq_distance
@@ -120,88 +119,6 @@ def test_staircase_zero_matrix_offers_every_seed():
     assert seeds == [f"seed {k}" for k in range(1, d + 1)]
 
 
-def test_tri_raw_vectors_match_word_recurrences():
-    # with a generic matrix nothing is rejected, so the stored raw vectors
-    # must be exactly the words e1, Te1, T*e1, T^2e1, TT*e1, T*Te1, T*^2e1,
-    # T*T^2e1, e2
-    rng = np.random.default_rng(53)
-    T = random_matrix(rng, 9)
-    Ts = adjoint(T)
-    e1 = unit_vector(9, 0)
-    e2 = unit_vector(9, 1)
-    res = run_program([T], tri_word_program())
-    words = [
-        e1, T @ e1, Ts @ e1,
-        T @ (T @ e1), T @ (Ts @ e1),
-        Ts @ (T @ e1), Ts @ (Ts @ e1), Ts @ (T @ (T @ e1)),
-        e2,
-    ]
-    assert len(res.raw_vectors) == 9
-    for got, want in zip(res.raw_vectors, words):
-        assert_allclose(got, want, atol=1e-12)
-    assert res.log.accepted_count == 9
-    assert all(e.position == e.position_end for e in res.log.entries)
-
-
-def test_tri_build_unitary_random():
-    rng = np.random.default_rng(54)
-    for trial in range(20):
-        d = int(rng.integers(1, 20))
-        T = random_matrix(rng, d)
-        res = run_program([T], tri_word_program())
-        assert unitarity_max(res.basis) < 1e-12
-
-
-def test_tri_zero_matrix_completes_through_skips():
-    d = 9
-    res = run_program([np.zeros((d, d))], tri_word_program())
-    assert max_abs(res.basis - np.eye(d)) < 1e-14
-    # the final seed sits at position 3^9 yet only a handful of offers ran
-    assert max(e.position_end for e in res.log.entries) == 3 ** 9
-    assert len(res.log.entries) < 60
-    assert any(e.position_end > e.position for e in res.log.entries)
-
-
-def test_tri_identity_matrix_completes_through_skips():
-    d = 9
-    res = run_program([np.eye(d)], tri_word_program())
-    assert max_abs(res.basis - np.eye(d)) < 1e-14
-    assert max(e.position_end for e in res.log.entries) == 3 ** 9
-    assert len(res.log.entries) < 60
-
-
-def test_tri_deletion_rebinding_trace():
-    # upper shift on 3 dims: T e1 = 0 dies, T* e1 = e2 survives, then every
-    # later word collapses and the seeds finish the job at positions 9, 27
-    T = np.zeros((3, 3), dtype=complex)
-    T[0, 1] = 1.0
-    res = run_program([T], tri_word_program())
-    assert max_abs(res.basis - np.eye(3)) < 1e-14
-    flat = [(e.position, e.position_end, e.accepted) for e in res.log.entries]
-    assert flat == [
-        (1, 1, True),      # e1
-        (2, 2, False),     # T e1 = 0
-        (3, 3, True),      # T* e1 = e2
-        (4, 5, False),     # T g2 = e1 already present; run collapses
-        (6, 7, False),     # T* g2 = 0
-        (8, 8, False),     # reference past the survivors
-        (9, 9, False),     # e2 already present
-        (10, 15, False),
-        (16, 26, False),
-        (27, 27, True),    # e3
-    ]
-
-
-def test_tri_span_condition():
-    # e_n lies in the span of the first 3^n basis vectors
-    rng = np.random.default_rng(55)
-    T = random_matrix(rng, 27)
-    res = run_program([T], tri_word_program())
-    assert span_residual(1, res.basis, 1) < 1e-10
-    assert span_residual(2, res.basis, 9) < 1e-8
-    assert span_residual(3, res.basis, 27) < 1e-8
-
-
 def test_conjugate_identity_and_permutation():
     T = np.diag([1.0, 2.0])
     assert_allclose(conjugate(T, np.eye(2)), T)
@@ -290,14 +207,14 @@ def test_operator_validation():
     # each of these once built a basis from part of its input, or died
     # with a KeyError, instead of naming the mismatch
     (2, staircase_program(), None, "applies 1 operator"),
-    (2, tri_word_program(), None, "applies 1 operator"),
     (1, family_program(2, selfadjoint=False), None, "applies 2 operator"),
     (3, family_program(2, selfadjoint=True), None, "applies 2 operator"),
     (1, staircase_program(), np.zeros(4), "does not start from a seed vector"),
     (1, direct_sum_program(), np.ones(4), "does not start from a seed vector"),
-    (1, tri_word_program(), np.ones(4), "does not start from a seed vector"),
-], ids=["staircase-2-ops", "triangular-2-ops", "family2-1-op", "family2-3-ops",
-        "staircase-zero-seed", "direct-sum-seed", "triangular-seed"])
+    (2, krylov_program(), np.ones(4), "applies 1 operator"),
+    (2, family_program(2, selfadjoint=True), np.ones(4), "does not start from a seed vector"),
+], ids=["staircase-2-ops", "family2-1-op", "family2-3-ops", "staircase-zero-seed",
+        "direct-sum-seed", "krylov-2-ops", "family2-seed"])
 def test_run_program_rejects_inputs_it_would_ignore(n_ops, program, seed_vector, message):
     rng = np.random.default_rng(61)
     ops = [random_matrix(rng, 4) for _ in range(n_ops)]
@@ -316,8 +233,22 @@ def every_program(T, S, v):
         ("krylov", [T], krylov_program(), {"seed_vector": v}),
         ("family_sa", [H, K], family_program(2, selfadjoint=True), {}),
         ("family_gen", [T, S], family_program(2, selfadjoint=False), {}),
-        ("triangular", [T], tri_word_program(), {}),
     ]
+
+
+@pytest.mark.parametrize("name", [p[0] for p in every_program(np.eye(1), np.eye(1), np.ones(1))])
+def test_every_position_is_bounded_by_the_stride(name):
+    # a build decides positions up to (stride + 1)·d + 2, so the positions a
+    # traced pass sums stay exact integers in floating point
+    rng = np.random.default_rng(63)
+    for d in (1, 5, 16):
+        for T in (random_matrix(rng, d), np.zeros((d, d)), np.eye(d), np.eye(d, k=1)):
+            v = random_matrix(rng, d)[0]
+            _, ops, program, kwargs = next(p for p in every_program(T, random_matrix(rng, d), v)
+                                           if p[0] == name)
+            positions = [e.position for e in run_program(ops, program, **kwargs).log.entries]
+            assert all(type(p) is int for p in positions)
+            assert max(positions) <= (program.stride + 1) * d + 2
 
 
 @pytest.mark.parametrize("family", ["gaussian", "identity", "jordan", "rank_one"])
@@ -375,36 +306,30 @@ def test_family_build_completes():
 
 def test_log_serializes_to_json():
     T = np.zeros((3, 3), dtype=complex)
-    res = run_program([T], tri_word_program())
+    res = run_program([T], staircase_program())
     payload = json.loads(res.log.to_json())
     assert len(payload) == len(res.log.entries)
     assert payload[0]["position"] == 1
     assert payload[0]["accepted"] is True
     assert res.log.to_json() == res.log.to_json()
     # every value of this log is exact, so its encoding is pinned byte for byte
-    assert res.log.to_json() == LOG_3X3_ZERO_TRIANGULAR
+    assert res.log.to_json() == LOG_3X3_ZERO_STAIRCASE
 
 
-LOG_3X3_ZERO_TRIANGULAR = (
+LOG_3X3_ZERO_STAIRCASE = (
     '[{"accepted": true, "instruction": "seed 1", "position": 1, "position_end": 1, '
     '"residual_norm": 1.0, "survivor_index": 1}, '
     '{"accepted": false, "instruction": "apply 1 0 1", "position": 2, "position_end": 2, '
     '"residual_norm": 0.0, "survivor_index": null}, '
     '{"accepted": false, "instruction": "apply 1 1 1", "position": 3, "position_end": 3, '
     '"residual_norm": 0.0, "survivor_index": null}, '
-    '{"accepted": false, "instruction": "apply 1 0 2", "position": 4, "position_end": 5, '
-    '"residual_norm": null, "survivor_index": null}, '
-    '{"accepted": false, "instruction": "apply 1 1 2", "position": 6, "position_end": 8, '
-    '"residual_norm": null, "survivor_index": null}, '
-    '{"accepted": true, "instruction": "seed 2", "position": 9, "position_end": 9, '
+    '{"accepted": true, "instruction": "seed 2", "position": 4, "position_end": 4, '
     '"residual_norm": 1.0, "survivor_index": 2}, '
-    '{"accepted": false, "instruction": "apply 1 0 4", "position": 10, "position_end": 15, '
+    '{"accepted": false, "instruction": "apply 1 0 2", "position": 5, "position_end": 5, '
     '"residual_norm": 0.0, "survivor_index": null}, '
-    '{"accepted": false, "instruction": "apply 1 1 5", "position": 16, "position_end": 20, '
+    '{"accepted": false, "instruction": "apply 1 1 2", "position": 6, "position_end": 6, '
     '"residual_norm": 0.0, "survivor_index": null}, '
-    '{"accepted": false, "instruction": "apply 1 1 10", "position": 21, "position_end": 26, '
-    '"residual_norm": null, "survivor_index": null}, '
-    '{"accepted": true, "instruction": "seed 3", "position": 27, "position_end": 27, '
+    '{"accepted": true, "instruction": "seed 3", "position": 7, "position_end": 7, '
     '"residual_norm": 1.0, "survivor_index": 3}]'
 )
 

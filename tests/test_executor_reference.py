@@ -1,6 +1,6 @@
 """The blocked executor against the one-offer-at-a-time reference.
 
-Every non-triangular program runs on the degenerate and scaled inputs below
+Every program runs on the degenerate and scaled inputs below
 through ``run_program`` and through ``reference_run``.  The accept and reject
 decisions, their positions and the closures must agree; Krylov blocks hold
 one offer, so a Krylov basis must agree bit for bit, and every other basis

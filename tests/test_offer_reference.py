@@ -1,6 +1,6 @@
 """``offer_row`` against the reference offer, bit for bit.
 
-The executors offer each candidate of a small block through ``offer_row``,
+The executor offers each candidate of a small block through ``offer_row``,
 passes of ``w -= conj(B @ conj(w)) @ B`` on the basis rows ``B``, a second
 one only when the first cancelled.  ``reference_offer`` conjugates the
 candidate and the coefficients too.  Both compute the same products in the

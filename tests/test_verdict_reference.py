@@ -16,11 +16,20 @@ reconstruction residuals and span values, so equal verdicts also show that
 the report's sketched bounds, each at least its exact Frobenius norm on
 every report here, decide as the exact values do.
 Each of those reports must encode to the reference bytes and keep its
-fields as they were.  The triangular builds of the scaled shift that
-overflow are left to ``test_tri_sparsify_of_a_scaled_shift_overflows``.
+fields as they were.
+
+The triangular form is now the QR walk down the block tridiagonal band, not
+the raw triangular word stream.  Every triangular row at scale at most 1
+passes, and ``TRI_FAIL_TO_PASS`` lists those that failed as builds of the
+stream.  At 1e6 and 1e12 both builds leave roundoff of about 1e-10 in
+claimed zeros, so a verdict there is a coin flip against the absolute
+threshold (normal, d = 5, 1e6: the primary form passes now and its mirror
+fails, the reverse of before), and only the parity of the two rules is
+asserted.
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +42,22 @@ from reference_verdict import reference_decompose_passing, reference_passing
 KINDS = ("gaussian", "normal", "rank_one", "nilpotent", "identity", "zero")
 SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
 
-#: (d, scale) of the shift N whose raw triangular words overflow: tri_sparsify
-#: and its mirror fail with "overflow encountered in dot" there.
-OVERFLOWING_SHIFTS = [(16, 1e12), (33, 1e6), (33, 1e12)]
+#: (d, scale) of the shift N whose raw triangular words overflowed: the
+#: stream's tri_sparsify and its mirror failed with "overflow encountered in
+#: dot" there.
+SCALED_SHIFTS = [(16, 1e12), (33, 1e6), (33, 1e12)]
+
+#: (kind, d, scale, form) of the triangular rows of the sweep that failed as
+#: builds of the raw triangular word stream and pass as the QR walk: Gaussian
+#: and normal inputs at 1e-6, where the stream's words fell under the
+#: dependence limit, and normal inputs at scale 1 from d = 16, where its
+#: rejections left claimed zeros up to 0.77.
+TRI_FAIL_TO_PASS = {
+    *((kind, d, 1e-6, name) for kind in ("gaussian", "normal") for d in (5, 9, 16, 33)
+      for name in ("tri_sparsify", "tri_sparsify alt")),
+    *(("normal", d, 1.0, name) for d in (16, 33)
+      for name in ("tri_sparsify", "tri_sparsify alt")),
+}
 
 
 def _input(kind, d):
@@ -56,9 +78,9 @@ def _input(kind, d):
     return np.eye(d) if kind == "identity" else np.zeros((d, d))
 
 
-def _forms(T, skip_tri):
+def _forms(T):
     """(name, form) for every form of T but decompose, family members
-    included; ``skip_tri`` leaves out both triangular forms."""
+    included."""
     e1 = bt.unit_vector(T.shape[0], 0)
     forms = {
         "staircase": lambda: bt.staircase(T),
@@ -71,8 +93,7 @@ def _forms(T, skip_tri):
         "joint_cyclic_staircase": lambda: bt.joint_cyclic_staircase(T, e1),
     }
     for name, build in forms.items():
-        if not (skip_tri and name.startswith("tri")):
-            yield name, build()
+        yield name, build()
     for k, form in enumerate(bt.family_staircase([T, T.conj().T])[1]):
         yield f"family member {k + 1}", form
 
@@ -93,20 +114,22 @@ def _assert_matches_references(form, where):
 def test_record_verdict_matches_reference(kind, d):
     for scale in SCALES:
         T = scale * _input(kind, d)
-        skip_tri = kind == "nilpotent" and (d, scale) in OVERFLOWING_SHIFTS
-        for name, form in _forms(T, skip_tri):
+        for name, form in _forms(T):
             _assert_matches_references(form, (scale, name))
+            if name.startswith("tri") and scale <= 1:
+                # the rows of TRI_FAIL_TO_PASS failed before; the others passed
+                assert form.passing, (scale, name, (kind, d, scale, name) in TRI_FAIL_TO_PASS)
         res = bt.decompose(T)
         _assert_matches_references(res, (scale, "decompose"))
         assert res.passing == reference_decompose_passing(res), scale
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="raw triangular words of a scaled shift overflow in "
-                          "kernel._norm; their residual is inf and so is the "
-                          "dependence limit tol*max(1, |v|)")
 @pytest.mark.parametrize("alt", [False, True])
-@pytest.mark.parametrize("d, scale", OVERFLOWING_SHIFTS)
-def test_tri_sparsify_of_a_scaled_shift_overflows(d, scale, alt):
-    form = bt.tri_sparsify(scale * np.diag(np.ones(d - 1), 1), alt=alt)
+@pytest.mark.parametrize("d, scale", SCALED_SHIFTS)
+def test_tri_sparsify_of_a_scaled_shift_passes_without_overflow(d, scale, alt):
+    # the staircase build applies N only to unit vectors, so no word grows
+    # like |N|^depth and no product overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form = bt.tri_sparsify(scale * np.diag(np.ones(d - 1), 1), alt=alt)
     assert form.passing
