@@ -1,4 +1,5 @@
-"""Command line surface.
+"""Command line surface.  Every form command, its flags and ``verify``'s
+pattern names are read off the registry :data:`blocktrid.transforms.FORMS`.
 
 Exit codes: 0 when the produced report passes (or the query succeeds),
 2 when a report fails or a schedule is invalid, 1 on usage and IO errors
@@ -15,14 +16,14 @@ import json
 import os
 import sys
 from functools import cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from . import transforms
 from .basis import InstructionCapError
 from .kernel import DEPENDENCE_TOL, as_operator, unit_vector
-from .matio import FORMATS, emit_form, emit_result, format_for_path, parse_matrix
+from .matio import FORMATS, emit_form, format_for_path, parse_matrix
 from .render import render_svg
 from .schedules import (
     CYCLIC,
@@ -32,22 +33,7 @@ from .schedules import (
     growth_violation,
     parse_spec,
 )
-from .transforms import decompose, family_staircase
-from .verify import (
-    DEFAULT_THRESHOLD,
-    Check,
-    block_band,
-    family_stride,
-    hessenberg_pattern,
-    joint_cyclic_pattern,
-    pattern_checks,
-    pattern_fields,
-    polar_blocks,
-    require_finite,
-    staircase_coarse,
-    staircase_refined,
-    tri_blocks,
-)
+from .verify import DEFAULT_THRESHOLD, Check, pattern_checks, pattern_fields, require_finite
 
 ENV_THRESHOLD = "BLOCKTRID_THRESHOLD"
 
@@ -71,6 +57,10 @@ _OPTIONAL_FLAGS = {
                      help="print the full report as JSON on stdout"),
     "--svg": dict(action="store_true",
                   help="also write a pattern rendering (needs --output)"),
+    "--schedule": dict(default=None, help="canonical, cyclic, or custom:n1,n2,..."),
+    "--seed-vector": dict(dest="seed_vector", default="1", help="k for e_k, or random:SEED"),
+    "--selfadjoint": dict(action="store_true",
+                          help="use the shorter stride for a selfadjoint family"),
 }
 
 
@@ -88,81 +78,37 @@ def _add_common(parser, *optional: str, multi_input: bool = False):
         parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
-def _add_schedule_flag(parser, default: Optional[str] = "canonical"):
-    parser.add_argument("--schedule", default=default,
-                        help="canonical, cyclic, or custom:n1,n2,...")
-
-
-class _FormCommand(NamedTuple):
-    function: str
-    help: str
-    flags: Tuple[str, ...] = ()
-    alt_help: Optional[str] = None
-
-
-#: Single-form subcommands.  Each runs ``transforms.<function>(T, ...)`` with
-#: the input matrix, then the parsed schedule when ``flags`` holds
-#: "schedule", the seed vector when it holds "seed", and ``alt`` when
-#: ``alt_help`` is set (the help text of ``--alt``).  The function is looked
-#: up by name on every call, never stored, so a wrapper put on the
-#: ``transforms`` module attribute sees every CLI call.
-_FORMS = {
-    "staircase": _FormCommand("staircase", "staircase form (3n bounds)"),
-    "tridiag": _FormCommand("block_tridiagonalize", "block tridiagonal form",
-                            ("schedule",)),
-    "polar": _FormCommand("polar_sparsify", "block tridiagonal with positive blocks",
-                          ("schedule",), "mirror the positive blocks below the diagonal"),
-    "trisparse": _FormCommand("tri_sparsify", "triangular sub-block form",
-                              alt_help="mirror the triangular claims"),
-    "hessenberg": _FormCommand("krylov_hessenberg", "Krylov upper Hessenberg form",
-                               ("seed",)),
-    "jointcyclic": _FormCommand("joint_cyclic_staircase",
-                                "two-sided cyclic staircase form", ("seed",)),
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="blocktrid",
                      description="Universal sparse forms of complex matrices "
                                  "under unitary similarity.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    for name, spec in _FORMS.items():
-        p = sub.add_parser(name, help=spec.help)
-        _add_common(p, *_OPTIONAL_FLAGS)
-        if "schedule" in spec.flags:
-            _add_schedule_flag(p)
-        if "seed" in spec.flags:
-            p.add_argument("--seed-vector", dest="seed_vector", default="1",
-                           help="k for e_k, or random:SEED")
-        if spec.alt_help:
-            p.add_argument("--alt", action="store_true", help=spec.alt_help)
-
-    p = sub.add_parser("family", help="simultaneous staircase for a family")
-    _add_common(p, *_OPTIONAL_FLAGS, multi_input=True)
-    p.add_argument("--selfadjoint", action="store_true",
-                   help="use the shorter stride for a selfadjoint family")
-
-    p = sub.add_parser("decompose", help="direct sum of jointly cyclic parts")
-    _add_common(p, "--tol-dep", "--output", "--report")
+    for command, form in transforms.FORMS.items():
+        p = sub.add_parser(command, help=form.help)
+        _add_common(p, "--tol-dep", "--output", "--report",
+                    *(flag for flag in form.flags if flag in _OPTIONAL_FLAGS),
+                    multi_input="--input" in form.flags)
+        if form.alt:
+            p.add_argument("--alt", action="store_true", help=form.alt)
 
     p = sub.add_parser("schedule", help="validate or print a block schedule")
-    _add_schedule_flag(p, default=None)
+    p.add_argument("--schedule", **_OPTIONAL_FLAGS["--schedule"])
     p.add_argument("--kind", choices=(GENERAL, CYCLIC), default=GENERAL,
                    help="growth rule the schedule is checked against")
     p.add_argument("--dim", type=int, default=None,
                    help="matrix dimension the schedule should cover")
 
     p = sub.add_parser("verify", help="check a matrix file against a pattern")
-    _add_common(p, "--report")
-    _add_schedule_flag(p, default=None)
+    _add_common(p, "--report", "--schedule")
     p.add_argument("--pattern", required=True,
-                   help="staircase | coarse | hessenberg | jointcyclic | "
-                        "band | polar | polar-alt | tri | tri-alt | family:STRIDE")
+                   help=" | ".join(name + {"closure_dim": "[:N]", "stride": ":STRIDE"}
+                                   .get(form.parameter, "")
+                                   for form in transforms.FORMS.values()
+                                   for name in form.patterns))
 
     p = sub.add_parser("render", help="render a matrix sparsity pattern to SVG")
-    _add_common(p, "--output")
-    _add_schedule_flag(p, default=None)
+    _add_common(p, "--output", "--schedule")
     return parser
 
 
@@ -225,36 +171,38 @@ def _verdict(args, failures: List[Check], lines: List[str], payload, emit=None) 
 
 
 def _cmd_form(args) -> int:
-    spec = _FORMS[args.command]
+    spec = transforms.FORMS[args.command]
     thr = _threshold(args)
     # an empty matrix fails here, before a schedule or seed is fitted to it
     T = as_operator(parse_matrix(args.input, args.format))
     extra = []
-    if "schedule" in spec.flags:
-        extra.append(parse_spec(args.schedule, T.shape[0]))
-    if "seed" in spec.flags:
+    if "--schedule" in spec.flags:
+        extra.append(spec.fit(args.schedule, T.shape[0]))
+    if "--seed-vector" in spec.flags:
         extra.append(_seed_vector(args.seed_vector, T.shape[0]))
-    kwargs = {"alt": args.alt} if spec.alt_help else {}
+    kwargs = {"alt": args.alt} if spec.alt else {}
     build = getattr(transforms, spec.function)
     form = build(T, *extra, tol=args.tol_dep, threshold=thr, **kwargs)
     report = form.report
     failures = report.failures
-    line = (f"{form.form_kind}: dim {form.dim}, pattern {report.pattern_kind}, "
-            f"{len(report.pattern_violations)} violations, "
+    claim = (f"dim {form.dim}, pattern {report.pattern_kind}" if report.dims is None
+             else f"dims {report.dims}")
+    line = (f"{form.form_kind}: {claim}, {len(report.pattern_violations)} violations, "
             f"{'FAILING' if failures else 'passing'}")
     text = cache(report.to_json)  # stdout and the report file share one encoding
+    svg = getattr(args, "svg", False)
     return _verdict(args, failures, [line], text,
-                    lambda out_dir, fmt: emit_form(form, text(), out_dir, fmt, svg=args.svg))
+                    lambda out_dir, fmt: emit_form(form, text(), out_dir, fmt, svg=svg))
 
 
 def _cmd_family(args) -> int:
     thr = _threshold(args)
+    build = getattr(transforms, transforms.FORMS[args.command].function)
     ops = [parse_matrix(path, args.format) for path in args.input]
-    _, forms = family_staircase(ops, selfadjoint=args.selfadjoint,
-                                tol=args.tol_dep, threshold=thr)
+    _, forms = build(ops, selfadjoint=args.selfadjoint, tol=args.tol_dep, threshold=thr)
     each = [form.report.failures for form in forms]
     failures = [c for fails in each for c in fails]
-    lines = [f"family[{k}]: dim {form.dim}, stride {form.extras['stride']}, "
+    lines = [f"{form.form_kind}[{k}]: dim {form.dim}, stride {form.extras['stride']}, "
              f"{len(form.report.pattern_violations)} violations, "
              f"{'FAILING' if fails else 'passing'}"
              for k, (form, fails) in enumerate(zip(forms, each), start=1)]
@@ -269,27 +217,10 @@ def _cmd_family(args) -> int:
 
     def emit(out_dir, fmt):
         return [path for k, (form, text) in enumerate(zip(forms, texts()), start=1)
-                for path in emit_form(form, text, out_dir, fmt, prefix=f"family_{k}",
+                for path in emit_form(form, text, out_dir, fmt, prefix=f"{form.form_kind}_{k}",
                                       svg=args.svg)]
 
     return _verdict(args, failures, lines, payload, emit)
-
-
-def _cmd_decompose(args) -> int:
-    thr = _threshold(args)
-    res = decompose(parse_matrix(args.input, args.format), tol=args.tol_dep,
-                    threshold=thr)
-    report = res.report
-    failures = report.failures
-    line = (f"decompose: dims {res.dims}, {len(report.pattern_violations)} violations, "
-            f"{'FAILING' if failures else 'passing'}")
-
-    @cache  # stdout and the report file share one encoding
-    def payload():
-        return json.dumps({**report.json_object(), "dims": res.dims}, sort_keys=True)
-
-    return _verdict(args, failures, [line], payload,
-                    lambda out_dir, fmt: emit_result(res, payload(), out_dir, fmt, "decompose"))
 
 
 def _cmd_schedule(args) -> int:
@@ -306,39 +237,10 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _pattern_for(name: str, d: int, args):
-    fixed = {
-        "staircase": staircase_refined,
-        "coarse": staircase_coarse,
-        "hessenberg": hessenberg_pattern,
-        "jointcyclic": joint_cyclic_pattern,
-    }
-    if name in ("band", "polar", "polar-alt", "tri", "tri-alt"):
-        if not args.schedule:
-            raise _CliError(f"pattern {name!r} needs --schedule")
-        sched = parse_spec(args.schedule, d)
-        if name == "band":
-            return block_band(sched, d)
-        if name.startswith("polar"):
-            return polar_blocks(sched, d, alt=name.endswith("alt"))
-        return tri_blocks(sched, d, alt=name.endswith("alt"))
-    if name not in fixed and not name.startswith("family:"):
-        raise _CliError(f"unknown pattern {name!r}")
-    if args.schedule is not None:
-        raise _CliError(f"pattern {name!r} takes no --schedule")
-    if name in fixed:
-        return fixed[name]()
-    try:
-        stride = int(name[len("family:"):])
-    except ValueError:
-        raise _CliError(f"cannot parse stride in {name!r}")
-    return family_stride(stride)
-
-
 def _cmd_verify(args) -> int:
     thr = _threshold(args)
     M = parse_matrix(args.input, args.format)
-    spec = _pattern_for(args.pattern, M.shape[0], args)
+    spec = transforms.named_pattern(args.pattern, M.shape[0], args.schedule)
     fields = pattern_fields(M, spec, thr)
     hits = fields["pattern_violations"]
     failures = [c for c in pattern_checks(fields) if c.failed]
@@ -378,9 +280,8 @@ def _cmd_render(args) -> int:
 
 
 _COMMANDS = {
-    **{name: _cmd_form for name in _FORMS},
-    "family": _cmd_family,
-    "decompose": _cmd_decompose,
+    **{name: _cmd_family if "--input" in form.flags else _cmd_form
+       for name, form in transforms.FORMS.items()},
     "schedule": _cmd_schedule,
     "verify": _cmd_verify,
     "render": _cmd_render,

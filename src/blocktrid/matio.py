@@ -385,36 +385,27 @@ def emit_matrix(M, path: str, fmt: Optional[str] = None) -> str:
     return path
 
 
-def emit_result(result, report_text: str, out_dir: str, fmt: str, prefix: str) -> List[str]:
-    """Write ``<prefix>_M`` and ``<prefix>_U`` (``result``'s matrix and basis change, in
-    ``fmt``), then ``<prefix>_report.json`` (``report_text``) in ``out_dir``; returns the paths."""
+def emit_form(form, report_text: str, out_dir: str, fmt: str = "mm",
+              prefix: Optional[str] = None, svg: bool = False) -> List[str]:
+    """Write ``<prefix>_M`` and ``<prefix>_U`` (the form's matrix and basis
+    change, in ``fmt``), ``<prefix>_report.json`` (``report_text``, the form's
+    ``report.to_json()`` as already encoded) and, under ``svg``,
+    ``<prefix>_pattern.svg`` at the report's threshold in ``out_dir``; the
+    prefix defaults to the form kind.  Returns the written paths."""
+    from .render import render_svg
+
     if fmt not in FORMAT_EXTENSIONS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    prefix = prefix or form.form_kind
     os.makedirs(out_dir, exist_ok=True)
     ext = FORMAT_EXTENSIONS[fmt]
     paths = [emit_matrix(mat, os.path.join(out_dir, f"{prefix}_{name}{ext}"), fmt)
-             for name, mat in (("M", result.matrix), ("U", result.basis_change))]
+             for name, mat in (("M", form.matrix), ("U", form.basis_change))]
     paths.append(os.path.join(out_dir, f"{prefix}_report.json"))
     with open(paths[-1], "w", encoding="utf-8") as handle:
         handle.write(report_text + "\n")
-    return paths
-
-
-def emit_form(form, report_text: str, out_dir: str, fmt: str = "mm",
-              prefix: Optional[str] = None, svg: bool = False) -> List[str]:
-    """Write a sparsified form to disk: matrix, unitary, report, optional SVG.
-
-    The matrix and the basis change go out in ``fmt``; the report file holds
-    ``report_text``, the form's ``report.to_json()`` as already encoded.  The
-    SVG uses the report's threshold.  Returns the written paths.
-    """
-    from .render import render_svg
-
-    prefix = prefix or form.form_kind
-    paths = emit_result(form, report_text, out_dir, fmt, prefix)
     if svg:
-        svg_path = os.path.join(out_dir, f"{prefix}_pattern.svg")
-        with open(svg_path, "w", encoding="utf-8") as handle:
+        paths.append(os.path.join(out_dir, f"{prefix}_pattern.svg"))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
             handle.write(render_svg(form.matrix, form.schedule, form.report.threshold))
-        paths.append(svg_path)
     return paths

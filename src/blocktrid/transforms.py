@@ -1,16 +1,20 @@
-"""End-to-end sparsification pipelines.
+"""End-to-end sparsification pipelines and the one registry of forms.
 
 Every pipeline returns a :class:`SparsifiedForm` bundling the input, the
 unitary basis change, the transformed matrix, the sparsity pattern it claims,
 and a verification report computed entrywise against that claim.  Patterns
 are never assumed: the report re-checks them on the finished matrix.
+
+:data:`FORMS`, one :class:`FormCommand` per form command of the CLI, is
+the one registry of forms; :func:`named_pattern` and :func:`claim_of` rebuild
+a form's pattern from its report's JSON object and the dimension.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .schedules import (
     canonical_covering,
     covering_index,
     growth_violation,
+    parse_spec,
     schedule_for_dim,
 )
 from .verify import (
@@ -47,6 +52,7 @@ from .verify import (
     joint_cyclic_pattern,
     matrix_report,
     polar_blocks,
+    staircase_coarse,
     staircase_refined,
     tri_blocks,
 )
@@ -437,3 +443,93 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
         summands=summands,
         dims=dims,
     )
+
+
+class FormCommand(NamedTuple):
+    """A form command: the ``transforms`` function it runs, looked up on each
+    call so that a wrapper on it sees every call; its help; its flags beyond
+    the common ones ("--input": repeated); per ``verify --pattern`` name, the
+    form kind whose claim it checks (None: no form's) and its pattern from d
+    and the claim's parameter; that parameter's report key, read from
+    ``--schedule`` ("schedule", "dims") or ``name:N`` ("closure_dim",
+    "stride"); ``--alt``'s help; and the schedule at dimension d that
+    ``--schedule canonical``, or no ``--schedule``, names."""
+
+    function: str
+    help: str
+    flags: Tuple[str, ...]
+    patterns: Dict[str, Tuple[Optional[str], Callable[[int, object], PatternSpec]]]
+    parameter: Optional[str] = None
+    alt: Optional[str] = None
+    canonical: Callable[[int], BlockSchedule] = schedule_for_dim
+
+    def fit(self, spec: Optional[str], d: int) -> BlockSchedule:
+        if spec is None or spec.strip() == "canonical":
+            return self.canonical(d)
+        return parse_spec(spec, d)
+
+
+FORMS = {
+    "staircase": FormCommand("staircase", "staircase form (3n bounds)", ("--svg",), {
+        "staircase": ("staircase", lambda d, _: staircase_refined()),
+        "coarse": (None, lambda d, _: staircase_coarse())}),
+    "tridiag": FormCommand("block_tridiagonalize", "block tridiagonal form",
+                           ("--svg", "--schedule"), {
+        "band": ("block_tridiagonal", lambda d, s: block_band(s, d))}, "schedule"),
+    "polar": FormCommand("polar_sparsify", "block tridiagonal with positive blocks",
+                         ("--svg", "--schedule"), {
+        "polar": ("polar", lambda d, s: polar_blocks(s, d)),
+        "polar-alt": ("polar_alt", lambda d, s: polar_blocks(s, d, alt=True))},
+        "schedule", "mirror the positive blocks below the diagonal"),
+    "trisparse": FormCommand("tri_sparsify", "triangular sub-block form", ("--svg",), {
+        "tri": ("triangular", lambda d, s: tri_blocks(s, d)),
+        "tri-alt": ("triangular_alt", lambda d, s: tri_blocks(s, d, alt=True))},
+        "schedule", "mirror the triangular claims", canonical_covering),
+    "hessenberg": FormCommand("krylov_hessenberg", "Krylov upper Hessenberg form",
+                              ("--svg", "--seed-vector"), {
+        "hessenberg": ("hessenberg", lambda d, n: hessenberg_pattern(n))}, "closure_dim"),
+    "jointcyclic": FormCommand("joint_cyclic_staircase", "two-sided cyclic staircase form",
+                               ("--svg", "--seed-vector"), {
+        "jointcyclic": ("joint_cyclic", lambda d, n: joint_cyclic_pattern(n))}, "closure_dim"),
+    "family": FormCommand("family_staircase", "simultaneous staircase for a family",
+                          ("--input", "--svg", "--selfadjoint"), {
+        "family": ("family", lambda d, n: family_stride(n))}, "stride"),
+    "decompose": FormCommand("decompose", "direct sum of jointly cyclic parts", (), {
+        "direct-sum": ("decompose", lambda d, s: direct_sum_pattern(
+            covering_index(s, d).sizes.tolist()))}, "dims"),
+}
+
+
+def named_pattern(name: str, d: int, schedule: Optional[str] = None) -> PatternSpec:
+    """The pattern ``blocktrid verify --pattern name --schedule schedule``
+    checks at dimension d; a request it cannot read raises ``ValueError``."""
+    base, colon, text = name.partition(":")
+    form = next((f for f in FORMS.values() if base in f.patterns), None)
+    takes_n = form is not None and form.parameter in ("closure_dim", "stride")
+    if form is None or (colon and not takes_n) or (form.parameter == "stride" and not colon):
+        raise ValueError(f"unknown pattern {name!r}")
+    sizes = form.parameter in ("schedule", "dims")
+    if sizes and not schedule:
+        raise ValueError(f"pattern {name!r} needs --schedule")
+    if not sizes and schedule is not None:
+        raise ValueError(f"pattern {name!r} takes no --schedule")
+    value = form.fit(schedule, d) if sizes else None
+    if colon:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"cannot parse {form.parameter} in {name!r}")
+        if value < 1:
+            raise ValueError(f"{form.parameter} must be positive")
+    return form.patterns[base][1](d, value)
+
+
+def claim_of(report: Dict) -> Tuple[str, Optional[str]]:
+    """The ``verify`` pattern name and schedule of the claim a report's JSON
+    object names: ``named_pattern(*claim_of(report), d)`` rebuilds it."""
+    form, name = {kind: (f, n) for f in FORMS.values()
+                  for n, (kind, _) in f.patterns.items()}[report["form_kind"]]
+    value = report.get(form.parameter)
+    if isinstance(value, list):
+        return name, "custom:" + ",".join(map(str, value))
+    return name if value is None else f"{name}:{value}", None

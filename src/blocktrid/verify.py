@@ -283,7 +283,9 @@ def pattern_text(M, spec: PatternSpec, threshold: float = DEFAULT_THRESHOLD) -> 
 
 @dataclass
 class VerificationReport:
-    """Every residual family for one sparsified form, with pass/fail."""
+    """Every residual family for one sparsified form, with pass/fail, and the
+    parameters of the claim checked: ``closure_dim``, the block sizes of the
+    pattern clipped at the dimension (``schedule``), ``dims`` and ``stride``."""
 
     form_kind: str
     threshold: float
@@ -297,6 +299,9 @@ class VerificationReport:
     hermitian_residuals: List[Tuple[int, float]] = field(default_factory=list)
     psd_min_eigs: List[Tuple[int, float]] = field(default_factory=list)
     closure_dim: Optional[int] = None
+    schedule: Optional[List[int]] = None
+    dims: Optional[List[int]] = None
+    stride: Optional[int] = None
     block_scales: List[Tuple[int, float]] = field(default_factory=list)
     certificate: Dict[str, object] = field(default_factory=lambda: dict(CERTIFICATE))
 
@@ -317,8 +322,10 @@ class VerificationReport:
         return not self.failures
 
     def json_object(self) -> Dict[str, object]:
-        """The fields, not copied, with ``pattern`` nested and ``failures`` and ``passing``."""
-        payload = dict(vars(self))
+        """The fields, not copied, with ``pattern`` nested and ``failures`` and
+        ``passing``; a claim parameter the claim does not read is left out."""
+        payload = {key: value for key, value in vars(self).items()
+                   if value is not None or key not in ("schedule", "dims", "stride")}
         payload["pattern"] = {
             "kind": payload.pop("pattern_kind"),
             "violations": payload.pop("pattern_violations"),
@@ -375,6 +382,7 @@ def matrix_report(form, threshold: float, unitarity: float,
     T = form.input
     U = form.basis_change
     M = form.matrix
+    schedule = form.pattern.schedule
 
     return VerificationReport(
         form_kind=form.form_kind,
@@ -385,5 +393,8 @@ def matrix_report(form, threshold: float, unitarity: float,
         pattern_kind=form.pattern.kind,
         span_residuals=span_residuals,
         closure_dim=form.extras.get("closure_dim"),
+        schedule=None if schedule is None else BlockIndex(schedule, len(M)).sizes.tolist(),
+        dims=getattr(form, "dims", None),
+        stride=form.extras.get("stride"),
         **pattern_fields(M, form.pattern, threshold),
     )
