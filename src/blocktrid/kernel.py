@@ -353,20 +353,6 @@ def svd(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return W, sigma, Vh.conj().T
 
 
-def polar_unitary(X) -> Tuple[np.ndarray, np.ndarray]:
-    """Unitary polar factor and Hermitian positive part with ``X = Uf @ P``.
-
-    The factors come from :func:`svd` (``Uf = W V*``, ``P = V diag(sigma) V*``),
-    which pins down a genuine unitary ``Uf`` even when ``X`` is singular.
-    """
-    X = as_operator(X)
-    W, sigma, V = svd(X)
-    Uf = W @ V.conj().T
-    P = (V * sigma) @ V.conj().T
-    P = 0.5 * (P + P.conj().T)
-    return Uf, P
-
-
 def require_selfadjoint(S: np.ndarray, name: str = "matrix") -> None:
     """Raise ``ValueError`` unless ``max |S - S*| <= 1e-8 * max |S|``.
 

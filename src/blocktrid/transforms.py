@@ -153,63 +153,58 @@ def block_tridiagonalize(T, schedule: Optional[BlockSchedule] = None,
                            pattern=block_band(schedule, d), schedule=schedule)
 
 
-def _band_walk(slices: List[Tuple[int, int]], factor) -> np.ndarray:
-    """Block diagonal unitary V = diag(V_1, V_2, ...) on ``slices``, walking
-    down the band: V_1 = I, and V_{k+1} = factor(k, V_k) for the 0-based
-    index k of the block whose V_k is known."""
-    d = slices[-1][1]
-    V = np.zeros((d, d), dtype=np.complex128)
+def _band_walk(Mb: np.ndarray, slices: List[Tuple[int, int]], factor) -> List[np.ndarray]:
+    """Diagonal blocks [V_1, V_2, ...] of a block diagonal unitary V on
+    ``slices``, walking down the band of Mb: V_1 = I, and
+    V_{k+1} = factor(B, A, V_k) with B and A the blocks of Mb below and
+    right of diagonal block k.  No d x d V is formed."""
     a, b = slices[0]
-    Vk = np.eye(b - a, dtype=np.complex128)
-    V[a:b, a:b] = Vk
-    for k, (a, b) in enumerate(slices[1:]):
-        Vk = factor(k, Vk)
-        V[a:b, a:b] = Vk
-    return V
+    blocks = [np.eye(b - a, dtype=np.complex128)]
+    for (r0, r1), (c0, c1) in zip(slices, slices[1:]):
+        blocks.append(factor(Mb[c0:c1, r0:r1], Mb[r0:r1, c0:c1], blocks[-1]))
+    return blocks
 
 
-def _polar_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
-    """Block diagonal unitary turning each right-of-diagonal block into (P | 0).
-
-    With A_k the block right of diagonal block k, take the SVD
-    Y = V_k* A_k = W S X* and set V_{k+1} = X diag(W*, I); then
-    Y V_{k+1} = (W S W* | 0), whose left part is the Hermitian square root
-    of YY*.
-    """
-    def factor(k, Vk):
-        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
-        W, _, X = svd(Vk.conj().T @ Mb[r0:r1, c0:c1])
-        X[:, :r1 - r0] = X[:, :r1 - r0] @ W.conj().T
-        return X
-
-    return _band_walk(slices, factor)
+def _polar_factor(B: np.ndarray, A: np.ndarray, Vk: np.ndarray) -> np.ndarray:
+    """V_{k+1} = X diag(W*, I) from the SVD V_k* A = W S X* (polar_sparsify)."""
+    W, _, X = svd(Vk.conj().T @ A)
+    X[:, :len(W)] = X[:, :len(W)] @ W.conj().T
+    return X
 
 
-def _triangular_conjugator(Mb: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
-    """Block diagonal unitary cutting triangular corners into the band of Mb.
-
-    With B and A the blocks below and right of diagonal block k, take the
-    complete QR [B V_k | A* V_k] = Q R and set V_{k+1} = Q.  Then Q* B V_k,
-    the first n_k columns of R, is upper triangular over zeros, and
-    V_k* A Q, the next n_k columns conjugate-transposed, is (A' | A'' | 0)
-    with A'' lower triangular.  No rank is decided: a rank-deficient
-    [B V_k | A* V_k] only adds zeros.
-    """
-    def factor(k, Vk):
-        (r0, r1), (c0, c1) = slices[k], slices[k + 1]
-        X = np.hstack([Mb[c0:c1, r0:r1] @ Vk, Mb[r0:r1, c0:c1].conj().T @ Vk])
-        return np.linalg.qr(X, mode="complete")[0]
-
-    return _band_walk(slices, factor)
+def _triangular_factor(B: np.ndarray, A: np.ndarray, Vk: np.ndarray) -> np.ndarray:
+    """V_{k+1} = Q from the complete QR [B V_k | A* V_k] = Q R (tri_sparsify)."""
+    return np.linalg.qr(np.hstack([B @ Vk, A.conj().T @ Vk]), mode="complete")[0]
 
 
-def _times_block_diagonal(X: np.ndarray, V: np.ndarray,
-                          slices: List[Tuple[int, int]]) -> np.ndarray:
-    """X V for V block diagonal on ``slices``, one product per block column."""
-    out = np.empty_like(X)
-    for a, b in slices:
-        out[:, a:b] = X[:, a:b] @ V[a:b, a:b]
-    return out
+def _band_conjugate(Mb: np.ndarray, U: np.ndarray, schedule: BlockSchedule,
+                    factor, alt: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """(U V, V* Mb V) for V the band walk of Mb on the blocks of ``schedule``
+    with ``factor``, V applied one block column at a time; the matrix is
+    conjugate-transposed when ``alt``."""
+    slices = block_slices(schedule, Mb.shape[0])
+    blocks = _band_walk(Mb, slices, factor)
+
+    def times_v(X):
+        out = np.empty_like(X)
+        for (a, b), Vk in zip(slices, blocks):
+            out[:, a:b] = X[:, a:b] @ Vk
+        return out
+
+    # (V* Mb V)* = (Mb V)* V, every entry computed
+    Madj = times_v(times_v(Mb).conj().T)
+    return times_v(U), Madj if alt else Madj.conj().T
+
+
+def _band_form(T, schedule: BlockSchedule, factor, alt: bool, tol: float,
+               threshold: float, **claim) -> SparsifiedForm:
+    """The staircase build of T (T* when ``alt``) conjugated by the band walk
+    with ``factor`` on the blocks of ``schedule``; ``claim`` gives the form
+    kind, the pattern and any span bounds."""
+    res, Mb = _build(T, staircase_program(), tol, alt)
+    W, M = _band_conjugate(Mb, res.basis, schedule, factor, alt)
+    return _finish(threshold, input=T, basis_change=W, matrix=M, schedule=schedule,
+                   log=res.log, **claim)
 
 
 def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = False,
@@ -220,51 +215,36 @@ def polar_sparsify(T, schedule: Optional[BlockSchedule] = None, alt: bool = Fals
     The primary variant makes every block right of the diagonal (P_k | 0)
     with P_k Hermitian positive semidefinite; ``alt`` produces the mirrored
     form with stacked (P_k over 0) blocks below the diagonal, via the same
-    construction on the adjoint.
+    construction on the adjoint.  The block tridiagonal form Mb on the
+    schedule is conjugated by the band walk's block diagonal V, applied
+    block by block.  With A the block of Mb right of diagonal block k, take
+    the SVD Y = V_k* A = W S X* and set V_{k+1} = X diag(W*, I); then
+    Y V_{k+1} = (W S W* | 0), whose left part is the Hermitian square root
+    of YY*.
     """
     T = as_operator(T)
     d = T.shape[0]
     schedule = _require_general_cover(schedule, d)
-    pattern = polar_blocks(schedule, d, alt)
-    res, Mb = _build(T, staircase_program(), tol, alt)
-    V = _polar_conjugator(Mb, block_slices(schedule, d))
-    M = V.conj().T @ Mb @ V
-    return _finish(
-        threshold,
-        input=T,
-        basis_change=res.basis @ V,
-        matrix=M.conj().T if alt else M,
-        form_kind="polar_alt" if alt else "polar",
-        pattern=pattern,
-        schedule=schedule,
-        log=res.log,
-    )
+    return _band_form(T, schedule, _polar_factor, alt, tol, threshold,
+                      form_kind="polar_alt" if alt else "polar",
+                      pattern=polar_blocks(schedule, d, alt))
 
 
 def polar_sparsify_tridiagonal(Mb, schedule: BlockSchedule,
                                threshold: float = DEFAULT_THRESHOLD) -> SparsifiedForm:
-    """Positive-block form of a matrix already in block tridiagonal shape."""
+    """Positive-block form of a matrix already in block tridiagonal shape:
+    the band walk of :func:`polar_sparsify` on Mb itself, with U = I."""
     Mb = as_operator(Mb)
     d = Mb.shape[0]
-    spec = block_band(schedule, d)
     pattern = polar_blocks(schedule, d)
-    band = check_pattern(Mb, spec, threshold)
+    band = check_pattern(Mb, block_band(schedule, d), threshold)
     if band:
         i, j, mag = band[0]
-        raise ValueError(
-            f"input is not block tridiagonal for this schedule: "
-            f"|M({i},{j})| = {mag:.3e}"
-        )
-    V = _polar_conjugator(Mb, block_slices(schedule, d))
-    return _finish(
-        threshold,
-        input=Mb,
-        basis_change=V,
-        matrix=V.conj().T @ Mb @ V,
-        form_kind="polar",
-        pattern=pattern,
-        schedule=schedule,
-    )
+        raise ValueError(f"input is not block tridiagonal for this schedule: "
+                         f"|M({i},{j})| = {mag:.3e}")
+    V, M = _band_conjugate(Mb, np.eye(d, dtype=np.complex128), schedule, _polar_factor)
+    return _finish(threshold, input=Mb, basis_change=V, matrix=M, form_kind="polar",
+                   pattern=pattern, schedule=schedule)
 
 
 def tri_sparsify(T, alt: bool = False, tol: float = DEPENDENCE_TOL,
@@ -276,32 +256,26 @@ def tri_sparsify(T, alt: bool = False, tol: float = DEPENDENCE_TOL,
     triangular | zero).  ``alt`` mirrors both, via the same construction on
     the adjoint.  The form is built from the block tridiagonal one: the
     staircase build, read on the partition 1, 2, 6, 18, ... clipped at the
-    dimension, is block tridiagonal, and a block diagonal unitary, one QR
-    per block down the band, cuts the corners.  That unitary mixes columns
-    only inside a block, so e_n, in the span of the staircase's first 3n
-    columns, stays in the span of the first columns up to the first block
-    end at or past 3n.
+    dimension, is block tridiagonal, Mb, and the band walk's block diagonal
+    V, applied block by block, cuts the corners.  With B and A the blocks of
+    Mb below and right of diagonal block k, take the complete QR
+    [B V_k | A* V_k] = Q R and set V_{k+1} = Q.  Then Q* B V_k, the first
+    n_k columns of R, is upper triangular over zeros, and V_k* A Q, the next
+    n_k columns conjugate-transposed, is (A' | A'' | 0) with A'' lower
+    triangular.  No rank is decided: a rank-deficient [B V_k | A* V_k] only
+    adds zeros.  V mixes columns only inside a block, so e_n, in the span of
+    the staircase's first 3n columns, stays in the span of the first columns
+    up to the first block end at or past 3n.
     """
     T = as_operator(T)
     d = T.shape[0]
     schedule = canonical_covering(d, GENERAL, 1)
-    slices = block_slices(schedule, d)
-    res, Mb = _build(T, staircase_program(), tol, alt)
-    V = _triangular_conjugator(Mb, slices)
-    # (V* Mb V)* = (Mb V)* V, every entry computed, one product per block
-    Madj = _times_block_diagonal(_times_block_diagonal(Mb, V, slices).conj().T, V, slices)
-    ends = [b for _, b in slices]
-    return _finish(
-        threshold,
-        input=T,
-        basis_change=_times_block_diagonal(res.basis, V, slices),
-        matrix=Madj if alt else Madj.conj().T,
-        form_kind="triangular_alt" if alt else "triangular",
-        pattern=tri_blocks(schedule, d, alt),
-        schedule=schedule,
-        span_bounds=[(n, ends[bisect_left(ends, min(3 * n, d))]) for n in range(1, d + 1)],
-        log=res.log,
-    )
+    ends = [b for _, b in block_slices(schedule, d)]
+    return _band_form(T, schedule, _triangular_factor, alt, tol, threshold,
+                      form_kind="triangular_alt" if alt else "triangular",
+                      pattern=tri_blocks(schedule, d, alt),
+                      span_bounds=[(n, ends[bisect_left(ends, min(3 * n, d))])
+                                   for n in range(1, d + 1)])
 
 
 def _cyclic(T, v, program, form_kind: str, pattern_for, tol: float, threshold: float,
@@ -519,8 +493,6 @@ def named_pattern(name: str, d: int, schedule: Optional[str] = None) -> PatternS
             value = int(text)
         except ValueError:
             raise ValueError(f"cannot parse {form.parameter} in {name!r}")
-        if value < 1:
-            raise ValueError(f"{form.parameter} must be positive")
     return form.patterns[base][1](d, value)
 
 

@@ -107,6 +107,8 @@ def hessenberg_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     vector only generates that block; the completion columns carry whatever
     the operator does elsewhere).
     """
+    if cyclic_dim is not None and cyclic_dim < 1:
+        raise ValueError("closure_dim must be positive")
     mc = cyclic_dim if cyclic_dim is not None else 10 ** 9
 
     def allowed(i, j):
@@ -127,6 +129,8 @@ def joint_cyclic_pattern(cyclic_dim: Optional[int] = None) -> PatternSpec:
     coupling it to the rest are required to vanish; the complement block is
     unconstrained.
     """
+    if cyclic_dim is not None and cyclic_dim < 1:
+        raise ValueError("closure_dim must be positive")
     mc = cyclic_dim if cyclic_dim is not None else 10 ** 9
 
     def allowed(i, j):

@@ -11,7 +11,6 @@ from blocktrid.kernel import (
     hermitian_eigvals,
     max_abs,
     mgs_append,
-    polar_unitary,
     svd,
     unit_vector,
     unitarity_residual,
@@ -340,27 +339,6 @@ def test_svd_gram_eigenvalue_oracle():
             + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
         )
         assert abs(det) < 1e-9
-
-
-def test_polar_unitary_frozen_example():
-    Uf, P = polar_unitary([[3, 0], [4, 0]])
-    assert_allclose(P, [[5.0, 0.0], [0.0, 0.0]], atol=1e-13)
-    assert unitarity_max(Uf) < 1e-13
-    assert_allclose(Uf @ P, [[3.0, 0.0], [4.0, 0.0]], atol=1e-13)
-
-
-def test_polar_unitary_properties():
-    rng = np.random.default_rng(31)
-    for trial in range(80):
-        d = int(rng.integers(1, 12))
-        X = random_matrix(rng, d)
-        if trial % 4 == 0:
-            X[:, : d // 2] = 0
-        Uf, P = polar_unitary(X)
-        assert unitarity_max(Uf) < 1e-12
-        assert max_abs(P - P.conj().T) == 0.0
-        assert np.min(hermitian_eigvals(P)) > -1e-10 * max(1.0, max_abs(P))
-        assert max_abs(Uf @ P - X) < 1e-11 * (1 + max_abs(X))
 
 
 def test_hermitian_eigvals_frozen_examples():

@@ -187,6 +187,15 @@ def test_joint_cyclic_pattern_with_closure():
     assert spec.allowed(5, 4)
 
 
+@pytest.mark.parametrize("make", [hessenberg_pattern, joint_cyclic_pattern])
+@pytest.mark.parametrize("closure_dim", [0, -2])
+def test_closure_patterns_refuse_a_nonpositive_closure(make, closure_dim):
+    # such a closure allowed every entry: an all-ones 5 x 5 matrix had no
+    # violation, against 6 with no closure
+    with pytest.raises(ValueError, match="closure_dim must be positive"):
+        make(closure_dim)
+
+
 def test_block_band_violation_count():
     sched = BlockSchedule((1, 2, 6), GENERAL)
     band = block_band(sched, 9)
