@@ -13,7 +13,9 @@ matrix-vector products it replaces.  Each of its candidates (a
 matrix-vector product, a seed or a copy of v) goes through ``offer_row``
 against every row accepted so far, with the arithmetic of the one-offer
 reference: an offer costs two matrix-vector products, or four when its
-first pass cancelled, and copies neither the basis nor the candidate.  A
+first pass cancelled, and copies neither the basis nor the candidate.  The
+candidate is formed inline, and the offer leaves one raw record in the
+build's log, whose instruction is formatted only when the log is read.  A
 reference to a basis vector that does not exist when a block starts means
 the span built so far is closed under the program's words.  A program
 seeded by e_1 then offers the next standard seed and retries the reference,
@@ -65,17 +67,36 @@ class LogEntry(NamedTuple):
     survivor_index: Optional[int]
 
 
-@dataclass
 class BuildLog:
-    entries: List[LogEntry] = field(default_factory=list)
+    """The outcome of every offer of a build, in offer order.
+
+    ``add`` keeps one raw record per offer; its instruction is a
+    :class:`~blocktrid.words.WordInstruction` or its trace string.  Records
+    become :class:`LogEntry` tuples, instructions formatted by ``trace()``,
+    only when ``entries`` or ``to_json`` is read; ``accepted_count`` counts
+    the raw records.
+    """
+
+    def __init__(self):
+        self._records = []
+        self._entries: List[LogEntry] = []
 
     def add(self, position, instruction, accepted, residual_norm, survivor_index):
-        self.entries.append(LogEntry(position, position, instruction, accepted,
-                                     residual_norm, survivor_index))
+        self._records.append((position, instruction, accepted, residual_norm,
+                              survivor_index))
+
+    @property
+    def entries(self) -> List[LogEntry]:
+        """One ``LogEntry`` per offer; records added since the last read are
+        formatted now."""
+        for position, instr, *outcome in self._records[len(self._entries):]:
+            text = instr if isinstance(instr, str) else instr.trace()
+            self._entries.append(LogEntry(position, position, text, *outcome))
+        return self._entries
 
     @property
     def accepted_count(self) -> int:
-        return sum(1 for e in self.entries if e.accepted)
+        return sum(1 for record in self._records if record[2])
 
     def to_json(self) -> str:
         return json.dumps([e._asdict() for e in self.entries], sort_keys=True)
@@ -149,15 +170,6 @@ def run_program(
     # orthonormal basis vectors as rows; B[:k] is the basis built so far
     B = np.zeros((dim, dim), dtype=np.complex128)
 
-    def candidate(instr):
-        """A fresh candidate row, which offer_row may overwrite: a
-        matrix-vector product, a standard seed or a copy of the caller's v."""
-        if instr.kind == "apply":
-            return mats[instr.op_index, instr.adjoint] @ B[instr.src - 1]
-        if instr.kind == "seed":
-            return unit_vector(dim, instr.seed_index - 1)
-        return v.copy()
-
     k = 0
     log = BuildLog()
     closures: List[int] = []
@@ -209,12 +221,8 @@ def run_program(
         if not block:
             break
 
-        if len(block) <= 3:
-            # offered one at a time, lazily: each candidate is formed and
-            # decided after the loop below has stored the rows accepted
-            # before it, as a one-offer-at-a-time build would
-            outcomes = (offer_row(B[:k], candidate(instr), tol) for instr in block)
-        else:
+        one_at_a_time = len(block) <= 3
+        if not one_at_a_time:
             candidates = np.zeros((len(block), dim), dtype=np.complex128)
             groups = {}  # block rows by (op_index, adjoint)
             for row, instr in enumerate(block):
@@ -234,12 +242,24 @@ def run_program(
             outcomes = mgs_append(B[:k], candidates, tol)
         # the offers of a block sit at consecutive positions
         first = position - len(block) + 1
-        for pos, (instr, out) in enumerate(zip(block, outcomes), first):
-            if out.accepted:
-                B[k] = out.vector
+        for row, instr in enumerate(block):
+            if one_at_a_time:
+                # the candidate, a fresh row that offer_row may overwrite, is
+                # formed after the rows accepted before it are stored, as a
+                # one-offer-at-a-time build would
+                if instr.kind == "apply":
+                    w = mats[instr.op_index, instr.adjoint] @ B[instr.src - 1]
+                elif instr.kind == "seed":
+                    w = unit_vector(dim, instr.seed_index - 1)
+                else:
+                    w = v.copy()
+                accepted, w, r = offer_row(B[:k], w, tol)
+            else:
+                accepted, w, r = outcomes[row]
+            if accepted:
+                B[k] = w
                 k += 1
-            log.add(pos, instr.trace(), out.accepted, out.residual_norm,
-                    k if out.accepted else None)
+            log.add(first + row, instr, accepted, r, k if accepted else None)
     return BuildResult(B[:k].T, log, closures)
 
 

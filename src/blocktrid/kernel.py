@@ -179,13 +179,16 @@ def offer_row(Q, w, tol: float) -> GsOutcome:
     any product; after the first pass, a residual r1 at most ``limit`` is
     rejected and one of at least ``ONE_PASS_SHARE * ||w||`` is accepted;
     only a residual between the two, one that cancelled, gets the second
-    pass, whose residual decides it.  ``w`` is projected and, if accepted,
+    pass, whose residual decides it.  A norm that is not above ``limit``,
+    NaN included, rejects.  ``w`` is projected and, if accepted,
     normalized in place: the caller hands over a vector it does not read
     again.  ``tol`` is not checked here.
     """
-    norm = _norm(w)
+    # _norm's arithmetic on views taken once: the passes write w in place
+    re, im = w.real, w.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     limit = tol * max(1.0, norm)
-    if norm <= limit:
+    if not norm > limit:
         return GsOutcome(False, None, norm)
     for _ in range(2):
         # dot skips matmul's dispatch; the second product stays a matmul,
@@ -193,10 +196,13 @@ def offer_row(Q, w, tol: float) -> GsOutcome:
         c = Q.dot(w.conj())
         np.conjugate(c, out=c)
         w -= c @ Q
-        r = _norm(w)
+        r = math.sqrt(re.dot(re) + im.dot(im))
         if r <= limit or r >= ONE_PASS_SHARE * norm:
             break
-    return _accept(w, r, limit)
+    if not r > limit:
+        return GsOutcome(False, None, r)
+    w /= r
+    return GsOutcome(True, w, r)
 
 
 def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[GsOutcome]]:
@@ -216,9 +222,9 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     Returns
     -------
     GsOutcome, or a list of m of them for a (m, d) block, m = 1 included
-        Accepted with the normalized residual vector, or rejected when the
-        residual norm at which the offer is decided falls at or below
-        ``tol * max(1, ||v_i||)``.
+        Accepted with the normalized residual vector, or rejected unless the
+        residual norm at which the offer is decided exceeds ``tol * max(1,
+        ||v_i||)``: a NaN residual is rejected.
 
     ``basis`` and ``v`` are never written: the candidates are copied.  A
     second pass keeps accepted vectors orthogonal to working accuracy when
@@ -251,7 +257,8 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     if W.ndim == 1:
         return offer_row(Q, W, tol)
     if len(W) > 3:
-        return _decide_in_order(Q, W, tol)
+        residuals, accepted = _decide_in_order(Q, W, tol)
+        return [GsOutcome(a, w if a else None, r) for a, w, r in zip(accepted, W, residuals)]
     outcomes = []
     for w in W:
         outcomes.append(offer_row(Q, w, tol))
@@ -272,30 +279,35 @@ def _project(Q, W) -> None:
     W -= np.conj(np.conj(W) @ Q.T) @ Q
 
 
-def _accept(w, r: float, limit: float) -> GsOutcome:
-    """Reject ``w``, of norm r, if r is at most ``limit``; else normalize it
-    in place."""
-    if r <= limit:
-        return GsOutcome(False, None, r)
-    w /= r
-    return GsOutcome(True, w, r)
-
-
 def _decide_in_order(Q, block, tol):
     """Project a block of four or more rows against Q, then accept or reject
     its rows in order; accepted rows are normalized in place.
+
+    Returns two lists in row order: the residual norm at which each row was
+    decided, and whether it was accepted.  A row is accepted only if its
+    residual exceeds ``tol * max(1, ||row||)``, so a NaN residual is
+    rejected.  The raw row norms and their limits come from one stacked
+    product, with the arithmetic of :func:`_norm` row by row; each row is
+    then decided by a comparison, with no outcome object per row, and
+    :func:`mgs_append` builds its list of outcomes once.
 
     Rows [lo, hi) are halved recursively: once the first half [lo, mid) is
     decided, the rows accepted from it are projected out of the second half
     [mid, hi) before that half is decided.
     """
     rows = list(block)
-    norms = [_norm(w) for w in rows]
-    limits = [tol * max(1.0, norm) for norm in norms]
+    # a stack of row-by-column products takes one BLAS dot per row, the dot
+    # of _norm's w.real.dot(w.real)
+    re, im = block.real[:, None], block.imag[:, None]
+    raw = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
+    norms = raw.tolist()
+    # fmax, like max(1.0, norm), reads a NaN norm as 1
+    limits = (tol * np.fmax(1.0, raw)).tolist()
     for _ in range(2):
         _project(Q, block)
-    kept = []     # accepted rows, in order
-    outcomes = []
+    kept = []       # accepted rows, in order
+    residuals = []  # one per decided row, in order
+    accepted = [False] * len(rows)
 
     def decide(lo, hi):
         if hi - lo > 1:
@@ -318,15 +330,17 @@ def _decide_in_order(Q, block, tol):
                 _project(Q, w)
                 _project(block[kept], w)
                 r = _norm(w)
-            outcomes.append(_accept(w, r, limits[lo]))
-            if outcomes[-1].accepted:
+            residuals.append(r)
+            if r > limits[lo]:
+                w /= r
                 kept.append(lo)
+                accepted[lo] = True
 
     decide(0, len(rows))
     # decide refers to itself; breaking that cycle frees the arrays it holds
     # on return instead of at the next garbage collection
     del decide
-    return outcomes
+    return residuals, accepted
 
 
 def svd(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from blocktrid.basis import (
     run_program,
     span_residual,
 )
-from blocktrid.kernel import GsOutcome, adjoint, max_abs, unit_vector
+from blocktrid.kernel import GsOutcome, adjoint, max_abs, mgs_append, unit_vector
 from blocktrid.transforms import staircase
 from blocktrid.verify import UNITARITY_LIMIT, full_report
 from blocktrid.words import (
@@ -481,3 +481,48 @@ def test_direct_sum_build_on_identity_and_generic_input():
     res = run_program([random_matrix(rng, d)], direct_sum_program())
     assert res.closures == []
     assert unitarity_max(res.basis) < 1e-12
+
+
+def _large_blocks(log, d):
+    """Row counts of the blocks of four or more offers, in build order, read
+    off the log of a build that never closes: a block runs while each offer's
+    source was accepted before the block began, at most one offer per slot
+    that was free then."""
+    entries = log.entries
+    sizes, k, i = [], 0, 0
+    while i < len(entries):
+        start = i
+        while i < len(entries) and i - start < d - k:
+            instr = parse_trace(entries[i].instruction)
+            if instr.kind == "apply" and instr.src > k:
+                break
+            i += 1
+        assert i > start, "the build closed"
+        sizes.append(i - start)
+        k += sum(e.accepted for e in entries[start:i])
+    return [size for size in sizes if size >= 4]
+
+
+@pytest.mark.parametrize("build", ["staircase", "family", "krylov"])
+def test_every_block_of_four_or_more_offers_goes_through_mgs_append(build, monkeypatch):
+    # the benchmark's kernel.mgs_append span and the small-block test of
+    # test_executor_reference.py both rely on this hook
+    rows = []
+
+    def counting(basis_rows, candidates, tol):
+        rows.append(len(candidates))
+        return mgs_append(basis_rows, candidates, tol)
+
+    monkeypatch.setattr(basis, "mgs_append", counting)
+    rng = np.random.default_rng(66)
+    d = 48
+    T, S = random_matrix(rng, d), random_matrix(rng, d)
+    if build == "staircase":
+        res = run_program([T], staircase_program())
+    elif build == "family":
+        res = run_program([T, S], family_program(2, selfadjoint=False))
+    else:
+        res = run_program([T], krylov_program(), seed_vector=S[0])
+    assert res.closures == [] and res.basis.shape == (d, d)
+    assert rows == _large_blocks(res.log, d)
+    assert (len(rows) > 0) == (build != "krylov")

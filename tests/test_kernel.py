@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,28 @@ def test_mgs_append_rejects_bad_tolerance(tol):
 def test_mgs_append_zero_tolerance_rejects_only_zero_residuals():
     assert not mgs_append(np.eye(3)[:1], np.eye(3)[0], 0.0).accepted
     assert mgs_append(np.eye(3)[:1], np.eye(3)[1] * 1e-150, 0.0).accepted
+
+
+def test_mgs_append_rejects_a_nan_residual_without_a_warning():
+    # a NaN residual is not above the limit, so it is rejected like an
+    # infinite one, before anything is divided by it
+    Q = np.eye(4, dtype=np.complex128)[:1]
+    nan_row = np.array([np.nan, 1, 0, 0])
+    block = np.array([[0, 1, 0, 0], nan_row, [0, 0, 1, 0], [0, np.nan, 0, 1],
+                      [0, 0, 0, 1]], dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = mgs_append(Q, nan_row)
+        pair = mgs_append(Q, np.array([nan_row] * 2))
+        outs = mgs_append(Q, block)
+        infinite = mgs_append(Q, np.array([0, np.inf, 0, 0]))
+    for out in (single, *pair, outs[1], outs[3]):
+        assert not out.accepted and out.vector is None and math.isnan(out.residual_norm)
+    assert not infinite.accepted and infinite.residual_norm == math.inf
+    # the finite rows of the block are decided as if the NaN rows were not there
+    assert [o.accepted for o in outs] == [True, False, True, False, True]
+    kept = np.array([o.vector for o in outs if o.accepted])
+    assert np.array_equal(kept, np.eye(4)[1:])
 
 
 def test_svd_frozen_examples():
