@@ -1,20 +1,18 @@
 """Execute word programs against concrete matrices, producing basis changes.
 
-The executor offers the stream to Gram-Schmidt in blocks
-and stops once the basis is complete.  A block is the longest run of
-upcoming instructions whose source vectors exist when it starts, at most one
-per free basis slot.  A block of four or more offers forms its candidates in
-one matrix product per operator, and one ``mgs_append`` call decides them in
-stream order, so the accept and reject decisions are those of offering one
-vector at a time.  A block of at most three offers, as most blocks of a
-degenerate input are, is offered one vector at a time: for a few rows a
-matrix product, which packs the whole basis, costs more than the
-matrix-vector products it replaces.  Each of its candidates (a
-matrix-vector product, a seed or a copy of v) goes through ``offer_row``
-against every row accepted so far, with the arithmetic of the one-offer
-reference: an offer costs two matrix-vector products, or four when its
-first pass cancelled, and copies neither the basis nor the candidate.  The
-candidate is formed inline, and the offer leaves one raw record in the
+The executor offers the stream to Gram-Schmidt in blocks and stops once the
+basis is complete.  A block is the longest run of upcoming instructions
+whose source vectors exist when it starts, at most one per free basis slot.
+Its candidates are formed once, in the free rows of the basis buffer.  A
+block of at most three offers, as most blocks of a degenerate input are,
+takes one matrix-vector product per candidate and is decided row by row by
+``offer_row``, in place, against every row accepted so far: the arithmetic
+of the one-offer reference, which for a few rows costs less than a matrix
+product that packs the whole basis.  A larger block takes one product per
+operator and one ``mgs_append`` call, which decides its rows in stream
+order, so the accept and reject decisions are those of offering one vector
+at a time.  The caller's v is judged against its own norm, so every v of
+positive, finite norm is accepted.  Each offer leaves one raw record in the
 build's log, whose instruction is formatted only when the log is read.  A
 reference to a basis vector that does not exist when a block starts means
 the span built so far is closed under the program's words.  A program
@@ -39,7 +37,6 @@ from .kernel import (
     check_tolerance,
     mgs_append,
     offer_row,
-    unit_vector,
 )
 from .words import WordProgram, seed
 
@@ -130,7 +127,7 @@ def run_program(
     so far closed, and its size goes to ``closures``.  A program not opened
     by ``seed v`` then offers the next standard seed in that position and
     retries the instruction in the next.  A cyclic program starts from
-    ``seed_vector`` v (required, finite and nonzero); at its closure, seeds
+    ``seed_vector`` v (required, of positive finite norm); at its closure, seeds
     e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is false, in
     which case the returned basis holds the closure only.  Any other program
     rejects a ``seed_vector``.  A ``tol`` outside [0, 1) raises
@@ -147,7 +144,7 @@ def run_program(
             raise ValueError(f"operator {i + 1} shape {op.shape} does not match {(dim, dim)}")
     adjs = [op.conj().T.copy() for op in ops]
 
-    v = None
+    v = v_tol = None
     if next(program.instructions()).kind == "seed_vec":
         if seed_vector is None:
             raise ValueError("this program starts from a seed vector; none given")
@@ -156,8 +153,14 @@ def run_program(
             raise ValueError(f"seed vector length {v.shape[0]} does not match dim {dim}")
         if not np.all(np.isfinite(v)):
             raise ValueError("seed vector contains non-finite entries")
-        if np.linalg.norm(v) == 0.0:
-            raise ValueError("seed vector must be nonzero")
+        # ‖v‖ as offer_row computes it; v is judged against its own norm, so
+        # v_tol turns offer_row's limit tol·max(1, ‖v‖) into tol·‖v‖
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not 0.0 < norm < np.inf:
+            raise ValueError("seed vector must be nonzero" if not v.any() else
+                             f"the norm of the seed vector {'over' if norm else 'under'}flows")
+        v_tol = tol * min(1.0, norm)
     elif seed_vector is not None:
         raise ValueError("this program does not start from a seed vector; one was given")
     # the matrix each (op_index, adjoint) of an instruction applies
@@ -221,41 +224,37 @@ def run_program(
         if not block:
             break
 
-        one_at_a_time = len(block) <= 3
-        if not one_at_a_time:
-            candidates = np.zeros((len(block), dim), dtype=np.complex128)
-            groups = {}  # block rows by (op_index, adjoint)
-            for row, instr in enumerate(block):
-                if instr.kind == "apply":
-                    groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
-                elif instr.kind == "seed":
-                    candidates[row, instr.seed_index - 1] = 1.0
-                else:
-                    candidates[row] = v
-            for key, rows in groups.items():
-                if len(rows) == 1:
-                    candidates[rows[0]] = mats[key] @ B[block[rows[0]].src - 1]
-                else:
-                    # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
-                    srcs = [block[row].src - 1 for row in rows]
-                    candidates[rows] = B.take(srcs, axis=0) @ mats[key].T
-            outcomes = mgs_append(B[:k], candidates, tol)
-        # the offers of a block sit at consecutive positions
-        first = position - len(block) + 1
+        # the candidates, in the free rows of B: a block's sources were
+        # accepted before it started, so no candidate reads a row it writes
+        m = len(block)
+        small = m <= 3
+        C = B[k:k + m]
+        groups = {}  # block rows by (op_index, adjoint)
         for row, instr in enumerate(block):
-            if one_at_a_time:
-                # the candidate, a fresh row that offer_row may overwrite, is
-                # formed after the rows accepted before it are stored, as a
-                # one-offer-at-a-time build would
-                if instr.kind == "apply":
-                    w = mats[instr.op_index, instr.adjoint] @ B[instr.src - 1]
-                elif instr.kind == "seed":
-                    w = unit_vector(dim, instr.seed_index - 1)
-                else:
-                    w = v.copy()
-                accepted, w, r = offer_row(B[:k], w, tol)
+            if instr.kind == "apply":
+                groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
+            elif instr.kind == "seed":
+                C[row] = 0.0
+                C[row, instr.seed_index - 1] = 1.0
             else:
-                accepted, w, r = outcomes[row]
+                C[row] = v
+        for key, rows in groups.items():
+            if small or len(rows) == 1:
+                # matrix-vector products: a small block keeps the rounding of
+                # one-offer builds, which one product of two rows would change
+                for row in rows:
+                    np.matmul(mats[key], B[block[row].src - 1], out=C[row])
+            else:
+                # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
+                srcs = [block[row].src - 1 for row in rows]
+                C[rows] = B.take(srcs, axis=0) @ mats[key].T
+        outcomes = None if small else mgs_append(B[:k], C, tol)
+        # the offers of a block sit at consecutive positions
+        first = position - m + 1
+        for row, instr in enumerate(block):
+            # a row of a small block is projected and normalized where it lies
+            accepted, w, r = outcomes[row] if outcomes else offer_row(
+                B[:k], C[row], v_tol if instr.kind == "seed_vec" else tol)
             if accepted:
                 B[k] = w
                 k += 1

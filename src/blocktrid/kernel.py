@@ -227,22 +227,14 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         ||v_i||)``: a NaN residual is rejected.
 
     ``basis`` and ``v`` are never written: the candidates are copied.  A
-    second pass keeps accepted vectors orthogonal to working accuracy when
-    the first cancels most of a candidate ("twice is enough").  A vector,
-    and a block of at most three rows, go through :func:`offer_row` one row
-    at a time, each against the basis and the rows of the block accepted
-    before it: the arithmetic of offering one vector at a time, cheaper than
-    packing the basis for a matrix product, and a second pass only for a row
-    whose first pass kept less than ``ONE_PASS_SHARE`` of its norm.  A
-    larger block is projected in two passes of matrix products, then its
-    rows are accepted or rejected in offer order, each against the rows of
-    the block accepted before it: the block is halved recursively, and the
-    rows accepted from a first half are projected out of the second half in
-    one pass before that half is decided.  A row that follows an accepted
-    row of its block and keeps less than 0.1 of its raw norm gets one more
-    pass against the basis and every row accepted before it, since the
-    rounding left by the passes it cancelled in is then large next to its
-    residual.
+    vector goes through :func:`offer_row`: one pass, and a second only when
+    the first kept less than ``ONE_PASS_SHARE`` of its norm.  A block, of
+    any number of rows, takes two passes of matrix products ("twice is
+    enough"), then :func:`_decide_in_order` decides its rows in offer order,
+    each against the rows of the block accepted before it.  A row that
+    follows an accepted row and keeps less than 0.1 of its raw norm gets one
+    more pass against the basis and every accepted row, since the rounding
+    of the passes it cancelled in is then large next to its residual.
     """
     check_tolerance(tol)
     W = np.array(v, dtype=np.complex128)
@@ -256,15 +248,10 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
         raise ValueError("candidate vector dimension does not match the basis")
     if W.ndim == 1:
         return offer_row(Q, W, tol)
-    if len(W) > 3:
-        residuals, accepted = _decide_in_order(Q, W, tol)
-        return [GsOutcome(a, w if a else None, r) for a, w, r in zip(accepted, W, residuals)]
-    outcomes = []
-    for w in W:
-        outcomes.append(offer_row(Q, w, tol))
-        if outcomes[-1].accepted:
-            Q = np.vstack([Q, w])
-    return outcomes
+    residuals, accepted = _decide_in_order(Q, W, tol)
+    # the accepted rows lie packed at the front of W, in order
+    packed = iter(W)
+    return [GsOutcome(a, next(packed) if a else None, r) for a, r in zip(accepted, residuals)]
 
 
 def _norm(w) -> float:
@@ -280,22 +267,19 @@ def _project(Q, W) -> None:
 
 
 def _decide_in_order(Q, block, tol):
-    """Project a block of four or more rows against Q, then accept or reject
-    its rows in order; accepted rows are normalized in place.
+    """Project a block of rows against Q, then accept or reject its rows in
+    order, packing each accepted row, normalized, at the front of ``block``
+    (which the caller owns), so the rows accepted so far are ``block[:n]``.
 
     Returns two lists in row order: the residual norm at which each row was
-    decided, and whether it was accepted.  A row is accepted only if its
-    residual exceeds ``tol * max(1, ||row||)``, so a NaN residual is
-    rejected.  The raw row norms and their limits come from one stacked
-    product, with the arithmetic of :func:`_norm` row by row; each row is
-    then decided by a comparison, with no outcome object per row, and
-    :func:`mgs_append` builds its list of outcomes once.
-
-    Rows [lo, hi) are halved recursively: once the first half [lo, mid) is
-    decided, the rows accepted from it are projected out of the second half
-    [mid, hi) before that half is decided.
+    decided, and whether it was accepted, which it is only if the residual
+    exceeds ``tol * max(1, ||row||)``: a NaN residual is rejected.  The raw
+    norms and limits come from one stacked product, with the arithmetic of
+    :func:`_norm` row by row.  Rows [lo, hi) are halved recursively: once
+    [lo, mid) is decided, the rows accepted from it are projected out of
+    [mid, hi) before that half is decided.  A row is packed at a slot no
+    later than its own, whose row is decided already.
     """
-    rows = list(block)
     # a stack of row-by-column products takes one BLAS dot per row, the dot
     # of _norm's w.real.dot(w.real)
     re, im = block.real[:, None], block.imag[:, None]
@@ -305,38 +289,35 @@ def _decide_in_order(Q, block, tol):
     limits = (tol * np.fmax(1.0, raw)).tolist()
     for _ in range(2):
         _project(Q, block)
-    kept = []       # accepted rows, in order
     residuals = []  # one per decided row, in order
-    accepted = [False] * len(rows)
+    accepted = [False] * len(block)
+    n = 0           # rows accepted so far, packed at block[:n]
 
     def decide(lo, hi):
+        nonlocal n
         if hi - lo > 1:
             mid = (lo + hi) // 2
-            start = len(kept)
+            start = n
             decide(lo, mid)
-            new = kept[start:]
-            if new:
-                # a view when the accepted rows are adjacent
-                adjacent = new[-1] - new[0] + 1 == len(new)
-                P = block[new[0]:new[-1] + 1] if adjacent else block[new]
-                _project(P, block[mid:hi])
+            if n > start:
+                _project(block[start:n], block[mid:hi])
             decide(mid, hi)
         elif hi > lo:
-            w = rows[lo]
+            w = block[lo]
             r = _norm(w)
-            if kept and limits[lo] < r < 0.1 * norms[lo]:
+            if n and limits[lo] < r < 0.1 * norms[lo]:
                 # w cancelled in the passes, and their rounding is large next to r;
                 # one more pass restores orthogonality to every accepted row
                 _project(Q, w)
-                _project(block[kept], w)
+                _project(block[:n], w)
                 r = _norm(w)
             residuals.append(r)
             if r > limits[lo]:
-                w /= r
-                kept.append(lo)
+                np.divide(w, r, out=block[n])
+                n += 1
                 accepted[lo] = True
 
-    decide(0, len(rows))
+    decide(0, len(block))
     # decide refers to itself; breaking that cycle frees the arrays it holds
     # on return instead of at the next garbage collection
     del decide

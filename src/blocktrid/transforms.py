@@ -419,6 +419,14 @@ def decompose(T, tol: float = DEPENDENCE_TOL,
     )
 
 
+def _exact_dims(schedule: BlockSchedule, d: int) -> List[int]:
+    """The dims of a direct sum of dimension d: they must sum to d exactly."""
+    if schedule.span > d:
+        raise InvalidScheduleError(f"direct-sum dims sum to {schedule.span}, "
+                                   f"past dimension {d}")
+    return covering_index(schedule, d).sizes.tolist()
+
+
 class FormCommand(NamedTuple):
     """A form command: the ``transforms`` function it runs, looked up on each
     call so that a wrapper on it sees every call; its help; its flags beyond
@@ -469,8 +477,8 @@ FORMS = {
                           ("--input", "--svg", "--selfadjoint"), {
         "family": ("family", lambda d, n: family_stride(n))}, "stride"),
     "decompose": FormCommand("decompose", "direct sum of jointly cyclic parts", (), {
-        "direct-sum": ("decompose", lambda d, s: direct_sum_pattern(
-            covering_index(s, d).sizes.tolist()))}, "dims"),
+        "direct-sum": ("decompose", lambda d, s: direct_sum_pattern(_exact_dims(s, d)))},
+        "dims"),
 }
 
 

@@ -35,8 +35,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .basis import span_residual
 from .kernel import (FAILURE_PROBABILITY, MARGIN, PROBES, hermitian_eigvals, max_abs,
-                     reconstruction_residual)
+                     reconstruction_residual, unitarity_residual)
 from .schedules import BlockIndex, BlockSchedule, InvalidScheduleError, covering_index
 
 UNITARITY_LIMIT = 1e-10
@@ -352,9 +353,6 @@ def basis_checks(U, span_bounds: Sequence[Tuple[int, int]]
     the span of U's first m columns from above.  For ε <= 1/3,
     r = (1 + ε)·‖U[n, m+1:]‖ + 2ε; for a larger ε, r = 1.
     """
-    from .basis import span_residual
-    from .kernel import unitarity_residual
-
     eps = unitarity_residual(U)
     spans = []
     if span_bounds:

@@ -197,38 +197,19 @@ def test_mgs_append_block_decides_rows_as_offered_in_order(m):
         assert np.max(np.abs(G.conj() @ G.T - np.eye(len(G))), initial=0.0) < 1e-13
 
 
-def test_mgs_append_one_row_block_is_the_single_offer_bit_for_bit():
-    # a vector, and a block of one row, are decided with the arithmetic of
-    # the one-offer-at-a-time reference
+def test_mgs_append_vector_is_the_single_offer_bit_for_bit():
+    # a vector is decided with the arithmetic of the one-offer-at-a-time
+    # reference
     rng = np.random.default_rng(16)
     d = 30
     Q = np.linalg.qr(random_matrix(rng, d))[0].T[:12].copy()
     for v in (random_matrix(rng, d)[0], Q[3] + 1e-9 * random_matrix(rng, d)[0], 2 * Q[0]):
         accepted, vector, r = reference_offer(Q, v, DEPENDENCE_TOL)
-        (row,) = mgs_append(Q, v[None, :])
-        for out in (row, mgs_append(Q, v)):
-            assert out.accepted == accepted
-            assert out.residual_norm == r
-            assert (out.vector is None) == (vector is None)
-            assert vector is None or np.array_equal(out.vector, vector)
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_mgs_append_small_block_is_offered_one_row_at_a_time_bit_for_bit(m):
-    # up to three rows go through offer_row one at a time, each against the
-    # basis and the rows accepted before it
-    rng = np.random.default_rng(18 + m)
-    for trial in range(10):
-        d = int(rng.integers(m + 2, 40))
-        k = int(rng.integers(0, d - m))
-        Q = np.linalg.qr(random_matrix(rng, d))[0].T[:k].copy()
-        V = _mixed_block(rng, Q, d, m)
-        block = mgs_append(Q, V)
-        single = _offer_one_at_a_time(Q, V)
-        assert [o.accepted for o in block] == [o.accepted for o in single]
-        assert [o.residual_norm for o in block] == [o.residual_norm for o in single]
-        for a, b in zip(block, single):
-            assert a.vector is None or a.vector.tobytes() == b.vector.tobytes()
+        out = mgs_append(Q, v)
+        assert out.accepted == accepted
+        assert out.residual_norm == r
+        assert (out.vector is None) == (vector is None)
+        assert vector is None or np.array_equal(out.vector, vector)
 
 
 @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (4, 7)])

@@ -186,6 +186,10 @@ def test_direct_sum_reads_the_summand_sizes(tmp_path, capsys):
     assert main(argv + ["custom:10,6"]) == 2
     assert main(argv + ["custom:6,4"]) == 2
     assert "too short for dimension 16" in capsys.readouterr().err
+    # dims past d were once clipped to 6, 10, and the file passed
+    assert main(argv + ["custom:6,12"]) == 2
+    assert capsys.readouterr().err == ("invalid schedule: direct-sum dims sum to 18, "
+                                       "past dimension 16\n")
 
 
 @pytest.mark.parametrize("command", ["family", "decompose"])

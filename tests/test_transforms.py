@@ -195,11 +195,27 @@ def test_polar_zero_and_rank_one_blocks(zero_block):
     (np.array([np.nan, 0, 0, 0, 0]), "non-finite"),
     (np.array([np.inf, 0, 0, 0, 0]), "non-finite"),
     (np.array([1, 0, 0, 0, -np.inf]), "non-finite"),
-], ids=["zero", "short", "nan", "inf", "minus-inf"])
+    # these once read "must be nonzero", and warned of an overflow in dot
+    (1e-200 * np.eye(5)[0], "norm of the seed vector underflows"),
+    (1e160 * np.eye(5)[0], "norm of the seed vector overflows"),
+], ids=["zero", "short", "nan", "inf", "minus-inf", "underflow", "overflow"])
 def test_seed_vector_is_validated(build, seed, message):
     T = _rand(np.random.default_rng(21), 5)
     with pytest.raises(ValueError, match=message):
         build(T, seed)
+
+
+@pytest.mark.parametrize("build", [krylov_hessenberg, joint_cyclic_staircase,
+                                   reducing_closure])
+def test_a_seed_vector_is_accepted_at_any_scale(build):
+    # v is judged against its own norm: 1e-12·e_1 once gave an empty
+    # closure, or a pattern error, since its norm fell below tol·max(1, ‖v‖)
+    T = _rand(np.random.default_rng(22), 6)
+    e1 = np.eye(6, dtype=np.complex128)[0]
+    outs = [build(T, c * e1) for c in (1.0, 1e-12, 1e-6, 1e6)]
+    bases = [getattr(out, "basis_change", out) for out in outs]
+    assert bases[0].shape == (6, 6)
+    assert all(U.tobytes() == bases[0].tobytes() for U in bases[1:])
 
 
 def test_polar_direct_entry_rejects_dense():
