@@ -1,25 +1,25 @@
 """Execute word programs against concrete matrices, producing basis changes.
 
-The executor offers the stream to Gram-Schmidt in blocks and stops once the
-basis is complete.  A block is the longest run of upcoming instructions
-whose source vectors exist when it starts, at most one per free basis slot.
-Its candidates are formed once, in the free rows of the basis buffer.  A
-block of at most three offers, as most blocks of a degenerate input are,
+The executor offers a program's stream to Gram-Schmidt in blocks and stops
+once the basis is complete.  With k vectors accepted, the first word on a
+vector not accepted yet sits at stream index k·stride + 1: a block is the
+range of upcoming indices before it, at most one per free basis slot, and
+an empty range means the span is closed under the program's words.  A
+block's candidates are formed once, in the free rows of the basis buffer.
+A block of at most three offers, as most blocks of a degenerate input are,
 takes one matrix-vector product per candidate and is decided row by row by
-``offer_row``, in place, against every row accepted so far: the arithmetic
-of the one-offer reference, which for a few rows costs less than a matrix
-product that packs the whole basis.  A larger block takes one product per
-operator and one ``mgs_append`` call, which decides its rows in stream
-order, so the accept and reject decisions are those of offering one vector
-at a time.  The caller's v is judged against its own norm, so every v of
-positive, finite norm is accepted.  Each offer leaves one raw record in the
-build's log, whose instruction is formatted only when the log is read.  A
-reference to a basis vector that does not exist when a block starts means
-the span built so far is closed under the program's words.  A program
-seeded by e_1 then offers the next standard seed and retries the reference,
-so one build can run through a whole direct sum of reducing subspaces; a
-program started from a vector v instead pads with standard basis vectors
-to finish the square unitary, or stops.
+``offer_row``, in place: the arithmetic of the one-offer reference, which
+for a few rows costs less than a matrix product that packs the whole basis.
+In a larger block the rows one stride apart apply one operator to
+consecutive basis vectors, one product of a slice of the basis per group,
+and one ``mgs_append`` call decides the rows in stream order, as offering
+one vector at a time would.  The caller's v is judged against its own norm.
+Each offer leaves one raw record, its word, in the build's log.  At a
+closure, a program not started from v offers the next standard seed in the
+closing position and retries the closing word in the next, so one build
+can run through a whole direct sum of reducing subspaces; a program started
+from v skips the closing position and pads with e_1, e_2, ... to finish
+the square unitary, or stops.
 """
 
 from __future__ import annotations
@@ -38,16 +38,18 @@ from .kernel import (
     mgs_append,
     offer_row,
 )
-from .words import WordProgram, seed
+from .words import WordProgram, trace
 
 
 class InstructionCapError(RuntimeError):
-    """The executor ran past its instruction budget without completing."""
+    """A closed span needed a standard seed past the dimension: every seed
+    left was rejected before the basis was complete."""
 
 
 class LogEntry(NamedTuple):
     """Outcome of one offered vector.
 
+    instruction is the offered word's text (:func:`~blocktrid.words.trace`).
     residual_norm is the residual norm at which the offer was decided
     (``GsOutcome.residual_norm``): after one pass or two, or the candidate's
     own norm when that alone rejects it.  survivor_index is the 1-based basis
@@ -67,11 +69,11 @@ class LogEntry(NamedTuple):
 class BuildLog:
     """The outcome of every offer of a build, in offer order.
 
-    ``add`` keeps one raw record per offer; its instruction is a
-    :class:`~blocktrid.words.WordInstruction` or its trace string.  Records
-    become :class:`LogEntry` tuples, instructions formatted by ``trace()``,
-    only when ``entries`` or ``to_json`` is read; ``accepted_count`` counts
-    the raw records.
+    ``add`` keeps one raw record per offer; its instruction is a word
+    ``(op, adjoint, n)`` or its trace string.  Records become
+    :class:`LogEntry` tuples, words formatted by ``trace``, only when
+    ``entries`` or ``to_json`` is read; ``accepted_count`` counts the raw
+    records.
     """
 
     def __init__(self):
@@ -87,7 +89,7 @@ class BuildLog:
         """One ``LogEntry`` per offer; records added since the last read are
         formatted now."""
         for position, instr, *outcome in self._records[len(self._entries):]:
-            text = instr if isinstance(instr, str) else instr.trace()
+            text = instr if isinstance(instr, str) else trace(instr)
             self._entries.append(LogEntry(position, position, text, *outcome))
         return self._entries
 
@@ -122,16 +124,17 @@ def run_program(
     """Execute ``program`` against ``operators``.
 
     operators is a list of d x d matrices of one shape, exactly one per
-    op_index the program uses; adjoints are derived.  An instruction
-    referencing a basis vector that does not exist yet finds the span built
-    so far closed, and its size goes to ``closures``.  A program not opened
-    by ``seed v`` then offers the next standard seed in that position and
-    retries the instruction in the next.  A cyclic program starts from
-    ``seed_vector`` v (required, of positive finite norm); at its closure, seeds
-    e_1, e_2, ... finish the basis unless ``pad_with_seeds`` is false, in
-    which case the returned basis holds the closure only.  Any other program
-    rejects a ``seed_vector``.  A ``tol`` outside [0, 1) raises
-    ``ValueError`` before any offer.  Neither the operators nor v are written.
+    operator the program applies; adjoints are derived.  When no upcoming
+    word has its source vector, the span built so far is closed, and its
+    size goes to ``closures``.  A program not started from v then offers the
+    next standard seed in that position and retries the word in the next;
+    a seed index past d raises ``InstructionCapError``.  A cyclic program
+    starts from ``seed_vector`` v (required, of positive finite norm); at its
+    closure, seeds e_1, e_2, ... finish the basis unless ``pad_with_seeds``
+    is false, in which case the returned basis holds the closure only.  Any
+    other program rejects a ``seed_vector``.  A ``tol`` outside [0, 1)
+    raises ``ValueError`` before any offer.  Neither the operators nor v are
+    written.
     """
     check_tolerance(tol)
     ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
@@ -145,7 +148,7 @@ def run_program(
     adjs = [op.conj().T.copy() for op in ops]
 
     v = v_tol = None
-    if next(program.instructions()).kind == "seed_vec":
+    if program.first == "v":
         if seed_vector is None:
             raise ValueError("this program starts from a seed vector; none given")
         v = np.asarray(seed_vector, dtype=np.complex128).reshape(-1)
@@ -163,12 +166,7 @@ def run_program(
         v_tol = tol * min(1.0, norm)
     elif seed_vector is not None:
         raise ValueError("this program does not start from a seed vector; one was given")
-    # the matrix each (op_index, adjoint) of an instruction applies
-    mats = {(i + 1, adjoint): mat
-            for i, pair in enumerate(zip(ops, adjs)) for adjoint, mat in enumerate(pair)}
-    # at most stride words per basis vector, one position per seed (dim seeds
-    # and v), and the one position at which a padded stream finds its closure
-    cap = (program.stride + 1) * dim + 2
+    stride = program.stride
 
     # orthonormal basis vectors as rows; B[:k] is the basis built so far
     B = np.zeros((dim, dim), dtype=np.complex128)
@@ -177,88 +175,70 @@ def run_program(
     log = BuildLog()
     closures: List[int] = []
     next_seed = 1
-    position = 0
-    stream = program.instructions()
-    pending = None  # an instruction read but not offered yet
-    padding = False
+    position = 0  # of the last offer
+    j = 0  # the next stream index
+    padding = None  # the seeds e_1, e_2, ... that finish a closed cyclic span
 
     while k < dim:
-        # the block: offers whose source vectors exist now, at most one per
-        # free basis slot; seeds that pad a closed cyclic span go one at a
-        # time, so a Krylov build keeps the one-offer arithmetic throughout
-        room = 1 if padding else dim - k
-        block = []
-        while len(block) < room:
-            instr = next(stream) if pending is None else pending
-            pending = None
-            missing = instr.kind == "apply" and instr.src > k
-            if missing and block:
-                # its source may be accepted in this block
-                pending = instr
-                break
-            position += 1
-            if position > cap:
-                raise InstructionCapError(
-                    f"no completion after {cap} instructions (have {k}/{dim})"
-                )
-            if missing:
+        # the block: the upcoming stream indices before the first word on a
+        # vector not accepted yet, at most one per free basis slot; seeds
+        # that pad a closed cyclic span go one at a time, so a Krylov build
+        # keeps the one-offer arithmetic throughout
+        end = min(j + dim - k, k * stride + 1)
+        if padding is None and j < end:
+            block = [program.word(i) for i in range(j, end)]
+            j = end
+        else:
+            if padding is None:
+                # no upcoming word has its source: the span is closed.  A
+                # cyclic build skips the closing position and pads; any other
+                # offers a seed there and retries the closing word at the next
                 closures.append(k)
-                if v is None:
-                    # offer the next seed here and the same instruction again
-                    # at the next position
-                    pending, instr = instr, seed(next_seed)
-                elif not pad_with_seeds:
-                    break
-                else:
-                    # finish the square unitary with e_1, e_2, ...
-                    stream = map(seed, count(1))
-                    padding, room = True, 1
-                    continue
-            if instr.kind == "seed":
-                if instr.seed_index > dim:
-                    raise InstructionCapError(
-                        f"seed index {instr.seed_index} exceeds dimension {dim}"
-                    )
-                next_seed = instr.seed_index + 1
-            block.append(instr)
-        if not block:
-            break
+                if v is not None:
+                    if not pad_with_seeds:
+                        break
+                    padding = count(1)
+                    position += 1
+            n = next_seed if padding is None else next(padding)
+            if n > dim:
+                raise InstructionCapError(f"seed index {n} exceeds dimension {dim}")
+            block = [(0, False, n)]
 
         # the candidates, in the free rows of B: a block's sources were
-        # accepted before it started, so no candidate reads a row it writes
+        # accepted before it started, so no candidate reads a row it writes.
+        # The rows of a large block one stride apart hold one word on
+        # consecutive sources; a small block keeps the rounding of one-offer
+        # builds, which one product of two rows would change
         m = len(block)
         small = m <= 3
+        step = m if small else stride
         C = B[k:k + m]
-        groups = {}  # block rows by (op_index, adjoint)
-        for row, instr in enumerate(block):
-            if instr.kind == "apply":
-                groups.setdefault((instr.op_index, instr.adjoint), []).append(row)
-            elif instr.kind == "seed":
-                C[row] = 0.0
-                C[row, instr.seed_index - 1] = 1.0
+        for row, (op, adjoint, n) in enumerate(block[:step]):
+            rows = C[row::step]
+            size = len(rows)
+            if op:
+                mat = (adjs if adjoint else ops)[op - 1]
+                if size == 1:
+                    np.matmul(mat, B[n - 1], out=rows[0])
+                else:
+                    # the rows B[n-1:n-1+size] @ op.T are op @ B[n-1:n-1+size].T
+                    rows[...] = B[n - 1:n - 1 + size] @ mat.T
+            elif n:
+                rows[...] = 0.0
+                rows[:, n - 1:n - 1 + size] = np.eye(size)
+                next_seed = n + size
             else:
-                C[row] = v
-        for key, rows in groups.items():
-            if small or len(rows) == 1:
-                # matrix-vector products: a small block keeps the rounding of
-                # one-offer builds, which one product of two rows would change
-                for row in rows:
-                    np.matmul(mats[key], B[block[row].src - 1], out=C[row])
-            else:
-                # one product: the rows B[srcs] @ op.T are op @ B[srcs].T
-                srcs = [block[row].src - 1 for row in rows]
-                C[rows] = B.take(srcs, axis=0) @ mats[key].T
+                rows[0] = v
         outcomes = None if small else mgs_append(B[:k], C, tol)
-        # the offers of a block sit at consecutive positions
-        first = position - m + 1
-        for row, instr in enumerate(block):
+        for row, word in enumerate(block):
             # a row of a small block is projected and normalized where it lies
             accepted, w, r = outcomes[row] if outcomes else offer_row(
-                B[:k], C[row], v_tol if instr.kind == "seed_vec" else tol)
+                B[:k], C[row], v_tol if word == (0, False, 0) else tol)
             if accepted:
                 B[k] = w
                 k += 1
-            log.add(first + row, instr, accepted, r, k if accepted else None)
+            position += 1
+            log.add(position, word, accepted, r, k if accepted else None)
     return BuildResult(B[:k].T, log, closures)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from blocktrid.basis import BuildLog, BuildResult, InstructionCapError
 from blocktrid.kernel import DEPENDENCE_TOL, ONE_PASS_SHARE, as_operator
-from blocktrid.words import parse_trace, seed
 
 
 def reference_offer(Q, v, tol):
@@ -65,9 +64,8 @@ def reference_run(operators, program, tol=DEPENDENCE_TOL, seed_vector=None,
     dim = ops[0].shape[0]
     adjs = [op.conj().T.copy() for op in ops]
     v = None
-    if next(program.instructions()).kind == "seed_vec":
+    if program.first == "v":
         v = np.asarray(seed_vector, dtype=np.complex128).reshape(-1)
-    cap = ((program.stride or 1) + 1) * dim + 2
 
     B = np.zeros((dim, dim), dtype=np.complex128)
     k = 0
@@ -75,52 +73,60 @@ def reference_run(operators, program, tol=DEPENDENCE_TOL, seed_vector=None,
     closures = []
     next_seed = 1
     position = 0
-    words = stream = program.instructions()
+    words = stream = map(program.word, count())
 
     while k < dim:
         position += 1
-        if position > cap:
-            raise InstructionCapError(f"no completion after {cap} instructions")
-        instr = next(stream)
-        if instr.kind == "apply" and instr.src > k:
+        word = next(stream)
+        if word[0] and word[2] > k:
             closures.append(k)
             if v is None:
-                stream = chain([instr], words)
-                instr = seed(next_seed)
+                stream = chain([word], words)
+                word = (0, False, next_seed)
             elif not pad_with_seeds:
                 break
             else:
-                stream = map(seed, count(1))
+                stream = ((0, False, n) for n in count(1))
                 continue
-        if instr.kind == "seed":
-            if instr.seed_index > dim:
-                raise InstructionCapError(f"seed index {instr.seed_index} exceeds {dim}")
-            next_seed = instr.seed_index + 1
+        op, adjoint, n = word
+        if op:
+            candidate = (adjs if adjoint else ops)[op - 1] @ B[n - 1]
+        elif n:
+            if n > dim:
+                raise InstructionCapError(f"seed index {n} exceeds {dim}")
+            next_seed = n + 1
             candidate = np.zeros(dim, dtype=np.complex128)
-            candidate[instr.seed_index - 1] = 1.0
-        elif instr.kind == "seed_vec":
-            candidate = v
+            candidate[n - 1] = 1.0
         else:
-            mat = adjs[instr.op_index - 1] if instr.adjoint else ops[instr.op_index - 1]
-            candidate = mat @ B[instr.src - 1]
+            candidate = v
         accepted, vector, r = reference_offer(B[:k], candidate, tol)
         if accepted:
             B[k] = vector
             k += 1
-        log.add(position, instr.trace(), accepted, r, k if accepted else None)
+        log.add(position, word, accepted, r, k if accepted else None)
     return BuildResult(B[:k].T, log, closures)
+
+
+def read_word(text):
+    """The word ``(op, adjoint, n)`` of a log entry's instruction text:
+    ``seed n``, ``seed v`` (n = 0) or ``apply op adj n``."""
+    parts = text.split()
+    if parts == ["seed", "v"]:
+        return 0, False, 0
+    if len(parts) == 2 and parts[0] == "seed":
+        return 0, False, int(parts[1])
+    if len(parts) == 4 and parts[0] == "apply":
+        return int(parts[1]), bool(int(parts[2])), int(parts[3])
+    raise ValueError(f"cannot read instruction {text!r}")
 
 
 def offer_norm(ops, basis, trace, seed_vector=None):
     """Norm of the raw candidate an instruction offers, from a basis as columns."""
-    instr = parse_trace(trace)
-    if instr.kind == "seed":
-        return 1.0
-    if instr.kind == "seed_vec":
-        return float(np.linalg.norm(seed_vector))
-    op = ops[instr.op_index - 1]
-    mat = op.conj().T if instr.adjoint else op
-    return float(np.linalg.norm(mat @ basis[:, instr.src - 1]))
+    op, adjoint, n = read_word(trace)
+    if op:
+        mat = ops[op - 1].conj().T if adjoint else ops[op - 1]
+        return float(np.linalg.norm(mat @ basis[:, n - 1]))
+    return 1.0 if n else float(np.linalg.norm(seed_vector))
 
 
 def basis_tolerance(ops, result, seed_vector=None):

@@ -1,6 +1,5 @@
 import json
 import math
-from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from blocktrid import basis
 from blocktrid.basis import (
+    BuildLog,
     InstructionCapError,
     LogEntry,
     conjugate,
@@ -18,20 +18,19 @@ from blocktrid.kernel import GsOutcome, adjoint, max_abs, mgs_append, unit_vecto
 from blocktrid.transforms import staircase
 from blocktrid.verify import UNITARITY_LIMIT, full_report
 from blocktrid.words import (
-    WordInstruction,
     WordProgram,
-    apply_op,
     direct_sum_program,
-    parse_trace,
-    seed,
     joint_cyclic_program,
     krylov_program,
     family_program,
     staircase_program,
+    trace,
 )
+from reference_executor import read_word
 from reference_similarity import unitarity_max
 from reference_span import lstsq_distance
 from tamper import scaled_column
+from test_executor_reference import DIMS, FAMILIES, PROGRAMS, build_args, gaussian, make_input
 
 FIXTURE_T5 = np.array(
     [
@@ -236,19 +235,25 @@ def every_program(T, S, v):
     ]
 
 
-@pytest.mark.parametrize("name", [p[0] for p in every_program(np.eye(1), np.eye(1), np.ones(1))])
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_every_position_is_bounded_by_the_stride(name):
-    # a build decides positions up to (stride + 1)·d + 2, so the positions a
-    # traced pass sums stay exact integers in floating point
-    rng = np.random.default_rng(63)
-    for d in (1, 5, 16):
-        for T in (random_matrix(rng, d), np.zeros((d, d)), np.eye(d), np.eye(d, k=1)):
-            v = random_matrix(rng, d)[0]
-            _, ops, program, kwargs = next(p for p in every_program(T, random_matrix(rng, d), v)
-                                           if p[0] == name)
-            positions = [e.position for e in run_program(ops, program, **kwargs).log.entries]
+    # a build logs the positions 1..P in order, with no gap but the closing
+    # position that a padded cyclic span skips, and P <= (stride + 1)·d + 2,
+    # so the positions a traced pass sums stay exact integers in floating point
+    for family in FAMILIES:
+        for d in DIMS:
+            rng = np.random.default_rng(100 * d + FAMILIES.index(family))
+            T = make_input(family, d, rng)
+            S, v = gaussian(rng, d), gaussian(rng, d)[0]
+            ops, program, kwargs = build_args(name, T, S, v)
+            entries = run_program(ops, program, **kwargs).log.entries
+            positions = [e.position for e in entries]
             assert all(type(p) is int for p in positions)
-            assert max(positions) <= (program.stride + 1) * d + 2
+            # a cyclic build offers seeds only to pad, from e_1 on
+            pads = [e.position for e in entries if e.instruction == "seed 1"]
+            skip = [pads[0] - 1] if program.first == "v" and pads else []
+            assert positions == [p for p in range(1, positions[-1] + 1) if p not in skip]
+            assert positions[-1] <= (program.stride + 1) * d + 2
 
 
 @pytest.mark.parametrize("family", ["gaussian", "identity", "jordan", "rank_one"])
@@ -281,14 +286,29 @@ def test_run_program_checks_the_tolerance_before_any_offer(tol, monkeypatch):
     assert offers == []
 
 
-def test_instruction_cap_stops_a_stream_that_never_seeds_again():
-    # e_1, then T e_1 over and over: on the identity every offer after the
-    # first is rejected, nothing ever closes, and the bound of
-    # (stride + 1) * dim + 2 positions ends the build
-    d = 5
-    stuck = WordProgram("stuck", lambda: chain([seed(1)], repeat(apply_op(1))), stride=2)
-    with pytest.raises(InstructionCapError, match=f"after {3 * d + 2} instructions"):
-        run_program([np.eye(d)], stuck)
+def test_a_closed_span_that_rejects_every_seed_left_ends_past_the_last_seed(monkeypatch):
+    # T couples e_1 with u, spread evenly over e_2..e_6, and is zero on the
+    # rest: at tol 0.9 the seeds e_2..e_6, at distance sqrt(4/5) from
+    # span(e_1, u), are rejected again at every closure, while each of
+    # e_7..e_12 is accepted once.  The build runs past (stride + 1)·d + 2
+    # positions and ends at the seed index d + 1
+    d = 12
+    u = np.zeros(d, dtype=complex)
+    u[1:6] = 1 / np.sqrt(5)
+    T = np.outer(u, unit_vector(d, 0)) + np.outer(unit_vector(d, 0), u)
+    logs = []
+
+    def kept():
+        logs.append(BuildLog())
+        return logs[-1]
+
+    monkeypatch.setattr(basis, "BuildLog", kept)
+    with pytest.raises(InstructionCapError, match=f"^seed index {d + 1} exceeds dimension {d}$"):
+        run_program([T], staircase_program(), 0.9)
+    entries = logs[0].entries
+    assert [e.position for e in entries] == list(range(1, len(entries) + 1))
+    assert len(entries) > 3 * d + 2
+    assert sum(e.accepted for e in entries) == 8
 
 
 def test_family_build_completes():
@@ -335,9 +355,7 @@ LOG_3X3_ZERO_STAIRCASE = (
 
 
 @pytest.mark.parametrize("record, fields, defaults, sample", [
-    (WordInstruction, ("kind", "seed_index", "op_index", "adjoint", "src"),
-     {"seed_index": None, "op_index": 1, "adjoint": False, "src": None},
-     WordInstruction("seed", seed_index=1)),
+    (WordProgram, ("first", "n_ops", "adjoints"), {}, WordProgram(None, 1, True)),
     (GsOutcome, ("accepted", "vector", "residual_norm"), {},
      GsOutcome(False, None, 0.0)),
     (LogEntry, ("position", "position_end", "instruction", "accepted", "residual_norm",
@@ -437,8 +455,7 @@ def _three_summands(rng):
 
 
 def test_direct_sum_stream_opens_with_e1():
-    instrs = direct_sum_program().instructions()
-    assert [next(instrs).trace() for _ in range(7)] == [
+    assert [trace(direct_sum_program().word(j)) for j in range(7)] == [
         "seed 1", "apply 1 0 1", "apply 1 1 1", "apply 1 0 2", "apply 1 1 2",
         "apply 1 0 3", "apply 1 1 3",
     ]
@@ -493,8 +510,8 @@ def _large_blocks(log, d):
     while i < len(entries):
         start = i
         while i < len(entries) and i - start < d - k:
-            instr = parse_trace(entries[i].instruction)
-            if instr.kind == "apply" and instr.src > k:
+            op, _, n = read_word(entries[i].instruction)
+            if op and n > k:
                 break
             i += 1
         assert i > start, "the build closed"

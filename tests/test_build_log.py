@@ -1,7 +1,7 @@
 """The build log keeps one raw record per offer and formats it when read.
 
-``BuildLog.add`` takes a ``WordInstruction`` (as ``run_program`` passes it)
-or its trace string (as the reference executor passes it); ``entries`` and
+``BuildLog.add`` takes a word ``(op, adjoint, n)``, as ``run_program`` and
+the reference executor pass it, or its trace string; ``entries`` and
 ``to_json`` format the records not read yet, and ``accepted_count`` counts
 the raw records.  Whatever the order of adds and reads, the formatted log is
 the one a log of trace strings read once at the end would give.
@@ -16,19 +16,13 @@ from hypothesis import strategies as st
 
 from blocktrid import basis
 from blocktrid.basis import BuildLog, LogEntry, run_program
-from blocktrid.words import (
-    WordInstruction,
-    apply_op,
-    parse_trace,
-    seed,
-    seed_vec,
-    staircase_program,
-)
+from blocktrid.words import staircase_program, trace
+from reference_executor import read_word
 from test_executor_reference import FAMILIES, PROGRAMS, build_args, gaussian, make_input
 
-OFFERS = [(1, seed(1), True, 1.0, 1), (2, apply_op(1), True, 0.5, 2),
-          (3, apply_op(1, adjoint=True), False, 1e-12, None), (4, seed_vec(), False, 0.0, None),
-          (5, apply_op(2, op_index=3), True, 2.0, 3)]
+OFFERS = [(1, (0, False, 1), True, 1.0, 1), (2, (1, False, 1), True, 0.5, 2),
+          (3, (1, True, 1), False, 1e-12, None), (4, (0, False, 0), False, 0.0, None),
+          (5, (3, False, 2), True, 2.0, 3)]
 ENTRIES = [LogEntry(1, 1, "seed 1", True, 1.0, 1), LogEntry(2, 2, "apply 1 0 1", True, 0.5, 2),
            LogEntry(3, 3, "apply 1 1 1", False, 1e-12, None),
            LogEntry(4, 4, "seed v", False, 0.0, None),
@@ -55,37 +49,35 @@ def test_entries_read_mid_build_are_extended_by_later_adds():
 def test_string_and_word_instructions_mix():
     log = BuildLog()
     for n, (position, instr, *rest) in enumerate(OFFERS):
-        log.add(position, instr.trace() if n % 2 else instr, *rest)
+        log.add(position, trace(instr) if n % 2 else instr, *rest)
     assert log.entries == ENTRIES
     assert all(type(e.instruction) is str for e in log.entries)
     assert log.to_json() == replayed(ENTRIES).to_json()
 
 
-class Untraced:
-    """An instruction whose formatting fails the test."""
-
-    def trace(self):
-        raise AssertionError("formatted")
+def untraced(word):
+    raise AssertionError("formatted")
 
 
-def test_accepted_count_reads_the_raw_records_without_formatting_them():
+def test_accepted_count_reads_the_raw_records_without_formatting_them(monkeypatch):
+    monkeypatch.setattr(basis, "trace", untraced)
     log = BuildLog()
-    for position, _, *rest in OFFERS:
-        log.add(position, Untraced(), *rest)
+    for offer in OFFERS:
+        log.add(*offer)
     assert log.accepted_count == 3
 
 
-def test_each_record_is_formatted_once():
+def test_each_record_is_formatted_once(monkeypatch):
     calls = []
 
-    class Counted(WordInstruction):
-        def trace(self):
-            calls.append(self)
-            return super().trace()
+    def counted(word):
+        calls.append(word)
+        return trace(word)
 
+    monkeypatch.setattr(basis, "trace", counted)
     log = BuildLog()
-    for position, instr, *rest in OFFERS:
-        log.add(position, Counted(*instr), *rest)
+    for offer in OFFERS:
+        log.add(*offer)
         log.entries
     log.to_json()
     assert log.entries == ENTRIES and len(calls) == len(OFFERS)
@@ -102,7 +94,7 @@ def test_to_json_is_the_encoding_of_the_formatted_entries():
 
 
 class ReadMidBuild(BuildLog):
-    """Keeps every instruction ``run_program`` adds, and reads ``entries``
+    """Keeps every word ``run_program`` adds, and reads ``entries``
     after each add whose offer count is in ``reads``."""
 
     def __init__(self, reads):
@@ -134,7 +126,7 @@ def test_a_build_log_formats_the_same_whenever_it_is_read(family, program, d, se
         log = run_program(ops, prog, **kwargs).log
     untouched = run_program(ops, prog, **kwargs).log
     assert log.entries == untouched.entries
-    # every instruction round-trips through its trace
-    assert [parse_trace(e.instruction) for e in log.entries] == log.offered
+    # every word round-trips through its trace
+    assert [read_word(e.instruction) for e in log.entries] == log.offered
     assert log.accepted_count == sum(e.accepted for e in log.entries)
     assert log.to_json() == untouched.to_json() == replayed(log.entries).to_json()

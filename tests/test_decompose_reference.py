@@ -15,6 +15,7 @@ import pytest
 import blocktrid.transforms as transforms
 from blocktrid import conjugate, decompose
 from blocktrid.kernel import DEPENDENCE_TOL, as_operator, mgs_append, unit_vector
+from blocktrid.words import direct_sum_program
 from reference_executor import basis_tolerance
 
 
@@ -146,10 +147,10 @@ def test_decompose_makes_one_build(monkeypatch):
     run = transforms.run_program
 
     def counting(*args, **kwargs):
-        calls.append(args[1].kind)
+        calls.append(args[1])
         return run(*args, **kwargs)
 
     monkeypatch.setattr(transforms, "run_program", counting)
     res = decompose(np.eye(6))
     assert res.dims == [1] * 6
-    assert calls == ["direct_sum"]
+    assert calls == [direct_sum_program()]

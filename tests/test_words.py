@@ -1,23 +1,27 @@
-import itertools
-
 import pytest
 
 from blocktrid.words import (
-    WordInstruction,
-    apply_op,
     direct_sum_program,
     family_program,
     joint_cyclic_program,
     krylov_program,
-    parse_trace,
-    seed,
-    seed_vec,
     staircase_program,
+    trace,
 )
+from reference_executor import read_word
+
+
+def seed(n):
+    """The word offering e_n, or v when n is 0."""
+    return 0, False, n
+
+
+def apply_op(n, adjoint=False, op_index=1):
+    return op_index, adjoint, n
 
 
 def take(program, n):
-    return list(itertools.islice(program.instructions(), n))
+    return [program.word(j) for j in range(n)]
 
 
 def test_staircase_program_positions():
@@ -33,14 +37,14 @@ def test_staircase_program_positions():
 
 
 def test_staircase_src_below_position():
-    for pos, instr in enumerate(take(staircase_program(), 10000), start=1):
-        if instr.kind == "apply":
-            assert instr.src < pos
+    for pos, (op, _, n) in enumerate(take(staircase_program(), 10000), start=1):
+        if op:
+            assert n < pos
 
 
 def test_joint_cyclic_program():
     first = take(joint_cyclic_program(), 7)
-    assert first[0] == seed_vec()
+    assert first[0] == seed(0)
     # v, Tv, T*v, Tf2, T*f2, Tf3, T*f3
     for m in range(1, 4):
         assert first[2 * m - 1] == apply_op(m, adjoint=False)
@@ -49,7 +53,7 @@ def test_joint_cyclic_program():
 
 def test_krylov_program():
     first = take(krylov_program(), 4)
-    assert first == [seed_vec(), apply_op(1), apply_op(2), apply_op(3)]
+    assert first == [seed(0), apply_op(1), apply_op(2), apply_op(3)]
 
 
 def test_family_program_selfadjoint():
@@ -82,7 +86,7 @@ def test_family_size_one_general_is_staircase():
 
 
 def stage_rule(p, opener, n_ops, adjoints):
-    """Instruction at 1-based position p, read off the stage arithmetic: an
+    """Word at 1-based position p, read off the stage arithmetic: an
     opener takes position 1 once, otherwise e_n heads stage n; then S_k f_n
     (and S_k* f_n after it with adjoints) for k = 1..n_ops."""
     per = 2 if adjoints else 1
@@ -99,12 +103,12 @@ def stage_rule(p, opener, n_ops, adjoints):
     return apply_op(n + 1, adjoint=bool(adjoint), op_index=k + 1)
 
 
-# program, kind, stride, n_ops, opener (None: a seed heads every stage), adjoints
+# program, name, stride, n_ops, opener (None: a seed heads every stage), adjoints
 STAGE_RULES = [
     (staircase_program(), "staircase", 3, 1, None, True),
-    (joint_cyclic_program(), "joint_cyclic", 2, 1, seed_vec(), True),
+    (joint_cyclic_program(), "joint_cyclic", 2, 1, seed(0), True),
     (direct_sum_program(), "direct_sum", 2, 1, seed(1), True),
-    (krylov_program(), "krylov", 1, 1, seed_vec(), False),
+    (krylov_program(), "krylov", 1, 1, seed(0), False),
 ] + [
     (family_program(n, selfadjoint=sa), "family_sa" if sa else "family_gen",
      1 + n * (1 if sa else 2), n, None, not sa)
@@ -112,13 +116,12 @@ STAGE_RULES = [
 ]
 
 
-@pytest.mark.parametrize("program, kind, stride, n_ops, opener, adjoints", STAGE_RULES)
-def test_programs_follow_their_stage_rule(program, kind, stride, n_ops, opener, adjoints):
-    assert (program.kind, program.stride, program.n_ops) == (kind, stride, n_ops)
-    expected = [stage_rule(p, opener, n_ops, adjoints) for p in range(1, 601)]
-    assert take(program, 600) == expected
-    # each call gives a fresh stream
-    assert take(program, 600) == expected
+@pytest.mark.parametrize("program, name, stride, n_ops, opener, adjoints", STAGE_RULES)
+def test_programs_follow_their_stage_rule(program, name, stride, n_ops, opener, adjoints):
+    assert (program.stride, program.n_ops, program.adjoints) == (stride, n_ops, adjoints), name
+    # far indices too: a word is read off its index, not off a stream
+    for j in [*range(600), 10 ** 6, 10 ** 9]:
+        assert program.word(j) == stage_rule(j + 1, opener, n_ops, adjoints), (name, j)
 
 
 def test_family_size_validation():
@@ -127,12 +130,14 @@ def test_family_size_validation():
 
 
 def test_trace_round_trip():
+    assert [trace(w) for w in (seed(3), seed(0), apply_op(5, True, 2))] == [
+        "seed 3", "seed v", "apply 2 1 5"]
     samples = (
         take(staircase_program(), 9)
         + take(joint_cyclic_program(), 7)
         + take(family_program(3, selfadjoint=False), 15)
     )
-    for instr in samples:
-        assert parse_trace(instr.trace()) == instr
+    for word in samples:
+        assert read_word(trace(word)) == word
     with pytest.raises(ValueError):
-        parse_trace("twist 3")
+        read_word("twist 3")
