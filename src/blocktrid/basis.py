@@ -33,8 +33,9 @@ import numpy as np
 
 from .kernel import (
     DEPENDENCE_TOL,
-    as_operator,
+    adjoint,
     check_tolerance,
+    checked_operator,
     mgs_append,
     offer_row,
 )
@@ -137,7 +138,7 @@ def run_program(
     written.
     """
     check_tolerance(tol)
-    ops = [as_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
+    ops = [checked_operator(op, f"operator {i + 1}") for i, op in enumerate(operators)]
     if len(ops) != program.n_ops:
         raise ValueError(f"this program applies {program.n_ops} operator(s), "
                          f"got {len(ops)}")
@@ -145,7 +146,7 @@ def run_program(
     for i, op in enumerate(ops):
         if op.shape != (dim, dim):
             raise ValueError(f"operator {i + 1} shape {op.shape} does not match {(dim, dim)}")
-    adjs = [op.conj().T.copy() for op in ops]
+    adjs = [adjoint(op) for op in ops]
 
     v = v_tol = None
     if program.first == "v":
@@ -213,11 +214,11 @@ def run_program(
         small = m <= 3
         step = m if small else stride
         C = B[k:k + m]
-        for row, (op, adjoint, n) in enumerate(block[:step]):
+        for row, (op, adj, n) in enumerate(block[:step]):
             rows = C[row::step]
             size = len(rows)
             if op:
-                mat = (adjs if adjoint else ops)[op - 1]
+                mat = (adjs if adj else ops)[op - 1]
                 if size == 1:
                     np.matmul(mat, B[n - 1], out=rows[0])
                 else:
@@ -248,8 +249,8 @@ def conjugate(T, U) -> np.ndarray:
     U is not checked for unitarity here: every form's report bounds
     ‖U*U - I‖_F once, as its ``unitarity_residual`` check.
     """
-    T = as_operator(T)
-    U = as_operator(U, "basis change")
+    T = checked_operator(T)
+    U = checked_operator(U, "basis change")
     if T.shape != U.shape:
         raise ValueError(f"shapes {T.shape} and {U.shape} do not match")
     return U.conj().T @ T @ U
@@ -264,7 +265,7 @@ def span_residual(n, U, m):
     may be equal-length integer arrays; an ndarray of tails is then returned.
     Any other type, or a bound out of range, raises ``ValueError``.
     """
-    U = as_operator(U, "basis change")
+    U = checked_operator(U, "basis change")
     d = U.shape[0]
     ns, ms = np.broadcast_arrays(np.atleast_1d(n), np.atleast_1d(m))
     if not (np.issubdtype(ns.dtype, np.integer) and np.issubdtype(ms.dtype, np.integer)):
@@ -274,5 +275,8 @@ def span_residual(n, U, m):
     if bad.size:
         raise ValueError(f"span bound ({ns[bad[0]]}, {ms[bad[0]]}) out of range "
                          f"for dimension {d}")
-    dist = np.linalg.norm(U[ns - 1] * (np.arange(d) >= ms[:, None]), axis=1)
+    # only rows with a nonempty tail are gathered; the rest read 0
+    dist = np.zeros(len(ns))
+    live = np.flatnonzero(ms < d)
+    dist[live] = np.linalg.norm(U[ns[live] - 1] * (np.arange(d) >= ms[live, None]), axis=1)
     return float(dist[0]) if np.ndim(n) == np.ndim(m) == 0 else dist

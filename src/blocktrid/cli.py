@@ -22,7 +22,7 @@ import numpy as np
 
 from . import transforms
 from .basis import InstructionCapError
-from .kernel import DEPENDENCE_TOL, as_operator, unit_vector
+from .kernel import DEPENDENCE_TOL, checked_operator, unit_vector
 from .matio import FORMATS, emit_form, format_for_path, parse_matrix
 from .render import render_svg
 from .schedules import (
@@ -174,7 +174,7 @@ def _cmd_form(args) -> int:
     spec = transforms.FORMS[args.command]
     thr = _threshold(args)
     # an empty matrix fails here, before a schedule or seed is fitted to it
-    T = as_operator(parse_matrix(args.input, args.format))
+    T = checked_operator(parse_matrix(args.input, args.format))
     extra = []
     if "--schedule" in spec.flags:
         extra.append(spec.fit(args.schedule, T.shape[0]))

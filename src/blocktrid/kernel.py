@@ -70,8 +70,17 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
     -------
     ndarray
         A fresh complex128 array of shape (d, d).
+
+    Only a form's entry copies its input, here; the layers below it check
+    theirs with :func:`checked_operator`, which copies nothing.
     """
-    A = np.array(a, dtype=np.complex128)
+    return checked_operator(np.array(a, dtype=np.complex128), name)
+
+
+def checked_operator(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_operator`'s checks and errors without its copy: ``a`` itself
+    when it is a complex128 array already, and a converted copy otherwise."""
+    A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
     if A.size == 0:
@@ -82,8 +91,9 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(A) -> np.ndarray:
-    """Conjugate transpose of a square matrix."""
-    return as_operator(A).conj().T.copy()
+    """Conjugate transpose of a square matrix, a fresh C-contiguous array
+    formed in one pass over ``A``."""
+    return np.conjugate(checked_operator(A).T, order="C")
 
 
 def unit_vector(dim: int, index: int) -> np.ndarray:
@@ -134,7 +144,7 @@ def unitarity_residual(U) -> float:
     on ``||U*U - I||_2`` and ``max |U*U - I|``: ``MARGIN * ||U*(UX) - X||_F /
     sqrt(k)`` for the probes X of U.  An exactly unitary U, such as a
     permutation, reads 0."""
-    U = as_operator(U, "basis change")
+    U = checked_operator(U, "basis change")
     X = probes(U)
     return _certified_norm(_adjoint_times(U, U @ X) - X)
 

@@ -23,6 +23,7 @@ from .kernel import (
     DEPENDENCE_TOL,
     adjoint,
     as_operator,
+    checked_operator,
     require_selfadjoint,
     svd,
 )
@@ -365,7 +366,7 @@ def family_staircase(operators: Sequence, selfadjoint: bool = False,
 def reducing_closure(T, v, tol: float = DEPENDENCE_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the smallest reducing subspace
     containing v; v is a joint cyclic vector for the restriction."""
-    res = run_program([as_operator(T)], joint_cyclic_program(), tol=tol,
+    res = run_program([checked_operator(T)], joint_cyclic_program(), tol=tol,
                       seed_vector=v, pad_with_seeds=False)
     return res.basis
 

@@ -9,6 +9,7 @@ from blocktrid.kernel import (
     DEPENDENCE_TOL,
     adjoint,
     as_operator,
+    checked_operator,
     hermitian_eigvals,
     max_abs,
     mgs_append,
@@ -33,6 +34,27 @@ def test_as_operator_validation():
         as_operator([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         as_operator([[np.nan, 0], [0, 1]])
+
+
+def test_only_as_operator_copies_a_complex_array():
+    # the layers below a form's entry check their operators without copying
+    A = random_matrix(np.random.default_rng(0), 4)
+    assert checked_operator(A) is A
+    assert not np.shares_memory(as_operator(A), A)
+    assert checked_operator([[1, 2], [3, 4]]).dtype == np.complex128
+    for bad, message in [([1, 2, 3], "square"), (np.zeros((0, 0)), "empty"),
+                         ([[np.inf, 0], [0, 1]], "non-finite")]:
+        with pytest.raises(ValueError, match=f"^basis change .*{message}"):
+            checked_operator(bad, "basis change")
+        with pytest.raises(ValueError, match=f"^basis change .*{message}"):
+            as_operator(bad, "basis change")
+
+
+def test_adjoint_is_a_c_contiguous_conjugate_transpose():
+    A = random_matrix(np.random.default_rng(1), 5)
+    star = adjoint(A)
+    assert star.flags.c_contiguous and not np.shares_memory(star, A)
+    assert star.tobytes() == A.conj().T.copy().tobytes()
 
 
 def test_adjoint_and_helpers():
