@@ -1,10 +1,14 @@
 """Dense complex kernels shared by every sparsification pipeline.
 
 All routines work on ``numpy`` arrays with dtype complex128 and are pure
-functions of their inputs.  Gram-Schmidt is implemented here: classical
-passes, with a second pass for a single offer only when the first cancelled
-(:data:`ONE_PASS_SHARE`).  The singular value decomposition and the
-Hermitian eigenvalues come from ``numpy.linalg``.
+functions of their inputs.  Only :func:`as_operator`, which a form's entry
+calls once, copies an operator; every other layer checks its operators with
+:func:`checked_operator`, which copies nothing.  Gram-Schmidt is
+implemented here: classical passes, with a second pass, for a single offer
+or for the rows of a block, only where the first cancelled
+(:data:`ONE_PASS_SHARE`).  An accepted vector is normalized by dividing its
+real and imaginary parts by its real norm.  The singular value
+decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 
 The two similarity checks, :func:`unitarity_residual` and
 :func:`reconstruction_residual`, are sketched: each applies its residual
@@ -30,12 +34,14 @@ import numpy as np
 #: dependent on the basis built so far.
 DEPENDENCE_TOL = 1e-10
 
-#: A single offer whose first classical pass keeps at least this share of the
-#: candidate's norm is decided by that pass: the residual is then orthogonal
-#: to the basis to working accuracy, and a second pass would change it only
-#: by rounding.  Below it, the pass cancelled, and a second pass restores
-#: orthogonality ("twice is enough": the Daniel-Gragg-Kaufman-Stewart and
-#: Kahan-Parlett test, analysed by Giraud, Langou & Rozložník, 2005).
+#: A single offer, or a row of a block, whose first classical pass keeps at
+#: least this share of the candidate's norm is done with the basis after
+#: that pass: the residual is then orthogonal to the basis to working
+#: accuracy, and a second pass would change it only by rounding.  Below it,
+#: the pass cancelled, and a second pass restores orthogonality ("twice is
+#: enough": the Daniel-Gragg-Kaufman-Stewart and Kahan-Parlett test,
+#: analysed by Giraud, Langou & Rozložník, 2005; for blocks, Barlow &
+#: Smoktunowicz, "Reorthogonalized block classical Gram-Schmidt", 2013).
 ONE_PASS_SHARE = 1 / math.sqrt(2)
 
 #: Probes per sketched residual, and the factor by which the reported bound
@@ -211,7 +217,11 @@ def offer_row(Q, w, tol: float) -> GsOutcome:
             break
     if not r > limit:
         return GsOutcome(False, None, r)
-    w /= r
+    # the real and imaginary parts divided by the real r, so that c·e_1
+    # normalizes to e_1 exactly, as numpy's complex division does not for
+    # every c
+    re /= r
+    im /= r
     return GsOutcome(True, w, r)
 
 
@@ -239,12 +249,14 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     ``basis`` and ``v`` are never written: the candidates are copied.  A
     vector goes through :func:`offer_row`: one pass, and a second only when
     the first kept less than ``ONE_PASS_SHARE`` of its norm.  A block, of
-    any number of rows, takes two passes of matrix products ("twice is
-    enough"), then :func:`_decide_in_order` decides its rows in offer order,
-    each against the rows of the block accepted before it.  A row that
-    follows an accepted row and keeps less than 0.1 of its raw norm gets one
-    more pass against the basis and every accepted row, since the rounding
-    of the passes it cancelled in is then large next to its residual.
+    any number of rows, goes through :func:`_decide_in_order`: one pass of
+    matrix products, and a second, one gathered product, for the rows that
+    kept less than ``ONE_PASS_SHARE`` of their norm; then its rows are
+    decided in offer order, each against the rows of the block accepted
+    before it.  A row that follows an accepted row and keeps less than 0.1
+    of its raw norm gets one more pass against the basis and every accepted
+    row, since the rounding of the passes it cancelled in is then large next
+    to its residual.
     """
     check_tolerance(tol)
     W = np.array(v, dtype=np.complex128)
@@ -276,6 +288,15 @@ def _project(Q, W) -> None:
     W -= np.conj(np.conj(W) @ Q.T) @ Q
 
 
+def _row_norms(W) -> np.ndarray:
+    """The norm of every row of W from one stacked product, with the
+    arithmetic of :func:`_norm` row by row."""
+    # a stack of row-by-column products takes one BLAS dot per row, the dot
+    # of _norm's w.real.dot(w.real)
+    re, im = W.real[:, None], W.imag[:, None]
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
+
+
 def _decide_in_order(Q, block, tol):
     """Project a block of rows against Q, then accept or reject its rows in
     order, packing each accepted row, normalized, at the front of ``block``
@@ -283,22 +304,28 @@ def _decide_in_order(Q, block, tol):
 
     Returns two lists in row order: the residual norm at which each row was
     decided, and whether it was accepted, which it is only if the residual
-    exceeds ``tol * max(1, ||row||)``: a NaN residual is rejected.  The raw
-    norms and limits come from one stacked product, with the arithmetic of
-    :func:`_norm` row by row.  Rows [lo, hi) are halved recursively: once
-    [lo, mid) is decided, the rows accepted from it are projected out of
-    [mid, hi) before that half is decided.  A row is packed at a slot no
-    later than its own, whose row is decided already.
+    exceeds ``tol * max(1, ||row||)``: a NaN residual is rejected.  The
+    block takes one classical pass against Q.  The norms each row had before
+    it and kept after it come from :func:`_row_norms`, and only the rows
+    that kept less than ``ONE_PASS_SHARE`` of their norm, the rows the pass
+    cancelled in, take a second pass, as one gathered product.  Rows
+    [lo, hi) are then halved recursively: once [lo, mid) is decided, the
+    rows accepted from it are projected out of [mid, hi) before that half is
+    decided.  A row is packed at a slot no later than its own, whose row is
+    decided already.
     """
-    # a stack of row-by-column products takes one BLAS dot per row, the dot
-    # of _norm's w.real.dot(w.real)
-    re, im = block.real[:, None], block.imag[:, None]
-    raw = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
+    raw = _row_norms(block)
     norms = raw.tolist()
     # fmax, like max(1.0, norm), reads a NaN norm as 1
     limits = (tol * np.fmax(1.0, raw)).tolist()
-    for _ in range(2):
-        _project(Q, block)
+    _project(Q, block)
+    again = np.flatnonzero(_row_norms(block) < ONE_PASS_SHARE * raw)
+    if again.size:
+        rows = block[again]
+        _project(Q, rows)
+        block[again] = rows
+    # the rows as real pairs, so that normalizing divides by a real r exactly
+    pairs = block.view(np.float64)
     residuals = []  # one per decided row, in order
     accepted = [False] * len(block)
     n = 0           # rows accepted so far, packed at block[:n]
@@ -323,7 +350,7 @@ def _decide_in_order(Q, block, tol):
                 r = _norm(w)
             residuals.append(r)
             if r > limits[lo]:
-                np.divide(w, r, out=block[n])
+                np.divide(pairs[lo], r, out=pairs[n])
                 n += 1
                 accepted[lo] = True
 

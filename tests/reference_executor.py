@@ -12,12 +12,19 @@ basis within ``basis_tolerance`` (bit for bit on Krylov builds).
 
 from __future__ import annotations
 
+import math
 from itertools import chain, count
 
 import numpy as np
 
 from blocktrid.basis import BuildLog, BuildResult, InstructionCapError
 from blocktrid.kernel import DEPENDENCE_TOL, ONE_PASS_SHARE, as_operator
+
+
+def normalized(w, r):
+    """w / r with its real and imaginary parts divided by the real r, the
+    executor's normalization."""
+    return (np.ascontiguousarray(w).view(np.float64) / r).view(np.complex128)
 
 
 def reference_offer(Q, v, tol):
@@ -40,7 +47,7 @@ def reference_offer(Q, v, tol):
             break
     if r <= limit:
         return False, None, r
-    return True, w / r, r
+    return True, normalized(w, r), r
 
 
 def two_pass_offer(Q, v, tol):
@@ -54,7 +61,54 @@ def two_pass_offer(Q, v, tol):
     r = float(np.linalg.norm(w))
     if r <= tol * max(1.0, norm0):
         return False, None, r
-    return True, w / r, r
+    return True, normalized(w, r), r
+
+
+def two_pass_block(Q, block, tol):
+    """The block decider before the one-pass rule, the differential
+    reference of ``test_one_pass_block.py``: two classical passes of the
+    whole block against Q, whatever the first kept, then the rows decided in
+    order as ``blocktrid.kernel._decide_in_order`` decides them.  Returns
+    the residual norms, the accept flags and the accepted rows, normalized.
+    """
+    def norm(w):
+        return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
+
+    def project(Q, W):
+        W -= np.conj(np.conj(W) @ Q.T) @ Q
+
+    block = np.array(block, dtype=np.complex128)
+    norms = [norm(w) for w in block]
+    limits = [tol * max(1.0, size) for size in norms]
+    for _ in range(2):
+        project(Q, block)
+    residuals, accepted = [], [False] * len(block)
+    n = 0
+
+    def decide(lo, hi):
+        nonlocal n
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            start = n
+            decide(lo, mid)
+            if n > start:
+                project(block[start:n], block[mid:hi])
+            decide(mid, hi)
+        elif hi > lo:
+            w = block[lo]
+            r = norm(w)
+            if n and limits[lo] < r < 0.1 * norms[lo]:
+                project(Q, w)
+                project(block[:n], w)
+                r = norm(w)
+            residuals.append(r)
+            if r > limits[lo]:
+                block[n] = normalized(w, r)
+                n += 1
+                accepted[lo] = True
+
+    decide(0, len(block))
+    return residuals, accepted, block[:n]
 
 
 def reference_run(operators, program, tol=DEPENDENCE_TOL, seed_vector=None,

@@ -14,7 +14,8 @@ from blocktrid.basis import (
     run_program,
     span_residual,
 )
-from blocktrid.kernel import GsOutcome, adjoint, max_abs, mgs_append, unit_vector
+from blocktrid.kernel import (GsOutcome, adjoint, max_abs, mgs_append, unit_vector,
+                              unitarity_residual)
 from blocktrid.transforms import staircase
 from blocktrid.verify import UNITARITY_LIMIT, full_report
 from blocktrid.words import (
@@ -392,7 +393,11 @@ def test_span_residual_arrays_match_scalar_calls():
         single = span_residual(n, U, m)
         assert type(single) is float
         assert abs(r - single) <= 1e-14
-    assert batched[2] == 1.0                 # empty span
+    # empty span: the whole row, whose norm is 1 up to U's departure from
+    # unitarity, and exactly 1 for a permutation
+    assert abs(batched[2] - 1.0) <= unitarity_residual(U)
+    P = np.eye(d)[np.random.default_rng(61).permutation(d)]
+    assert span_residual(5, P, 0) == 1.0
     assert batched[6] < 1e-12 and batched[7] < 1e-12
     with pytest.raises(ValueError):
         span_residual(np.array([3, 31]), U, np.array([3, 30]))

@@ -358,6 +358,17 @@ def test_hessenberg_noncyclic_padding():
     assert form.passing
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-11, 1e-10, 1e-6, 1e6, 1e12])
+def test_hessenberg_from_a_scaled_first_seed_is_the_e1_build_bit_for_bit(c):
+    # c·e_1 normalizes to e_1 exactly, so the whole build repeats the e_1 one
+    T = _rand(np.random.default_rng(24), 24)
+    e1 = np.eye(24)[:, 0]
+    scaled, plain = krylov_hessenberg(T, c * e1), krylov_hessenberg(T, e1)
+    assert scaled.basis_change.tobytes() == plain.basis_change.tobytes()
+    assert scaled.matrix.tobytes() == plain.matrix.tobytes()
+    assert scaled.report.to_json() == plain.report.to_json()
+
+
 def test_hessenberg_random_suite():
     rng = np.random.default_rng(23)
     for trial in range(10):
