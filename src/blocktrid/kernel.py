@@ -76,9 +76,6 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
     -------
     ndarray
         A fresh complex128 array of shape (d, d).
-
-    Only a form's entry copies its input, here; the layers below it check
-    theirs with :func:`checked_operator`, which copies nothing.
     """
     return checked_operator(np.array(a, dtype=np.complex128), name)
 
@@ -404,6 +401,6 @@ def hermitian_eigvals(A) -> np.ndarray:
     ValueError
         If ``A`` is not selfadjoint by :func:`require_selfadjoint`.
     """
-    A = as_operator(A)
+    A = checked_operator(A)
     require_selfadjoint(A)
     return np.linalg.eigvalsh(0.5 * (A + A.conj().T))

@@ -4,9 +4,9 @@ A form returns three d x d arrays: its private copy of the input, the basis
 change and the matrix.  Only the form's entry copies its input; the layers
 below it check theirs without a copy, build ``T*`` in one pass, and gather
 only the span rows with a nonempty tail.  The limits hold the staircase
-forms to two arrays of working space above the input and the result, and
-the triangular form, whose band walk keeps the staircase basis beside its
-own, to four.
+forms to two arrays above the input and the result, and the triangular
+form, which also holds the staircase basis and the block tridiagonal
+matrix while it walks the band, to four.
 """
 
 import tracemalloc

@@ -93,13 +93,8 @@ def test_block_decides_as_two_passes_do(d, k_share, m_share, kinds, scale, tol, 
     assert np.max(np.abs(gram), initial=0.0) <= 1e-13
 
 
-@pytest.mark.parametrize("kinds, second", [
-    ({"fresh"}, 0),            # every row keeps its norm: one pass
-    ({"in_span"}, 12),         # every row cancels: all of them pass twice
-])
-def test_only_the_rows_that_cancelled_take_a_second_pass(kinds, second, monkeypatch):
-    rng = np.random.default_rng(3)
-    Q, block = offer_block(rng, 32, 8, 12, kinds)
+def passes_against(Q, block, monkeypatch):
+    """The number of rows in each pass of ``block`` against the basis Q."""
     passes = []
     project = kernel._project
 
@@ -110,7 +105,17 @@ def test_only_the_rows_that_cancelled_take_a_second_pass(kinds, second, monkeypa
 
     monkeypatch.setattr(kernel, "_project", counting)
     mgs_append(Q, block, DEPENDENCE_TOL)
-    assert passes == [12] + ([second] if second else [])
+    return passes
+
+
+@pytest.mark.parametrize("kinds, second", [
+    ({"fresh"}, 0),            # every row keeps its norm: one pass
+    ({"in_span"}, 12),         # every row cancels: all of them pass twice
+])
+def test_only_the_rows_that_cancelled_take_a_second_pass(kinds, second, monkeypatch):
+    rng = np.random.default_rng(3)
+    Q, block = offer_block(rng, 32, 8, 12, kinds)
+    assert passes_against(Q, block, monkeypatch) == [12] + ([second] if second else [])
 
 
 def test_a_mixed_block_gathers_exactly_its_cancelled_rows(monkeypatch):
@@ -120,15 +125,5 @@ def test_a_mixed_block_gathers_exactly_its_cancelled_rows(monkeypatch):
     block = np.vstack([fresh, in_span])[np.random.default_rng(5).permutation(12)]
     projected = block - np.conj(np.conj(block) @ Q.T) @ Q
     cancelled = np.linalg.norm(projected, axis=1) < ONE_PASS_SHARE * np.linalg.norm(block, axis=1)
-    passes = []
-    project = kernel._project
-
-    def counting(basis, W):
-        if basis is Q:
-            passes.append(len(W))
-        project(basis, W)
-
-    monkeypatch.setattr(kernel, "_project", counting)
-    mgs_append(Q, block, DEPENDENCE_TOL)
     assert cancelled.sum() == 6
-    assert passes == [12, 6]
+    assert passes_against(Q, block, monkeypatch) == [12, 6]
