@@ -227,7 +227,9 @@ def run_program(
             elif n:
                 rows[...] = 0.0
                 rows[:, n - 1:n - 1 + size] = np.eye(size)
-                next_seed = n + size
+                # a retry starts past every seed offered so far: the grown
+                # span would reject again a seed it rejected before
+                next_seed = max(next_seed, n + size)
             else:
                 rows[0] = v
         outcomes = None if small else mgs_append(B[:k], C, tol)

@@ -382,8 +382,9 @@ def svd(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return W, sigma, Vh.conj().T
 
 
-def require_selfadjoint(S: np.ndarray, name: str = "matrix") -> None:
-    """Raise ``ValueError`` unless ``max |S - S*| <= 1e-8 * max |S|``.
+def require_selfadjoint(S: np.ndarray, name: str = "matrix") -> float:
+    """Raise ``ValueError`` unless ``max |S - S*| <= 1e-8 * max |S|``, and
+    return ``max |S - S*|``.
 
     The limit scales with ``S``, so ``cS`` is accepted exactly when ``S``
     is, up to rounding, whatever the size of c != 0.
@@ -391,10 +392,12 @@ def require_selfadjoint(S: np.ndarray, name: str = "matrix") -> None:
     gap = max_abs(S - S.conj().T)
     if gap > 1e-8 * max_abs(S):
         raise ValueError(f"{name} is not selfadjoint (|S - S*| = {gap:.3e})")
+    return gap
 
 
 def hermitian_eigvals(A) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, ascending: those of its Hermitian
+    part, formed only when ``A`` is not exactly Hermitian.
 
     Raises
     ------
@@ -402,5 +405,4 @@ def hermitian_eigvals(A) -> np.ndarray:
         If ``A`` is not selfadjoint by :func:`require_selfadjoint`.
     """
     A = checked_operator(A)
-    require_selfadjoint(A)
-    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    return np.linalg.eigvalsh(0.5 * (A + A.conj().T) if require_selfadjoint(A) else A)

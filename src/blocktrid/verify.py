@@ -221,9 +221,10 @@ def _polar_block_checks(M, idx: BlockIndex) -> Dict[str, list]:
         r0, r1 = idx.slices[k]
         c0, _ = idx.slices[k + 1]
         square = M[r0:r1, c0:c0 + r1 - r0]
-        herm.append((k + 1, max_abs(square - square.conj().T)))
-        sym = 0.5 * (square + square.conj().T)
-        ev = hermitian_eigvals(sym)
+        adj = square.conj().T
+        herm.append((k + 1, max_abs(square - adj)))
+        # the Hermitian part, exactly Hermitian: it is not symmetrized again
+        ev = hermitian_eigvals(0.5 * (square + adj))
         eigs.append((k + 1, float(ev[0]) if ev.size else 0.0))
         scales.append((k + 1, max_abs(square)))
     return {"hermitian_residuals": herm, "psd_min_eigs": eigs, "block_scales": scales}

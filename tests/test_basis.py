@@ -290,26 +290,42 @@ def test_run_program_checks_the_tolerance_before_any_offer(tol, monkeypatch):
 def test_a_closed_span_that_rejects_every_seed_left_ends_past_the_last_seed(monkeypatch):
     # T couples e_1 with u, spread evenly over e_2..e_6, and is zero on the
     # rest: at tol 0.9 the seeds e_2..e_6, at distance sqrt(4/5) from
-    # span(e_1, u), are rejected again at every closure, while each of
-    # e_7..e_12 is accepted once.  The build runs past (stride + 1)·d + 2
-    # positions and ends at the seed index d + 1
+    # span(e_1, u), are rejected, while each of e_7..e_12 is accepted once.
+    # A closure retries seeds past every seed offered before it, so no
+    # rejected seed is retried and the build ends at the seed index d + 1
     d = 12
     u = np.zeros(d, dtype=complex)
     u[1:6] = 1 / np.sqrt(5)
     T = np.outer(u, unit_vector(d, 0)) + np.outer(unit_vector(d, 0), u)
-    logs = []
+    logs, stream = [], []
 
     def kept():
         logs.append(BuildLog())
         return logs[-1]
 
+    class Recorded(WordProgram):
+        def word(self, j):
+            stream.append(super().word(j))
+            return stream[-1]
+
     monkeypatch.setattr(basis, "BuildLog", kept)
     with pytest.raises(InstructionCapError, match=f"^seed index {d + 1} exceeds dimension {d}$"):
-        run_program([T], staircase_program(), 0.9)
+        run_program([T], Recorded(*staircase_program()), 0.9)
     entries = logs[0].entries
-    assert [e.position for e in entries] == list(range(1, len(entries) + 1))
-    assert len(entries) > 3 * d + 2
+    assert [e.position for e in entries] == list(range(1, 35))
     assert sum(e.accepted for e in entries) == 8
+    # the words offered in the stream's order are its own; the rest are the
+    # seeds retried at closures, which never equal the closing word
+    words = iter(stream)
+    upcoming = next(words)
+    retried = []
+    for e in entries:
+        word = read_word(e.instruction)
+        if word == upcoming:
+            upcoming = next(words, None)
+        else:
+            retried.append(word)
+    assert retried == [(0, False, n) for n in range(4, d + 1)]
 
 
 def test_family_build_completes():
