@@ -7,7 +7,10 @@ calls once, copies an operator; every other layer checks its operators with
 implemented here: classical passes, with a second pass, for a single offer
 or for the rows of a block, only where the first cancelled
 (:data:`ONE_PASS_SHARE`).  An accepted vector is normalized by dividing its
-real and imaginary parts by its real norm.  The singular value
+real and imaginary parts by its real norm.  Within a block whose first rows
+are fresh, runs of rows are decided by one Householder QR each
+(:data:`FACTORED_RUN`); the per-row path starts at the first row a
+factorization rejects or finds cancelled.  The QR, the singular value
 decomposition and the Hermitian eigenvalues come from ``numpy.linalg``.
 
 The two similarity checks, :func:`unitarity_residual` and
@@ -43,6 +46,19 @@ DEPENDENCE_TOL = 1e-10
 #: analysed by Giraud, Langou & Rozložník, 2005; for blocks, Barlow &
 #: Smoktunowicz, "Reorthogonalized block classical Gram-Schmidt", 2013).
 ONE_PASS_SHARE = 1 / math.sqrt(2)
+
+#: Rows of a block decided together by one Householder QR, which costs less
+#: than deciding them one Python step at a time; runs of 16 to 64 rows cost
+#: alike at d <= 128.  The QR's own work grows with d, and a block of wider
+#: rows than ``FACTORED_MAX_DIM`` is decided row by row.
+FACTORED_RUN = 32
+FACTORED_MAX_DIM = 256
+
+#: The rows at the head of a block that are decided row by row before any
+#: is factored.  A block is factored only if all of them were accepted
+#: without cancelling: the blocks of normal, graded and rank-one operators
+#: hold dependent rows this early, where a factorization would stop short.
+FIRST_ROWS = 4
 
 #: Probes per sketched residual, and the factor by which the reported bound
 #: exceeds the probes' estimate of the residual's Frobenius norm.
@@ -250,8 +266,12 @@ def mgs_append(basis, v, tol: float = DEPENDENCE_TOL) -> Union[GsOutcome, List[G
     matrix products, and a second, one gathered product, for the rows that
     kept less than ``ONE_PASS_SHARE`` of their norm; then its rows are
     decided in offer order, each against the rows of the block accepted
-    before it.  A row that follows an accepted row and keeps less than 0.1
-    of its raw norm gets one more pass against the basis and every accepted
+    before it.  When its first ``FIRST_ROWS`` rows were accepted without
+    cancelling, the rest goes in runs of ``FACTORED_RUN`` rows, each decided
+    by one Householder QR up to its first rejected or cancelled row; from
+    there on, and in any other block, rows are decided one at a time.  A row
+    decided alone that follows an accepted row and keeps less than 0.1 of
+    its raw norm gets one more pass against the basis and every accepted
     row, since the rounding of the passes it cancelled in is then large next
     to its residual.
     """
@@ -294,6 +314,27 @@ def _row_norms(W) -> np.ndarray:
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
 
 
+def _factor_run(block, lo, hi, n, raw, limits):
+    """Decide rows [lo, hi) of ``block``, each projected against the basis and
+    the rows accepted before it, ``block[:n]``, with one Householder QR.
+
+    The run's in-order Gram-Schmidt residuals are the diagonal of its R: a
+    row is accepted while ``|R_ii|`` exceeds its limit and keeps at least 0.1
+    of its raw norm, and is packed at ``block[n:]`` as Householder column i
+    times the phase ``R_ii / |R_ii|``, its normalized Gram-Schmidt
+    direction.  Returns the residuals of the rows accepted before the first
+    that failed, which the per-row path decides.
+    """
+    q, R = np.linalg.qr(block[lo:hi].T)
+    diag = R.diagonal()
+    r = np.abs(diag)
+    hi = lo + len(r)  # a run longer than d has rows it cannot accept
+    ok = (r > limits[lo:hi]) & (r >= 0.1 * raw[lo:hi])
+    a = len(ok) if ok.all() else int(ok.argmin())
+    block[n:n + a] = (q[:, :a] * (diag[:a] / r[:a])).T
+    return r[:a].tolist()
+
+
 def _decide_in_order(Q, block, tol):
     """Project a block of rows against Q, then accept or reject its rows in
     order, packing each accepted row, normalized, at the front of ``block``
@@ -305,16 +346,27 @@ def _decide_in_order(Q, block, tol):
     block takes one classical pass against Q.  The norms each row had before
     it and kept after it come from :func:`_row_norms`, and only the rows
     that kept less than ``ONE_PASS_SHARE`` of their norm, the rows the pass
-    cancelled in, take a second pass, as one gathered product.  Rows
-    [lo, hi) are then halved recursively: once [lo, mid) is decided, the
-    rows accepted from it are projected out of [mid, hi) before that half is
-    decided.  A row is packed at a slot no later than its own, whose row is
-    decided already.
+    cancelled in, take a second pass, as one gathered product.
+
+    The first ``FIRST_ROWS`` rows are then decided row by row.  If all of
+    them were accepted, none below 0.1 of its raw norm, and the rows are at
+    most ``FACTORED_MAX_DIM`` long, the rest is decided in runs of
+    ``FACTORED_RUN`` rows, and the rows a run accepts are projected out of
+    the rest of the block in one product.  A run is factored
+    (:func:`_factor_run`) when its first row, as it stands, is above its
+    limit and above 0.1 of its raw norm, and otherwise decided row by row;
+    a factorization decides its run up to the first row it rejects or finds
+    cancelled, and from that row on the block is decided row by row.  The
+    per-row path halves rows [lo, hi) recursively: once [lo, mid) is
+    decided, the rows accepted from it are projected out of [mid, hi) before
+    that half is decided.  A row is packed at a slot no later than its own,
+    whose row is decided already.
     """
     raw = _row_norms(block)
     norms = raw.tolist()
     # fmax, like max(1.0, norm), reads a NaN norm as 1
-    limits = (tol * np.fmax(1.0, raw)).tolist()
+    bounds = tol * np.fmax(1.0, raw)
+    limits = bounds.tolist()
     _project(Q, block)
     again = np.flatnonzero(_row_norms(block) < ONE_PASS_SHARE * raw)
     if again.size:
@@ -351,7 +403,28 @@ def _decide_in_order(Q, block, tol):
                 n += 1
                 accepted[lo] = True
 
-    decide(0, len(block))
+    m, d = block.shape
+    lo = min(m, FIRST_ROWS) if d <= FACTORED_MAX_DIM else m
+    decide(0, lo)
+    factoring = n == lo < m and all(r >= 0.1 * norms[i] for i, r in enumerate(residuals))
+    start = 0
+    while lo < m:
+        if n > start:
+            _project(block[start:n], block[lo:])
+        start = n
+        hi = min(lo + FACTORED_RUN, m) if factoring else m
+        # a run's first row is factored only if it passes the factorization's
+        # tests as it stands, so that the factorization does not stop at once
+        if factoring and limits[lo] < _norm(block[lo]) >= 0.1 * norms[lo]:
+            decided = _factor_run(block, lo, hi, n, raw, bounds)
+            residuals += decided
+            accepted[lo:lo + len(decided)] = [True] * len(decided)
+            n += len(decided)
+            lo += len(decided)
+            factoring = lo == hi
+        else:
+            decide(lo, hi)
+            lo = hi
     # decide refers to itself; breaking that cycle frees the arrays it holds
     # on return instead of at the next garbage collection
     del decide

@@ -3,10 +3,14 @@
 A block of offers takes one classical pass against the basis, and a second,
 as one gathered product, only for the rows that kept less than
 ``ONE_PASS_SHARE`` (1/sqrt 2) of their norm; its rows are then decided in
-order.  ``two_pass_block`` always runs both passes on every row.  The two
-may part only where a row's residuals straddle its limit within rounding,
-and the rows accepted must be orthonormal and orthogonal to the basis.
+order, runs of fresh rows by one Householder QR each.  ``two_pass_block``
+always runs both passes on every row and decides every row on its own.  The
+two may part only where a row's residuals straddle its limit within
+rounding, and the rows accepted must be orthonormal and orthogonal to the
+basis.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocktrid.kernel as kernel
-from blocktrid.kernel import DEPENDENCE_TOL, ONE_PASS_SHARE, mgs_append
+from blocktrid.basis import run_program
+from blocktrid.kernel import (DEPENDENCE_TOL, FACTORED_MAX_DIM, FACTORED_RUN, FIRST_ROWS,
+                              ONE_PASS_SHARE, mgs_append)
+from blocktrid.words import direct_sum_program, joint_cyclic_program, staircase_program
 from reference_executor import two_pass_block
+from test_executor_reference import make_input
 
 KINDS = ("fresh", "in_span", "near_span", "duplicate")
 
@@ -65,7 +73,42 @@ def test_block_decides_as_two_passes_do(d, k_share, m_share, kinds, scale, tol, 
     k = round(k_share * d)
     m = 4 + round(m_share * (d - 4))
     Q, block = offer_block(rng, d, k, m, kinds)
-    block *= scale
+    assert_decides_as_two_passes_do(Q, block * scale, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(FACTORED_RUN + FIRST_ROWS, 96),
+    k_share=st.floats(0.0, 0.5),
+    fresh=st.integers(FIRST_ROWS + 1, 2 * FACTORED_RUN + FIRST_ROWS),
+    tail=st.integers(1, 12),
+    kind=st.sampled_from(["duplicate", "near_span"]),
+    scale=st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e),
+    tol=st.sampled_from([0.0, DEPENDENCE_TOL, 0.5]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# longer than a run: the factored prefix takes a whole run and part of the
+# next, which stops at the first duplicate; the fallback decides the rest
+@example(d=96, k_share=0.2, fresh=FACTORED_RUN + 12, tail=8, kind="duplicate", scale=1.0,
+         tol=DEPENDENCE_TOL, seed=0)
+@example(d=64, k_share=0.0, fresh=FACTORED_RUN - 4, tail=12, kind="near_span", scale=1e6,
+         tol=0.0, seed=1)
+def test_factored_runs_decide_as_two_passes_do(d, k_share, fresh, tail, kind, scale, tol,
+                                               seed):
+    # fresh rows, which the factorization decides, then rows that stop it:
+    # repeats of a fresh row, or combinations of the basis and the fresh rows
+    rng = np.random.default_rng(seed)
+    Q, head = offer_block(rng, d, round(k_share * d), fresh, {"fresh"})
+    if kind == "duplicate":
+        tail_rows = head[rng.integers(fresh, size=tail)] * np.exp(2j * np.pi * rng.random((tail, 1)))
+    else:
+        span = np.vstack([Q, head])
+        tail_rows = gaussian(rng, tail, len(span)) @ span + 1e-9 * gaussian(rng, tail, d)
+    assert_decides_as_two_passes_do(Q, np.vstack([head, tail_rows]) * scale, tol)
+
+
+def assert_decides_as_two_passes_do(Q, block, tol):
+    d = block.shape[1]
     norms = np.linalg.norm(block, axis=1)
     outcomes = mgs_append(Q, block, tol)
     residuals, accepted, _ = two_pass_block(Q, block, tol)
@@ -91,6 +134,67 @@ def test_block_decides_as_two_passes_do(d, k_share, m_share, kinds, scale, tol, 
     assert np.max(np.abs(Q.conj() @ kept.T), initial=0.0) <= 1e-13
     gram = kept.conj() @ kept.T - np.eye(len(kept))
     assert np.max(np.abs(gram), initial=0.0) <= 1e-13
+
+
+def factorizations(monkeypatch):
+    """Records, per factorization, its run's length and the rows it decided."""
+    runs = []
+    factor_run = kernel._factor_run
+
+    def counting(block, lo, hi, n, raw, limits):
+        decided = factor_run(block, lo, hi, n, raw, limits)
+        runs.append((hi - lo, len(decided)))
+        return decided
+
+    monkeypatch.setattr(kernel, "_factor_run", counting)
+    return runs
+
+
+@pytest.mark.parametrize("d, m", [(64, 5), (64, 36), (64, 37), (128, 9), (128, 81),
+                                  (FACTORED_MAX_DIM, 100)])
+def test_fresh_rows_past_the_first_are_factored_in_runs(d, m, monkeypatch):
+    rng = np.random.default_rng(m)
+    Q, block = offer_block(rng, d, 8, m, {"fresh"})
+    runs = factorizations(monkeypatch)
+    outcomes = mgs_append(Q, block, DEPENDENCE_TOL)
+    assert all(out.accepted for out in outcomes)
+    # the first rows are decided row by row; every other row by one of
+    # ceil((m - FIRST_ROWS) / FACTORED_RUN) factorizations, none cut short
+    assert len(runs) == math.ceil((m - FIRST_ROWS) / FACTORED_RUN)
+    assert all(length == decided <= FACTORED_RUN for length, decided in runs)
+    assert sum(decided for _, decided in runs) == m - FIRST_ROWS
+
+
+@pytest.mark.parametrize("kinds", [{"in_span"}, {"near_span"}, {"duplicate"}])
+def test_rows_in_the_span_are_never_factored(kinds, monkeypatch):
+    rng = np.random.default_rng(6)
+    Q, block = offer_block(rng, 64, 24, 40, kinds)
+    if kinds == {"duplicate"}:
+        block[:] = block[0] * np.exp(2j * np.pi * rng.random((40, 1)))
+    runs = factorizations(monkeypatch)
+    mgs_append(Q, block, DEPENDENCE_TOL)
+    assert runs == []
+
+
+def test_wide_blocks_are_decided_row_by_row(monkeypatch):
+    rng = np.random.default_rng(7)
+    Q, block = offer_block(rng, FACTORED_MAX_DIM + 1, 8, 40, {"fresh"})
+    runs = factorizations(monkeypatch)
+    assert all(out.accepted for out in mgs_append(Q, block, DEPENDENCE_TOL))
+    assert runs == []
+
+
+@pytest.mark.parametrize("program", [staircase_program, joint_cyclic_program,
+                                     direct_sum_program])
+@pytest.mark.parametrize("d", [20, 64, 128])
+def test_a_build_on_a_normal_input_stops_at_most_one_factorization_short(program, d,
+                                                                         monkeypatch):
+    rng = np.random.default_rng(d)
+    T = make_input("normal", d, rng)
+    kwargs = {"seed_vector": gaussian(rng, d)} if program is joint_cyclic_program else {}
+    runs = factorizations(monkeypatch)
+    run_program([T], program(), **kwargs)
+    assert sum(decided < length for length, decided in runs) <= 1
 
 
 def passes_against(Q, block, monkeypatch):
